@@ -152,25 +152,24 @@ class EstimateSummary:
 def quantile_band(samples: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
     """Median and central credible bands via linear-interpolation quantiles.
 
-    ``samples`` has draws along axis 0; remaining axes are pointwise.
+    ``samples`` has draws along axis 0; remaining axes are pointwise.  The
+    median and both tails of every level come from one ``np.quantile``
+    call, so the draws are partitioned once.
     """
-    samples = np.asarray(samples, dtype=float)
-    median = np.quantile(samples, 0.5, axis=0)
-    bands = {}
+    probs = [0.5]
     for level in levels:
         if not 0.0 < level < 1.0:
             raise ValueError(f"credible level must be in (0, 1), got {level}")
         tail = 0.5 * (1.0 - level)
-        lower = np.quantile(samples, tail, axis=0)
-        upper = np.quantile(samples, 1.0 - tail, axis=0)
-        bands[level] = IntervalBand(lower=lower, upper=upper)
-    if median.ndim == 0:
-        median = float(median)
-        bands = {
-            lvl: IntervalBand(lower=float(b.lower), upper=float(b.upper))
-            for lvl, b in bands.items()
-        }
-    return QuantitySummary(median=median, bands=bands)
+        probs += [tail, 1.0 - tail]
+    values = np.quantile(np.asarray(samples, dtype=float), probs, axis=0)
+    if values.ndim == 1:
+        values = [float(v) for v in values]
+    bands = {
+        level: IntervalBand(lower=values[2 * i + 1], upper=values[2 * i + 2])
+        for i, level in enumerate(levels)
+    }
+    return QuantitySummary(median=values[0], bands=bands)
 
 
 def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:

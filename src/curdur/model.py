@@ -64,10 +64,6 @@ class ModelParams:
             raise ValueError("model parameters must be finite")
 
     @property
-    def sigma(self) -> float:
-        return _safe_exp(self.log_sigma)
-
-    @property
     def num_basis(self) -> int:
         return self.delta.size
 
@@ -110,8 +106,23 @@ class TslsDistribution:
             raise ValueError("the boundary probability is identically zero")
 
 
-def _reverse_cumsum(delta: np.ndarray) -> np.ndarray:
-    return np.cumsum(delta[::-1])[::-1]
+def _clamped_sums(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse cumulative sums along the last axis, clipped to +/- LOG_CLAMP.
+
+    Also returns the mask of entries the clip left alone; clip events are
+    counted on ``overflow_guard``.
+    """
+    sums = np.cumsum(delta[..., ::-1], axis=-1)[..., ::-1]
+    clipped = sums.clip(-LOG_CLAMP, LOG_CLAMP)
+    unclamped = clipped == sums
+    overflow_guard.bump(unclamped.size - np.count_nonzero(unclamped))
+    return clipped, unclamped
+
+
+def _rescaled_alpha(sums: np.ndarray) -> np.ndarray:
+    # the common scale cancels in phi and in every likelihood ratio, so
+    # exp(sums - max) keeps all downstream sums inside double range
+    return np.exp(sums - sums.max(axis=-1, keepdims=True))
 
 
 def alpha_from_delta(delta: np.ndarray) -> np.ndarray:
@@ -124,30 +135,9 @@ def alpha_from_delta(delta: np.ndarray) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     if delta.ndim != 1:
         raise DimensionError(f"delta must be a vector, got shape {delta.shape}")
-    if not np.all(np.isfinite(delta)):
+    if not np.isfinite(delta).all():
         raise ValueError("delta must be finite")
-    sums = _reverse_cumsum(delta)
-    clipped = np.clip(sums, -LOG_CLAMP, LOG_CLAMP)
-    n_clamped = int(np.count_nonzero(clipped != sums))
-    if n_clamped:
-        overflow_guard.bump(n_clamped)
-    return np.exp(clipped)
-
-
-def _scaled_alpha(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients rescaled by their maximum, plus the unclamped mask.
-
-    The common scale cancels in phi and in every likelihood ratio, so
-    working with exp(sums - max) keeps all downstream sums inside double
-    range no matter how large the raw coefficients are.
-    """
-    sums = _reverse_cumsum(np.asarray(delta, dtype=float))
-    clipped = np.clip(sums, -LOG_CLAMP, LOG_CLAMP)
-    n_clamped = int(np.count_nonzero(clipped != sums))
-    if n_clamped:
-        overflow_guard.bump(n_clamped)
-    scaled = np.exp(clipped - clipped.max())
-    return scaled, clipped == sums
+    return np.exp(_clamped_sums(delta)[0])
 
 
 def phi_from_params(params: ModelParams, basis: SplineBasis) -> TslsDistribution:
@@ -156,8 +146,7 @@ def phi_from_params(params: ModelParams, basis: SplineBasis) -> TslsDistribution
         raise DimensionError(
             f"delta has length {params.delta.size}, basis has {basis.num_basis} columns"
         )
-    scaled, _ = _scaled_alpha(params.delta)
-    gamma = basis.values @ scaled
+    gamma = basis.values @ _rescaled_alpha(_clamped_sums(params.delta)[0])
     total = float(gamma[:-1].sum())
     return TslsDistribution(phi=gamma[:-1] / total)
 
@@ -175,10 +164,7 @@ def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
             f"parameter rows have {deltas.shape[1]} deltas, "
             f"basis has {basis.num_basis} columns"
         )
-    sums = np.cumsum(deltas[:, ::-1], axis=1)[:, ::-1]
-    sums = np.clip(sums, -LOG_CLAMP, LOG_CLAMP)
-    scaled = np.exp(sums - sums.max(axis=1, keepdims=True))
-    gamma = scaled @ basis.values.T
+    gamma = _rescaled_alpha(_clamped_sums(deltas)[0]) @ basis.values.T
     body = gamma[:, :-1]
     return body / body.sum(axis=1, keepdims=True)
 
@@ -258,6 +244,8 @@ class PosteriorDensity:
             self._interval_sums = np.array(rows)
             self._counts = np.array(counts)
         self._n_total = float(self._counts.sum())
+        # non-centered: k standard normals and a standard half-normal
+        self._prior_const = math.log(2.0) - (k + 1) * _HALF_LOG_2PI
 
     def log_posterior(self, params: ModelParams) -> float:
         return self.logp_and_grad(params.to_vector())[0]
@@ -269,58 +257,68 @@ class PosteriorDensity:
         """Log posterior and gradient at a raw parameter vector.
 
         Total over all inputs: a non-finite position reports -inf so the
-        sampler can flag the trajectory as divergent.
+        sampler can flag the trajectory as divergent.  The reference the
+        sampler's ``noncentered_logp_and_grad`` is tested against.
         """
         theta = np.asarray(theta, dtype=float)
-        if not np.all(np.isfinite(theta)):
+        if not np.isfinite(theta).all():
             return -math.inf, np.zeros_like(theta)
-        delta = theta[:-1]
-        log_sigma = float(theta[-1])
-        params = ModelParams(delta=delta, log_sigma=log_sigma)
+        params = ModelParams.from_vector(theta)
         logp = log_prior(params)
         grad = grad_log_prior(params)
-        if self._counts.size == 0:
-            return logp, grad
-        scaled, unclamped = _scaled_alpha(delta)
-        interval_mass = self._interval_sums @ scaled
-        total_mass = float(self._col_totals @ scaled)
-        with np.errstate(divide="ignore"):
-            logp += float(self._counts @ np.log(interval_mass))
-        logp -= self._n_total * math.log(total_mass)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = self._counts / interval_mass
-            d_alpha = self._interval_sums.T @ ratio
-            d_alpha -= self._n_total * self._col_totals / total_mass
-        d_sums = scaled * d_alpha * unclamped
-        grad[:-1] += np.cumsum(d_sums)
+        if self._counts.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                loglik, d_delta = self._log_likelihood(params.delta)
+            logp += loglik
+            grad[:-1] += d_delta
         return logp, grad
 
-    def phi(self, theta: np.ndarray) -> np.ndarray:
-        """Day-probability vector for a raw parameter vector."""
-        return phi_from_params(ModelParams.from_vector(theta), self.basis).phi
+    def _log_likelihood(self, delta: np.ndarray) -> tuple[float, np.ndarray]:
+        """Log probability of every report and its gradient in delta.
+
+        Callers hold an ``np.errstate``: an interval whose mass underflows
+        to zero gives -inf, which the sampler treats as divergent.
+        """
+        sums, unclamped = _clamped_sums(delta)
+        alpha = _rescaled_alpha(sums)
+        interval_mass = self._interval_sums @ alpha
+        total_mass = float(self._col_totals @ alpha)
+        loglik = float(self._counts @ np.log(interval_mass))
+        loglik -= self._n_total * math.log(total_mass)
+        d_alpha = (self._counts / interval_mass) @ self._interval_sums
+        d_alpha -= (self._n_total / total_mass) * self._col_totals
+        return loglik, np.cumsum(alpha * d_alpha * unclamped)
 
     def noncentered_logp_and_grad(self, eta: np.ndarray) -> tuple[float, np.ndarray]:
         """Log density and gradient in scale-free coordinates.
 
-        eta = (delta / sigma, log_sigma).  In these coordinates the prior
-        scale decouples from the increments, which removes the funnel
-        geometry the sampler would otherwise face when the data leave
-        some increments prior-dominated.  Includes the log Jacobian.
+        eta = (z, log_sigma) with z = delta / sigma.  In these coordinates
+        the prior scale decouples from the increments, which removes the
+        funnel geometry the sampler would otherwise face when the data
+        leave some increments prior-dominated.  With the log Jacobian the
+        prior is const - |z|^2/2 - sigma^2/2 + log_sigma; with L the
+        likelihood gradient in delta, the gradient is (-z + sigma L,
+        1 - sigma^2 + z . sigma L).
         """
         eta = np.asarray(eta, dtype=float)
-        scaled_delta = eta[:-1]
+        z = eta[:-1]
         log_sigma = float(eta[-1])
         sigma = _safe_exp(log_sigma)
-        delta = scaled_delta * sigma
-        if not np.all(np.isfinite(delta)):
-            return -math.inf, np.zeros_like(eta)
-        k = eta.size - 1
-        logp, grad = self.logp_and_grad(np.concatenate([delta, [log_sigma]]))
-        logp += k * log_sigma
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad_scaled = grad[:-1] * sigma
-            grad_log_sigma = grad[-1] + float(scaled_delta @ grad_scaled) + k
-        return logp, np.concatenate([grad_scaled, [grad_log_sigma]])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            delta = z * sigma
+            if not (math.isfinite(log_sigma) and np.isfinite(delta).all()):
+                return -math.inf, np.zeros_like(eta)
+            sigma_sq = sigma * sigma
+            logp = self._prior_const - 0.5 * (float(z @ z) + sigma_sq) + log_sigma
+            grad = -eta
+            grad[-1] = 1.0 - sigma_sq
+            if self._counts.size:
+                loglik, d_z = self._log_likelihood(delta)
+                d_z *= sigma
+                logp += loglik
+                grad[:-1] += d_z
+                grad[-1] += float(z @ d_z)
+        return logp, grad
 
 
 def to_noncentered(theta: np.ndarray) -> np.ndarray:

@@ -6,14 +6,13 @@ estimation in expanding warm-up windows.  The number of leapfrog steps is
 chosen each iteration so that step size times steps matches the
 configured trajectory length, capped at a configurable maximum.
 
-Chains own independent seeded RNG streams, so results are bit-identical
-across runs and across sequential or threaded execution.
+Chains run one after another and own independent seeded RNG streams, so
+results are bit-identical across runs.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +104,26 @@ class PosteriorDraws:
         return self.draws.reshape(-1, self.num_params)
 
 
+def _leapfrog(logp_and_grad, q, p, grad, step_size, num_steps, inv_mass):
+    """Leapfrog trajectory of ``num_steps`` >= 1 steps from (q, p).
+
+    ``grad`` is the gradient at q.  Returns (q, p, logp, grad, diverged)
+    at the end of the trajectory; it stops early, with ``diverged`` set,
+    at the first position whose log density or gradient is not finite,
+    leaving p as it was before that position's kick.
+    """
+    drift = step_size * inv_mass
+    p = p + 0.5 * step_size * grad
+    for step in range(num_steps):
+        q = q + drift * p
+        logp, grad = logp_and_grad(q)
+        if not (math.isfinite(logp) and np.isfinite(grad).all()):
+            return q, p, logp, grad, True
+        factor = step_size if step < num_steps - 1 else 0.5 * step_size
+        p = p + factor * grad
+    return q, p, logp, grad, False
+
+
 def leapfrog(position, momentum, step_size, num_steps, gradient_fn, inv_mass=None):
     """Symplectic leapfrog integrator.
 
@@ -118,15 +137,8 @@ def leapfrog(position, momentum, step_size, num_steps, gradient_fn, inv_mass=Non
     if num_steps == 0:
         return q, p
     scale = 1.0 if inv_mass is None else inv_mass
-    step_size = float(step_size)
-    p = p + 0.5 * step_size * gradient_fn(q)
-    for step in range(num_steps):
-        q = q + step_size * scale * p
-        grad = gradient_fn(q)
-        if not np.all(np.isfinite(grad)):
-            return q, p
-        factor = step_size if step < num_steps - 1 else 0.5 * step_size
-        p = p + factor * grad
+    q, p, _, _, _ = _leapfrog(lambda x: (0.0, gradient_fn(x)), q, p, gradient_fn(q),
+                              float(step_size), num_steps, scale)
     return q, p
 
 
@@ -204,6 +216,13 @@ def _mass_update_points(warmup: int) -> list:
     return points
 
 
+def _energy(logp: float, p: np.ndarray, inv_mass: np.ndarray) -> float:
+    """Hamiltonian at a state: potential plus kinetic; inf when not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = -logp + 0.5 * float(np.dot(inv_mass * p, p))
+    return energy if math.isfinite(energy) else math.inf
+
+
 def _find_initial_step(logp_and_grad, q, rng, inv_mass) -> float:
     """Double or halve the step until the one-step acceptance crosses 1/2."""
     dim = q.size
@@ -211,16 +230,12 @@ def _find_initial_step(logp_and_grad, q, rng, inv_mass) -> float:
     momentum_sd = inv_mass ** -0.5
     p = rng.standard_normal(dim) * momentum_sd
     logp0, grad0 = logp_and_grad(q)
-    energy0 = -logp0 + 0.5 * float(np.dot(inv_mass * p, p))
+    energy0 = _energy(logp0, p, inv_mass)
 
     def energy_after(step_size: float) -> float:
-        p1 = p + 0.5 * step_size * grad0
-        q1 = q + step_size * inv_mass * p1
-        logp1, grad1 = logp_and_grad(q1)
-        if not (math.isfinite(logp1) and np.all(np.isfinite(grad1))):
-            return math.inf
-        p1 = p1 + 0.5 * step_size * grad1
-        return -logp1 + 0.5 * float(np.dot(inv_mass * p1, p1))
+        _, p1, logp1, _, diverged = _leapfrog(logp_and_grad, q, p, grad0, step_size, 1,
+                                              inv_mass)
+        return math.inf if diverged else _energy(logp1, p1, inv_mass)
 
     log_ratio = energy0 - energy_after(step)
     direction = 1.0 if log_ratio > math.log(0.5) else -1.0
@@ -264,24 +279,12 @@ def _run_chain(logp_and_grad, dim, config: SamplerConfig, chain_index: int, prog
                             max(1, round(config.trajectory_length / step_size))))
 
         p = rng.standard_normal(dim) * momentum_sd
-        energy0 = -logp + 0.5 * float(np.dot(inv_mass * p, p))
-
-        q_new, p_new = np.array(q), np.array(p)
-        logp_new, grad_new = logp, grad
-        diverged = False
-        p_new = p_new + 0.5 * step_size * grad_new
-        for leap in range(num_steps):
-            q_new = q_new + step_size * inv_mass * p_new
-            logp_new, grad_new = logp_and_grad(q_new)
-            if not (math.isfinite(logp_new) and np.all(np.isfinite(grad_new))):
-                diverged = True
-                break
-            factor = step_size if leap < num_steps - 1 else 0.5 * step_size
-            p_new = p_new + factor * grad_new
-
+        energy0 = _energy(logp, p, inv_mass)
+        q_new, p_new, logp_new, grad_new, diverged = _leapfrog(
+            logp_and_grad, q, p, grad, step_size, num_steps, inv_mass
+        )
         if not diverged:
-            energy1 = -logp_new + 0.5 * float(np.dot(inv_mass * p_new, p_new))
-            delta_energy = energy1 - energy0
+            delta_energy = _energy(logp_new, p_new, inv_mass) - energy0
             if not math.isfinite(delta_energy) or delta_energy > DIVERGENCE_ENERGY:
                 diverged = True
 
@@ -321,7 +324,6 @@ def sample_density(
     config: SamplerConfig,
     logp_and_grad,
     dim: int,
-    parallel: bool = False,
     progress=None,
     param_names=None,
     init_fn=None,
@@ -330,25 +332,16 @@ def sample_density(
 
     ``logp_and_grad`` maps a parameter vector to (log density, gradient).
     ``init_fn(rng)``, when given, supplies each chain's starting point
-    (default: uniform on [-1, 1] per coordinate).  Deterministic given the
-    config seed, with or without chain threading.
+    (default: uniform on [-1, 1] per coordinate).  Chains run one after
+    another in the calling thread; the result is deterministic given the
+    config seed.
     """
     if param_names is None:
         param_names = [f"param_{i}" for i in range(dim)]
     chain_ids = list(range(config.chains))
-    if parallel:
-        with ThreadPoolExecutor(max_workers=config.chains) as pool:
-            results = list(
-                pool.map(
-                    lambda c: _run_chain(logp_and_grad, dim, config, c, progress, init_fn),
-                    chain_ids,
-                )
-            )
-    else:
-        results = [
-            _run_chain(logp_and_grad, dim, config, c, progress, init_fn)
-            for c in chain_ids
-        ]
+    results = [
+        _run_chain(logp_and_grad, dim, config, c, progress, init_fn) for c in chain_ids
+    ]
 
     draws = np.stack([r["draws"] for r in results])
     accept = np.array([r["accept_mean"] for r in results])
@@ -381,7 +374,6 @@ def sample(
     basis,
     heap=None,
     prior_only: bool = False,
-    parallel: bool = False,
     progress=None,
     cache_phi: bool = False,
 ) -> PosteriorDraws:
@@ -409,7 +401,6 @@ def sample(
         config,
         density.noncentered_logp_and_grad,
         density.num_params,
-        parallel=parallel,
         progress=progress,
         param_names=names,
         init_fn=init_fn,

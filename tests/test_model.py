@@ -243,3 +243,63 @@ class TestGradient:
             )
             rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
             assert rel.max() < 1e-5
+
+
+def _chain_rule_reference(density, eta):
+    """Non-centered density from the centered reference by the chain rule.
+
+    With delta = sigma z and the log Jacobian k log_sigma:
+    logp = logp_c + k log_sigma, d/dz = sigma g_delta and
+    d/dlog_sigma = g_log_sigma + delta . g_delta + k.
+    """
+    k = eta.size - 1
+    log_sigma = eta[-1]
+    delta = eta[:-1] * math.exp(log_sigma)
+    logp_c, g = density.logp_and_grad(np.concatenate([delta, [log_sigma]]))
+    grad = np.concatenate(
+        [math.exp(log_sigma) * g[:-1], [g[-1] + float(delta @ g[:-1]) + k]]
+    )
+    return logp_c + k * log_sigma, grad
+
+
+class TestNoncenteredKernel:
+    @pytest.mark.parametrize("case", ["data", "data_clamp_region", "prior_only"])
+    def test_matches_centered_reference(self, rng, case):
+        data = make_mixed_dataset(rng, n=60)
+        density = PosteriorDensity(data, BASIS, prior_only=case == "prior_only")
+        for _ in range(40):
+            z = rng.uniform(-3.0, 3.0, 13)
+            log_sigma = rng.uniform(-2.0, 2.0)
+            if case == "data_clamp_region":
+                # the last increment puts the reverse sums past LOG_CLAMP,
+                # a negative first increment pulls the first sum back in
+                log_sigma = rng.uniform(0.5, 1.5)
+                z[-1] = rng.uniform(705.0, 760.0) / math.exp(log_sigma)
+                z[0] = -rng.uniform(40.0, 80.0) / math.exp(log_sigma)
+            eta = np.concatenate([z, [log_sigma]])
+            overflow_guard.reset()
+            logp, grad = density.noncentered_logp_and_grad(eta)
+            clamped = overflow_guard.count
+            ref_logp, ref_grad = _chain_rule_reference(density, eta)
+            assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
+            assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+            assert np.isfinite(logp) and np.isfinite(grad).all()
+            if case == "data_clamp_region":
+                assert clamped > 0
+        overflow_guard.reset()
+
+    @pytest.mark.parametrize(
+        "eta_last, z_fill",
+        [(0.0, math.nan), (0.0, math.inf), (math.nan, 0.5), (-math.inf, 0.5),
+         (math.inf, 0.5), (800.0, 0.5)],
+    )
+    @pytest.mark.parametrize("prior_only", [False, True])
+    def test_non_finite_position(self, rng, eta_last, z_fill, prior_only):
+        density = PosteriorDensity(make_mixed_dataset(rng, n=20), BASIS,
+                                   prior_only=prior_only)
+        eta = np.full(14, 0.3)
+        eta[3] = z_fill
+        eta[-1] = eta_last
+        logp, grad = density.noncentered_logp_and_grad(eta)
+        assert logp == -math.inf
+        assert np.array_equal(grad, np.zeros(14))

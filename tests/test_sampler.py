@@ -1,6 +1,7 @@
 """Leapfrog integrator contracts and sampler calibration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ import pytest
 from curdur.basis import BasisConfig, build_basis
 from curdur.errors import ConfigurationError, SamplingError
 from curdur.reporting import ReportedDataset
-from curdur.sampler import PosteriorDraws, SamplerConfig, leapfrog, sample, sample_density
+from curdur.sampler import (
+    PosteriorDraws,
+    SamplerConfig,
+    _find_initial_step,
+    leapfrog,
+    sample,
+    sample_density,
+)
 from curdur.simulator import simulate_survey, truncated_geometric
 
 BASIS = build_basis(BasisConfig())
@@ -81,13 +89,27 @@ class TestGaussianTarget:
         assert np.linalg.norm(cov - np.eye(2)) < 0.1
         assert res.divergence_count.sum() == 0
 
-    def test_determinism_and_parallel_equivalence(self):
+    def test_determinism_across_reruns(self):
         config = SamplerConfig(chains=2, iterations_per_chain=400, warmup=200, seed=11)
         a = sample_density(config, gaussian_logp_grad, dim=3)
         b = sample_density(config, gaussian_logp_grad, dim=3)
-        c = sample_density(config, gaussian_logp_grad, dim=3, parallel=True)
         assert np.array_equal(a.draws, b.draws)
-        assert np.array_equal(a.draws, c.draws)
+
+
+class TestInitialStep:
+    def test_steep_wall_gives_no_overflow_warning(self):
+        # standard normal inside the unit box, a cliff of huge gradient
+        # outside it: the kinetic energy after the first trial step
+        # overflows, which must count as an infinite energy, not a warning
+        def steep_wall(q):
+            grad = np.where(np.abs(q) > 1.0, -1e200 * np.sign(q), -q)
+            return -0.5 * float(q @ q), grad
+
+        rng = np.random.default_rng(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = _find_initial_step(steep_wall, np.zeros(10), rng, np.ones(10))
+        assert 0.0 < step < 1.0
 
 
 class TestModelSampling:
@@ -112,7 +134,7 @@ class TestModelSampling:
         data = simulate_survey(truncated_geometric(0.15), n=400, seed=2)
         config = SamplerConfig(chains=2, iterations_per_chain=400, warmup=200, seed=7)
         a = sample(config, data, BASIS)
-        b = sample(config, data, BASIS, parallel=True)
+        b = sample(config, data, BASIS)
         assert a.draws.shape == (2, 200, 14)
         assert a.param_names[-1] == "log_sigma"
         assert np.array_equal(a.draws, b.draws)
