@@ -228,7 +228,10 @@ def _heap_from_args(args) -> HeapSet:
         return DEFAULT_HEAP
     days = DEFAULT_HEAP.days
     if args.heap_days is not None:
-        days = tuple(int(d) for d in args.heap_days.split(","))
+        try:
+            days = tuple(int(d) for d in args.heap_days.split(","))
+        except ValueError as exc:
+            raise ConfigurationError(f"bad heap days {args.heap_days!r}") from exc
     halfwidth = DEFAULT_HEAP.halfwidth if args.heap_halfwidth is None else args.heap_halfwidth
     return HeapSet(days=days, halfwidth=halfwidth)
 
@@ -243,6 +246,38 @@ def _parse_levels(text: str) -> tuple[float, ...]:
     return levels
 
 
+_TRUTH_FAMILIES = {
+    "geometric": (simulator.truncated_geometric, {"p": float}),
+    "pointmass": (simulator.point_mass, {"day": int}),
+    "uniform": (simulator.uniform_gap, {"lo": int, "hi": int}),
+}
+
+
+def _truth_component(chunk: str) -> tuple[simulator.TrueTbs, float]:
+    weight = 1.0
+    if "@" in chunk:
+        chunk, weight_text = chunk.rsplit("@", 1)
+        weight = float(weight_text)
+    if ":" not in chunk:
+        raise ConfigurationError(f"bad truth component {chunk!r}, expected name:key=value")
+    name, arg_text = chunk.split(":", 1)
+    kwargs = {}
+    for pair in arg_text.split(","):
+        if "=" not in pair:
+            raise ConfigurationError(f"bad truth argument {pair!r}")
+        key, value = pair.split("=", 1)
+        kwargs[key.strip()] = float(value)
+    name = name.strip().lower()
+    if name not in _TRUTH_FAMILIES:
+        raise ConfigurationError(f"unknown truth family {name!r}")
+    make, arg_types = _TRUTH_FAMILIES[name]
+    if set(kwargs) != set(arg_types):
+        raise ConfigurationError(
+            f"truth family {name!r} takes {sorted(arg_types)}, got {sorted(kwargs)}"
+        )
+    return make(**{k: cast(kwargs[k]) for k, cast in arg_types.items()}), weight
+
+
 def parse_truth(spec: str) -> simulator.TrueTbs:
     """Parse a gap-truth expression.
 
@@ -250,42 +285,16 @@ def parse_truth(spec: str) -> simulator.TrueTbs:
     ``name:key=value[,key=value]`` with optional ``@weight``.  Names:
     geometric (p=...), pointmass (day=...), uniform (lo=...,hi=...).
     """
-    parts = []
-    for chunk in spec.split("+"):
-        chunk = chunk.strip()
-        weight = 1.0
-        if "@" in chunk:
-            chunk, weight_text = chunk.rsplit("@", 1)
-            try:
-                weight = float(weight_text)
-            except ValueError as exc:
-                raise ConfigurationError(f"bad mixture weight {weight_text!r}") from exc
-        if ":" not in chunk:
-            raise ConfigurationError(
-                f"bad truth component {chunk!r}, expected name:key=value"
-            )
-        name, arg_text = chunk.split(":", 1)
-        kwargs = {}
-        for pair in arg_text.split(","):
-            if "=" not in pair:
-                raise ConfigurationError(f"bad truth argument {pair!r}")
-            key, value = pair.split("=", 1)
-            kwargs[key.strip()] = float(value)
-        name = name.strip().lower()
-        if name == "geometric":
-            part = simulator.truncated_geometric(kwargs.pop("p"))
-        elif name == "pointmass":
-            part = simulator.point_mass(int(kwargs.pop("day")))
-        elif name == "uniform":
-            part = simulator.uniform_gap(int(kwargs.pop("lo")), int(kwargs.pop("hi")))
-        else:
-            raise ConfigurationError(f"unknown truth family {name!r}")
-        if kwargs:
-            raise ConfigurationError(f"unused truth arguments {sorted(kwargs)}")
-        parts.append((part, weight))
-    if len(parts) == 1 and parts[0][1] == 1.0:
-        return parts[0][0]
-    return simulator.mixture(parts)
+    try:
+        parts = [_truth_component(chunk.strip()) for chunk in spec.split("+")]
+        if len(parts) == 1 and parts[0][1] == 1.0:
+            return parts[0][0]
+        return simulator.mixture(parts)
+    except ConfigurationError:
+        raise
+    except (ValueError, OverflowError) as exc:
+        # a number that does not parse, or a non-finite one cast to int
+        raise ConfigurationError(f"bad truth {spec!r}: {exc}") from exc
 
 
 def _cmd_fit(args) -> int:

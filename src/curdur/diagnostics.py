@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 RHAT_THRESHOLD = 1.01
 ESS_THRESHOLD = 400.0
@@ -37,7 +36,9 @@ def _split_chains(x: np.ndarray) -> np.ndarray:
 
 
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
-    ranks = rankdata(x, method="average").reshape(x.shape)
+    # 1-based ranks of the pooled draws; tied draws share their mean rank
+    _, idx, cnt = np.unique(x, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(cnt) - 0.5 * (cnt - 1))[idx].reshape(x.shape)
     return ndtri((ranks - 0.375) / (x.size + 0.25))
 
 

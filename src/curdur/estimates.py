@@ -85,12 +85,13 @@ def survival_from_tsls(phi) -> np.ndarray:
 def expected_tbs(phi) -> float:
     """Mean gap length in days (discrete convention): 1 / phi_0.
 
-    Consistency with the survival-curve sum is asserted to 1e-10.
+    Raises ValueError unless it matches the survival-curve sum to 1e-10.
     """
     vec = _phi_vector(phi)
     mean = 1.0 / float(vec[0])
     survival_sum = float((vec / vec[0]).sum())
-    assert abs(mean - survival_sum) <= 1e-10 * max(1.0, mean)
+    if not abs(mean - survival_sum) <= 1e-10 * max(1.0, mean):
+        raise ValueError(f"1 / phi_0 = {mean!r} but the survival sum is {survival_sum!r}")
     return mean
 
 

@@ -63,10 +63,6 @@ class ModelParams:
         if not (np.all(np.isfinite(delta)) and math.isfinite(self.log_sigma)):
             raise ValueError("model parameters must be finite")
 
-    @property
-    def num_basis(self) -> int:
-        return self.delta.size
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.delta, [self.log_sigma]])
 
@@ -106,13 +102,19 @@ class TslsDistribution:
             raise ValueError("the boundary probability is identically zero")
 
 
-def _clamped_sums(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _clamped_sums(delta: np.ndarray, sq_norm: float = math.inf) -> tuple:
     """Reverse cumulative sums along the last axis, clipped to +/- LOG_CLAMP.
 
-    Also returns the mask of entries the clip left alone; clip events are
-    counted on ``overflow_guard``.
+    Also returns the mask of entries the clip left alone, or None when every
+    sum lies within the clamp, which skips the clip; clip events are counted
+    on ``overflow_guard``.  ``sq_norm`` = |delta|^2 of a vector, when known,
+    settles that without a pass over the sums: no sum exceeds sqrt(K sq_norm).
     """
-    sums = np.cumsum(delta[..., ::-1], axis=-1)[..., ::-1]
+    sums = np.add.accumulate(delta[..., ::-1], axis=-1)[..., ::-1]
+    # the 1% margin covers the rounding of the sums and of sq_norm
+    if (delta.shape[-1] * sq_norm <= 0.99 * LOG_CLAMP**2
+            or np.maximum.reduce(np.abs(sums), axis=None, initial=0.0) <= LOG_CLAMP):
+        return sums, None
     clipped = sums.clip(-LOG_CLAMP, LOG_CLAMP)
     unclamped = clipped == sums
     overflow_guard.bump(unclamped.size - np.count_nonzero(unclamped))
@@ -122,7 +124,7 @@ def _clamped_sums(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rescaled_alpha(sums: np.ndarray) -> np.ndarray:
     # the common scale cancels in phi and in every likelihood ratio, so
     # exp(sums - max) keeps all downstream sums inside double range
-    return np.exp(sums - sums.max(axis=-1, keepdims=True))
+    return np.exp(sums - np.maximum.reduce(sums, axis=-1, keepdims=True))
 
 
 def alpha_from_delta(delta: np.ndarray) -> np.ndarray:
@@ -142,13 +144,7 @@ def alpha_from_delta(delta: np.ndarray) -> np.ndarray:
 
 def phi_from_params(params: ModelParams, basis: SplineBasis) -> TslsDistribution:
     """Map unconstrained parameters to the monotone day-probability simplex."""
-    if params.delta.size != basis.num_basis:
-        raise DimensionError(
-            f"delta has length {params.delta.size}, basis has {basis.num_basis} columns"
-        )
-    gamma = basis.values @ _rescaled_alpha(_clamped_sums(params.delta)[0])
-    total = float(gamma[:-1].sum())
-    return TslsDistribution(phi=gamma[:-1] / total)
+    return TslsDistribution(phi=phi_matrix(params.to_vector()[None, :], basis)[0])
 
 
 def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
@@ -177,7 +173,7 @@ def log_prior(params: ModelParams) -> float:
     sigma on the log scale.  Total over all finite parameters: extreme
     log_sigma values yield -inf rather than an overflow error.
     """
-    k = params.num_basis
+    k = params.delta.size
     log_sigma = params.log_sigma
     with np.errstate(over="ignore"):
         delta_sq = float(params.delta @ params.delta)
@@ -191,7 +187,7 @@ def log_prior(params: ModelParams) -> float:
 
 def grad_log_prior(params: ModelParams) -> np.ndarray:
     """Gradient of the log prior with respect to (delta, log_sigma)."""
-    k = params.num_basis
+    k = params.delta.size
     log_sigma = params.log_sigma
     precision = _safe_exp(-2.0 * log_sigma)
     with np.errstate(over="ignore"):
@@ -230,28 +226,22 @@ class PosteriorDensity:
         self.prior_only = prior_only
         k = basis.num_basis
         self.num_params = k + 1
-        self._col_totals = basis.values[:-1].sum(axis=0)
-        if prior_only or data is None or len(data) == 0:
-            self._interval_sums = np.zeros((0, k))
-            self._counts = np.zeros(0)
-        else:
+        # a row per distinct report, then the normaliser's column totals,
+        # weighted by the counts, then minus their total
+        self._rows = None
+        if not (prior_only or data is None or len(data) == 0):
             rows = []
-            counts = []
+            weights = []
             for record, n in data.counts.items():
                 lo, hi = day_interval(record, heap)
                 rows.append(basis.values[lo : hi + 1].sum(axis=0))
-                counts.append(float(n))
-            self._interval_sums = np.array(rows)
-            self._counts = np.array(counts)
-        self._n_total = float(self._counts.sum())
+                weights.append(float(n))
+            rows.append(basis.values[:-1].sum(axis=0))
+            weights.append(-sum(weights))
+            self._rows = np.array(rows)
+            self._weights = np.array(weights)
         # non-centered: k standard normals and a standard half-normal
         self._prior_const = math.log(2.0) - (k + 1) * _HALF_LOG_2PI
-
-    def log_posterior(self, params: ModelParams) -> float:
-        return self.logp_and_grad(params.to_vector())[0]
-
-    def grad_log_posterior(self, params: ModelParams) -> np.ndarray:
-        return self.logp_and_grad(params.to_vector())[1]
 
     def logp_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Log posterior and gradient at a raw parameter vector.
@@ -266,28 +256,29 @@ class PosteriorDensity:
         params = ModelParams.from_vector(theta)
         logp = log_prior(params)
         grad = grad_log_prior(params)
-        if self._counts.size:
+        if self._rows is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
                 loglik, d_delta = self._log_likelihood(params.delta)
             logp += loglik
             grad[:-1] += d_delta
         return logp, grad
 
-    def _log_likelihood(self, delta: np.ndarray) -> tuple[float, np.ndarray]:
+    def _log_likelihood(self, delta: np.ndarray, sq_norm: float = math.inf) -> tuple:
         """Log probability of every report and its gradient in delta.
 
         Callers hold an ``np.errstate``: an interval whose mass underflows
         to zero gives -inf, which the sampler treats as divergent.
+        ``sq_norm`` is |delta|^2 when the caller has it.
         """
-        sums, unclamped = _clamped_sums(delta)
-        alpha = _rescaled_alpha(sums)
-        interval_mass = self._interval_sums @ alpha
-        total_mass = float(self._col_totals @ alpha)
-        loglik = float(self._counts @ np.log(interval_mass))
-        loglik -= self._n_total * math.log(total_mass)
-        d_alpha = (self._counts / interval_mass) @ self._interval_sums
-        d_alpha -= (self._n_total / total_mass) * self._col_totals
-        return loglik, np.cumsum(alpha * d_alpha * unclamped)
+        sums, unclamped = _clamped_sums(delta, sq_norm)
+        # |sums| <= sqrt(K sq_norm) <= 300 keeps exp(sums) far inside double range
+        alpha = np.exp(sums) if delta.size * sq_norm <= 9e4 else _rescaled_alpha(sums)
+        mass = self._rows @ alpha
+        loglik = float(self._weights @ np.log(mass))
+        d_sums = alpha * ((self._weights / mass) @ self._rows)
+        if unclamped is not None:
+            d_sums *= unclamped
+        return loglik, np.add.accumulate(d_sums)
 
     def noncentered_logp_and_grad(self, eta: np.ndarray) -> tuple[float, np.ndarray]:
         """Log density and gradient in scale-free coordinates.
@@ -305,15 +296,17 @@ class PosteriorDensity:
         log_sigma = float(eta[-1])
         sigma = _safe_exp(log_sigma)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            delta = z * sigma
-            if not (math.isfinite(log_sigma) and np.isfinite(delta).all()):
-                return -math.inf, np.zeros_like(eta)
+            z_sq = float(z @ z)
             sigma_sq = sigma * sigma
-            logp = self._prior_const - 0.5 * (float(z @ z) + sigma_sq) + log_sigma
+            # finite only when z, log_sigma and sigma^2 are and |delta|^2 =
+            # sigma^2 |z|^2 fits a double, so every delta = sigma z is finite
+            if not math.isfinite(z_sq * sigma_sq + log_sigma):
+                return -math.inf, np.zeros_like(eta)
+            logp = self._prior_const - 0.5 * (z_sq + sigma_sq) + log_sigma
             grad = -eta
             grad[-1] = 1.0 - sigma_sq
-            if self._counts.size:
-                loglik, d_z = self._log_likelihood(delta)
+            if self._rows is not None:
+                loglik, d_z = self._log_likelihood(z * sigma, z_sq * sigma_sq)
                 d_z *= sigma
                 logp += loglik
                 grad[:-1] += d_z
@@ -340,7 +333,7 @@ def log_posterior(
     heap: HeapSet | None = None,
 ) -> float:
     """Log prior plus the log probability of every report."""
-    return PosteriorDensity(data, basis, heap).log_posterior(params)
+    return PosteriorDensity(data, basis, heap).logp_and_grad(params.to_vector())[0]
 
 
 def grad_log_posterior(
@@ -350,4 +343,4 @@ def grad_log_posterior(
     heap: HeapSet | None = None,
 ) -> np.ndarray:
     """Exact gradient of the log posterior with respect to (delta, log_sigma)."""
-    return PosteriorDensity(data, basis, heap).grad_log_posterior(params)
+    return PosteriorDensity(data, basis, heap).logp_and_grad(params.to_vector())[1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SamplingError
-from .model import PosteriorDensity, phi_matrix, to_noncentered
+from .model import PosteriorDensity, to_noncentered
 
 DEFAULT_TRAJECTORY_LENGTH = 2.0
 DIVERGENCE_ENERGY = 1000.0
@@ -76,9 +76,7 @@ class SamplerConfig:
 class PosteriorDraws:
     """Post-warmup draws and per-chain sampler statistics.
 
-    ``draws`` has shape (chains, kept iterations, parameters);
-    ``phi_draws``, when cached, holds the derived day-probability vector
-    per draw.
+    ``draws`` has shape (chains, kept iterations, parameters).
     """
 
     draws: np.ndarray
@@ -86,7 +84,6 @@ class PosteriorDraws:
     divergence_count: np.ndarray
     step_sizes: np.ndarray
     param_names: list
-    phi_draws: np.ndarray | None = None
 
     @property
     def num_chains(self) -> int:
@@ -117,7 +114,10 @@ def _leapfrog(logp_and_grad, q, p, grad, step_size, num_steps, inv_mass):
     for step in range(num_steps):
         q = q + drift * p
         logp, grad = logp_and_grad(q)
-        if not (math.isfinite(logp) and np.isfinite(grad).all()):
+        # a finite sum means a finite gradient; Python floats sum without
+        # numpy's overflow warnings, and only a non-finite sum is rechecked
+        if not (math.isfinite(logp) and (math.isfinite(sum(grad.tolist()))
+                                         or np.isfinite(grad).all())):
             return q, p, logp, grad, True
         factor = step_size if step < num_steps - 1 else 0.5 * step_size
         p = p + factor * grad
@@ -375,7 +375,6 @@ def sample(
     heap=None,
     prior_only: bool = False,
     progress=None,
-    cache_phi: bool = False,
 ) -> PosteriorDraws:
     """Sample the posterior over (delta_1 .. delta_K, log_sigma).
 
@@ -406,9 +405,4 @@ def sample(
         init_fn=init_fn,
     )
     result.draws[:, :, :-1] *= np.exp(result.draws[:, :, -1:])
-    if cache_phi:
-        flat_phi = phi_matrix(result.flat(), basis)
-        result.phi_draws = flat_phi.reshape(
-            result.num_chains, result.num_kept, -1
-        )
     return result

@@ -152,6 +152,8 @@ def sample_tsls_exact(truth: TrueTbs, n: int, seed) -> np.ndarray:
     its frequency, then a uniform day inside it, which reproduces the
     renewal identity for the observed-duration distribution exactly.
     """
+    if n < 0:
+        raise ConfigurationError(f"survey size must be >= 0, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if n == 0:
         return np.zeros(0, dtype=np.int64)

@@ -112,6 +112,15 @@ class TestParseTruth:
         with pytest.raises(ConfigurationError):
             parse_truth("geometric:p=0.1@half")
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["geometric:q=0.1", "geometric:p=abc", "geometric:p=0.1,q=0.2",
+         "pointmass:day=nan", "uniform:lo=3"],
+    )
+    def test_bad_arguments(self, spec):
+        with pytest.raises(ConfigurationError):
+            parse_truth(spec)
+
 
 class TestRunConfig:
     def test_heap_overrides(self, tmp_path):
@@ -233,6 +242,25 @@ class TestCommands:
         assert code == EXIT_ERROR
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "no usable records" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["fit", "--heap-days", "abc"], "ConfigurationError"),
+            (["simulate", "--truth", "geometric:p=0.1", "--n", "-5"], "ConfigurationError"),
+            (["simulate", "--truth", "geometric:q=0.1", "--n", "10"], "ConfigurationError"),
+            (["simulate", "--truth", "geometric:p=abc", "--n", "10"], "ConfigurationError"),
+            (["simulate", "--truth", "pointmass:day=inf", "--n", "10"], "ConfigurationError"),
+        ],
+    )
+    def test_bad_arguments_give_error_json(self, tmp_path, capsys, argv, error):
+        data = write_csv(tmp_path / "d.csv", ["5,day"])
+        if argv[0] == "fit":
+            argv = argv + ["--input", str(data)]
+        code = main(argv + ["--outdir", str(tmp_path / "out")])
+        assert code == EXIT_ERROR
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == error
 
     def test_diagnose_bad_file(self, tmp_path, capsys):
         path = tmp_path / "draws.csv"

@@ -1,11 +1,16 @@
 """Calibration of R-hat and effective sample size estimators."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import rankdata
 
 from curdur.diagnostics import (
+    _rank_normalize,
     compute_diagnostics,
     ess_bulk,
     ess_tail,
@@ -125,3 +130,24 @@ class TestReport:
         draws = rng.standard_normal((4, 1000, 5))
         report = compute_diagnostics(draws)
         assert np.all(report.rhat >= math.sqrt(499.0 / 500.0))
+
+
+class TestRankNormalize:
+    @pytest.mark.parametrize("kind", ["untied", "indicator", "heavy_ties", "constant"])
+    def test_ranks_match_scipy_rankdata(self, rng, kind):
+        x = {
+            "untied": rng.standard_normal((4, 250)),
+            "indicator": (rng.standard_normal((4, 250)) > 1.2).astype(float),
+            "heavy_ties": rng.integers(0, 7, (4, 250)).astype(float),
+            "constant": np.full((2, 10), 3.5),
+        }[kind]
+        ranks = rankdata(x, method="average").reshape(x.shape)
+        expected = ndtri((ranks - 0.375) / (x.size + 0.25))
+        assert np.array_equal(_rank_normalize(x), expected)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, curdur; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -89,6 +89,11 @@ class TestExpectedTbs:
     def test_uniform(self):
         assert abs(expected_tbs(UNIFORM) - 730.0) < 1e-9
 
+    def test_unnormalized_phi_raises_value_error(self):
+        # a plain raise, so the check survives python -O
+        with pytest.raises(ValueError):
+            expected_tbs(np.full(730, 2.0 / 730.0))
+
     def test_reciprocal_identity(self, rng):
         for _ in range(20):
             phi = random_monotone_simplex(rng)

@@ -11,6 +11,7 @@ from curdur.errors import DimensionError
 from curdur.model import (
     LOG_CLAMP,
     ModelParams,
+    _clamped_sums,
     PosteriorDensity,
     TslsDistribution,
     alpha_from_delta,
@@ -291,7 +292,9 @@ class TestNoncenteredKernel:
     @pytest.mark.parametrize(
         "eta_last, z_fill",
         [(0.0, math.nan), (0.0, math.inf), (math.nan, 0.5), (-math.inf, 0.5),
-         (math.inf, 0.5), (800.0, 0.5)],
+         (math.inf, 0.5), (800.0, 0.5),
+         # finite z and log_sigma whose |delta|^2 = sigma^2 |z|^2 overflows
+         (300.0, 1e30), (1.0, 1e154)],
     )
     @pytest.mark.parametrize("prior_only", [False, True])
     def test_non_finite_position(self, rng, eta_last, z_fill, prior_only):
@@ -303,3 +306,88 @@ class TestNoncenteredKernel:
         logp, grad = density.noncentered_logp_and_grad(eta)
         assert logp == -math.inf
         assert np.array_equal(grad, np.zeros(14))
+
+
+def _clip_path(delta):
+    """The clamp without its fast path: clip every reverse sum, mask the clips."""
+    sums = np.cumsum(delta[..., ::-1], axis=-1)[..., ::-1]
+    clipped = sums.clip(-LOG_CLAMP, LOG_CLAMP)
+    return clipped, clipped == sums
+
+
+def _clamp_edge_deltas():
+    """Increments whose reverse sums sit exactly on +/- LOG_CLAMP or one ulp past."""
+    past = np.nextafter(LOG_CLAMP, math.inf)
+    cases = {}
+    for name, top, bottom in [("at", LOG_CLAMP, -LOG_CLAMP), ("past", past, -past)]:
+        for sign in (1.0, -1.0):
+            delta = np.zeros(13)
+            delta[-1] = sign * top
+            cases[f"{name}_{'upper' if sign > 0 else 'lower'}"] = delta
+        # first sum at the lower edge, all others at the upper edge
+        delta = np.zeros(13)
+        delta[-1] = top
+        delta[0] = bottom - top
+        cases[f"{name}_both"] = delta
+    return cases
+
+
+class TestClampFastPath:
+    @pytest.mark.parametrize("case", sorted(_clamp_edge_deltas()))
+    def test_matches_clip_path(self, case):
+        delta = _clamp_edge_deltas()[case]
+        expected, mask = _clip_path(delta)
+        overflow_guard.reset()
+        sums, unclamped = _clamped_sums(delta)
+        assert np.array_equal(sums, expected)
+        assert overflow_guard.count == np.count_nonzero(~mask)
+        if case.startswith("at"):
+            assert unclamped is None and mask.all()
+        else:
+            assert np.array_equal(unclamped, mask) and overflow_guard.count > 0
+        overflow_guard.reset()
+
+    @pytest.mark.parametrize("scale", [0.5, 0.99, 0.995, 1.0, 1.01])
+    def test_norm_bound_never_skips_a_clip(self, scale):
+        # equal increments put the first sum at sqrt(K |delta|^2), the
+        # Cauchy-Schwarz worst case for the bound that sq_norm gives
+        delta = np.full(13, scale * LOG_CLAMP / 13)
+        expected, mask = _clip_path(delta)
+        overflow_guard.reset()
+        sums, _ = _clamped_sums(delta, float(delta @ delta))
+        assert np.array_equal(sums, expected)
+        assert overflow_guard.count == np.count_nonzero(~mask)
+        overflow_guard.reset()
+
+    def test_matrix_rows_match_clip_path(self):
+        deltas = np.stack(list(_clamp_edge_deltas().values()))
+        for rows in (deltas[:3], deltas):
+            expected, mask = _clip_path(rows)
+            overflow_guard.reset()
+            sums, _ = _clamped_sums(rows)
+            assert np.array_equal(sums, expected)
+            assert overflow_guard.count == np.count_nonzero(~mask)
+        overflow_guard.reset()
+
+    @pytest.mark.parametrize("case", sorted(_clamp_edge_deltas()))
+    def test_densities_match_references(self, rng, case):
+        data = make_mixed_dataset(rng, n=60)
+        density = PosteriorDensity(data, BASIS)
+        delta = _clamp_edge_deltas()[case]
+        # log_sigma = 0 makes delta = z exactly
+        eta = np.append(delta, 0.0)
+        logp, grad = density.noncentered_logp_and_grad(eta)
+        ref_logp, ref_grad = _chain_rule_reference(density, eta)
+        assert np.isfinite(logp) and np.isfinite(grad).all()
+        assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
+        assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+        # the centered value against the likelihood summed from phi
+        params = ModelParams(delta=delta, log_sigma=0.0)
+        phi = phi_from_params(params, BASIS).phi
+        expected = log_prior(params)
+        for record in data.records:
+            lo, hi = day_interval(record)
+            expected += math.log(phi[lo : hi + 1].sum())
+        centered = density.logp_and_grad(params.to_vector())[0]
+        assert abs(centered - expected) <= 1e-10 * abs(expected)
+        overflow_guard.reset()

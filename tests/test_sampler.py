@@ -8,11 +8,13 @@ import pytest
 
 from curdur.basis import BasisConfig, build_basis
 from curdur.errors import ConfigurationError, SamplingError
+from curdur.model import phi_matrix
 from curdur.reporting import ReportedDataset
 from curdur.sampler import (
     PosteriorDraws,
     SamplerConfig,
     _find_initial_step,
+    _leapfrog,
     leapfrog,
     sample,
     sample_density,
@@ -76,6 +78,39 @@ class TestLeapfrog:
         q1, p1 = leapfrog(q, p, 0.01, 100, lambda x: -x, inv_mass=inv_mass)
         q0, p0 = leapfrog(q1, -p1, 0.01, 100, lambda x: -x, inv_mass=inv_mass)
         assert np.max(np.abs(q0 - q)) < 1e-10
+
+
+class TestDivergenceRule:
+    @pytest.mark.parametrize(
+        "bad, diverged",
+        [
+            (None, False),
+            # finite entries whose float sum overflows: not a divergence
+            (np.full(4, 1e308), False),
+            (np.array([1e308, 1e308, -1e308, 2.0]), False),
+            (np.array([0.0, math.inf, 0.0, 0.0]), True),
+            (np.array([math.inf, -math.inf, 0.0, 0.0]), True),
+            (np.array([0.0, 0.0, math.nan, 0.0]), True),
+        ],
+    )
+    def test_non_finite_gradient_stops_the_trajectory(self, bad, diverged):
+        # the gradient turns to ``bad`` at the third position
+        calls = []
+
+        def target(q):
+            calls.append(q)
+            grad = -q if bad is None or len(calls) < 3 else bad.copy()
+            return 0.0, grad
+
+        q0 = np.linspace(-1.0, 1.0, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, _, grad, stopped = _leapfrog(target, q0, np.ones(4), -q0, 0.01, 5,
+                                               np.ones(4))
+        assert stopped is diverged
+        assert len(calls) == (3 if diverged else 5)
+        if diverged:
+            assert grad is not None and not np.isfinite(grad).all()
 
 
 class TestGaussianTarget:
@@ -142,10 +177,10 @@ class TestModelSampling:
     def test_phi_cache(self):
         data = simulate_survey(truncated_geometric(0.15), n=200, seed=2)
         config = SamplerConfig(chains=2, iterations_per_chain=100, warmup=50, seed=7)
-        res = sample(config, data, BASIS, cache_phi=True)
-        assert res.phi_draws.shape == (2, 50, 730)
-        totals = res.phi_draws.sum(axis=2)
-        assert np.allclose(totals, 1.0, atol=1e-10)
+        res = sample(config, data, BASIS)
+        phi = phi_matrix(res.flat(), BASIS)
+        assert phi.shape == (100, 730)
+        assert np.allclose(phi.sum(axis=1), 1.0, atol=1e-10)
 
     def test_progress_hook(self):
         data = simulate_survey(truncated_geometric(0.15), n=100, seed=2)
