@@ -12,8 +12,10 @@ Exit codes: 0 success, 1 error (machine-readable JSON on stderr),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -166,9 +168,26 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
     return ReportedDataset.from_records(records), report
 
 
+@contextlib.contextmanager
+def _replacing(path, newline=None):
+    """Open a temporary file beside ``path``; on success it replaces ``path``.
+
+    An error while writing leaves any previous file at ``path`` as it was
+    and removes the temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as handle:
+            yield handle
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_dataset(dataset: ReportedDataset, path) -> None:
     """Write records as the ingestible CSV format."""
-    with open(path, "w", newline="") as handle:
+    with _replacing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["z", "unit"])
         for record in dataset.records:
@@ -176,7 +195,7 @@ def write_dataset(dataset: ReportedDataset, path) -> None:
 
 
 def write_draws_csv(draws: PosteriorDraws, path) -> None:
-    with open(path, "w", newline="") as handle:
+    with _replacing(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["chain", "iteration"] + list(draws.param_names))
         for chain in range(draws.num_chains):
@@ -218,7 +237,7 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
 
 
 def _write_json(payload: dict, path) -> None:
-    with open(path, "w") as handle:
+    with _replacing(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
@@ -346,7 +365,7 @@ def _cmd_fit(args) -> int:
 
     observed = spread_mass(dataset, run.heap)
     phi_median = np.asarray(summary.tsls_pmf.median)
-    with open(run.outdir / "histogram.csv", "w", newline="") as handle:
+    with _replacing(run.outdir / "histogram.csv", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["day", "observed_weight", "phi_median"])
         for day in range(NUM_DAYS):

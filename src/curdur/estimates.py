@@ -9,6 +9,7 @@ quantiles afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,17 +44,29 @@ def _phi_vector(phi) -> np.ndarray:
     return vec
 
 
+def _tbs_rows(phi: np.ndarray) -> np.ndarray:
+    """f_x = (phi_x - phi_{x+1}) / phi_0 along the last axis, boundary phi zero."""
+    phi0 = phi[..., :1]
+    f = np.empty_like(phi)
+    f[..., :-1] = (phi[..., :-1] - phi[..., 1:]) / phi0
+    f[..., -1:] = phi[..., -1:] / phi0
+    return f
+
+
+def _survival_rows(phi: np.ndarray) -> np.ndarray:
+    """S(y) = phi_y / phi_0 along the last axis, with the boundary value 0."""
+    s = np.zeros(phi.shape[:-1] + (phi.shape[-1] + 1,))
+    s[..., :-1] = phi / phi[..., :1]
+    return s
+
+
 def tbs_from_tsls(phi) -> TbsDistribution:
     """Gap-time distribution implied by a duration distribution.
 
     f_x = (phi_x - phi_{x+1}) / phi_0, with the boundary probability zero;
     non-negative by monotonicity of phi, no clipping involved.
     """
-    vec = _phi_vector(phi)
-    f = np.empty_like(vec)
-    f[:-1] = (vec[:-1] - vec[1:]) / vec[0]
-    f[-1] = vec[-1] / vec[0]
-    return TbsDistribution(f_x=f)
+    return TbsDistribution(f_x=_tbs_rows(_phi_vector(phi)))
 
 
 def tsls_from_tbs(f_x) -> TslsDistribution:
@@ -75,11 +88,7 @@ def survival_from_tsls(phi) -> np.ndarray:
 
     S(0) is exactly 1 and the boundary value is exactly 0.
     """
-    vec = _phi_vector(phi)
-    s = np.empty(vec.size + 1)
-    s[:-1] = vec / vec[0]
-    s[-1] = 0.0
-    return s
+    return _survival_rows(_phi_vector(phi))
 
 
 def expected_tbs(phi) -> float:
@@ -154,8 +163,10 @@ def quantile_band(samples: np.ndarray, levels: tuple[float, ...]) -> QuantitySum
     """Median and central credible bands via linear-interpolation quantiles.
 
     ``samples`` has draws along axis 0; remaining axes are pointwise.  The
-    median and both tails of every level come from one ``np.quantile``
-    call, so the draws are partitioned once.
+    draws are sorted once; the median and both tails of every level then
+    interpolate between neighbouring order statistics with the arithmetic
+    of ``np.quantile``'s default "linear" method, so the values are
+    bit-identical to it.  Non-finite samples raise ValueError.
     """
     probs = [0.5]
     for level in levels:
@@ -163,8 +174,23 @@ def quantile_band(samples: np.ndarray, levels: tuple[float, ...]) -> QuantitySum
             raise ValueError(f"credible level must be in (0, 1), got {level}")
         tail = 0.5 * (1.0 - level)
         probs += [tail, 1.0 - tail]
-    values = np.quantile(np.asarray(samples, dtype=float), probs, axis=0)
-    if values.ndim == 1:
+    ordered = np.sort(np.asarray(samples, dtype=float), axis=0)
+    n = ordered.shape[0]
+    if n == 0:
+        raise ValueError("no samples to summarize")
+    # NaN sorts last, so the extreme rows show every non-finite sample
+    if not (np.isfinite(ordered[0]).all() and np.isfinite(ordered[-1]).all()):
+        raise ValueError("samples must be finite")
+    values = []
+    for p in probs:
+        pos = (n - 1) * p
+        lo = math.floor(pos)
+        t = pos - lo
+        a = ordered[lo]
+        b = ordered[min(lo + 1, n - 1)]
+        d = b - a
+        values.append(a + d * t if t < 0.5 else b - d * (1.0 - t))
+    if ordered.ndim == 1:
         values = [float(v) for v in values]
     bands = {
         level: IntervalBand(lower=values[2 * i + 1], upper=values[2 * i + 2])
@@ -185,16 +211,10 @@ def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:
     if flat.shape[0] == 0:
         raise ValueError("no draws to summarize")
     phi = phi_matrix(flat, basis)
-    phi0 = phi[:, :1]
-    f_x = np.empty_like(phi)
-    f_x[:, :-1] = (phi[:, :-1] - phi[:, 1:]) / phi0
-    f_x[:, -1] = phi[:, -1] / phi0[:, 0]
-    survival = np.concatenate([phi / phi0, np.zeros((phi.shape[0], 1))], axis=1)
-    mean_tbs = 1.0 / phi[:, 0]
     return EstimateSummary(
         levels=levels,
         tsls_pmf=quantile_band(phi, levels),
-        tbs_pmf=quantile_band(f_x, levels),
-        tbs_survival=quantile_band(survival, levels),
-        mean_tbs_days=quantile_band(mean_tbs, levels),
+        tbs_pmf=quantile_band(_tbs_rows(phi), levels),
+        tbs_survival=quantile_band(_survival_rows(phi), levels),
+        mean_tbs_days=quantile_band(1.0 / phi[:, 0], levels),
     )

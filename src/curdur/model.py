@@ -23,6 +23,10 @@ from .reporting import DEFAULT_HEAP, HeapSet, ReportedDataset, day_interval
 from .window import NUM_DAYS
 
 LOG_CLAMP = 700.0
+# the kernel's exception-free region: |log_sigma| and the bound on every
+# reverse sum, sqrt(K |delta|^2)
+_SAFE_LOG_SIGMA = 200.0
+_SAFE_SUM = 300.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -102,23 +106,24 @@ class TslsDistribution:
             raise ValueError("the boundary probability is identically zero")
 
 
-def _clamped_sums(delta: np.ndarray, sq_norm: float = math.inf) -> tuple:
-    """Reverse cumulative sums along the last axis, clipped to +/- LOG_CLAMP.
+def _clamp(sums: np.ndarray) -> tuple:
+    """Clip log-scale coefficient sums to +/- LOG_CLAMP.
 
     Also returns the mask of entries the clip left alone, or None when every
     sum lies within the clamp, which skips the clip; clip events are counted
-    on ``overflow_guard``.  ``sq_norm`` = |delta|^2 of a vector, when known,
-    settles that without a pass over the sums: no sum exceeds sqrt(K sq_norm).
+    on ``overflow_guard``.
     """
-    sums = np.add.accumulate(delta[..., ::-1], axis=-1)[..., ::-1]
-    # the 1% margin covers the rounding of the sums and of sq_norm
-    if (delta.shape[-1] * sq_norm <= 0.99 * LOG_CLAMP**2
-            or np.maximum.reduce(np.abs(sums), axis=None, initial=0.0) <= LOG_CLAMP):
+    if np.maximum.reduce(np.abs(sums), axis=None, initial=0.0) <= LOG_CLAMP:
         return sums, None
     clipped = sums.clip(-LOG_CLAMP, LOG_CLAMP)
     unclamped = clipped == sums
     overflow_guard.bump(unclamped.size - np.count_nonzero(unclamped))
     return clipped, unclamped
+
+
+def _clamped_sums(delta: np.ndarray) -> tuple:
+    """Reverse cumulative sums along the last axis, through ``_clamp``."""
+    return _clamp(np.add.accumulate(delta[..., ::-1], axis=-1)[..., ::-1])
 
 
 def _rescaled_alpha(sums: np.ndarray) -> np.ndarray:
@@ -226,9 +231,18 @@ class PosteriorDensity:
         self.prior_only = prior_only
         k = basis.num_basis
         self.num_params = k + 1
+        # sums = _upper.dot(v) are the reverse sums of v[:-1] and
+        # _upper_t.dot(d_sums) their forward sums: the zero last column and
+        # row let the kernel pass the whole position and take back a
+        # gradient with the K + 1 entries of a position
+        upper = np.triu(np.ones((k, k + 1)))
+        upper[:, -1] = 0.0
+        self._upper = upper
+        self._upper_t = np.ascontiguousarray(upper.T)
         # a row per distinct report, then the normaliser's column totals,
         # weighted by the counts, then minus their total
         self._rows = None
+        self._safe_rows = True
         if not (prior_only or data is None or len(data) == 0):
             rows = []
             weights = []
@@ -239,7 +253,12 @@ class PosteriorDensity:
             rows.append(basis.values[:-1].sum(axis=0))
             weights.append(-sum(weights))
             self._rows = np.array(rows)
+            self._rows_t = np.ascontiguousarray(self._rows.T)
             self._weights = np.array(weights)
+            # with |sums| <= _SAFE_SUM every mass is at least e^-300 times
+            # its row's largest entry: with that entry >= 1e-100 no mass
+            # underflows and no counts / mass overflows (10 segments: >= 0.0536)
+            self._safe_rows = bool(self._rows.max(axis=1).min() >= 1e-100)
         # non-centered: k standard normals and a standard half-normal
         self._prior_const = math.log(2.0) - (k + 1) * _HALF_LOG_2PI
 
@@ -258,27 +277,36 @@ class PosteriorDensity:
         grad = grad_log_prior(params)
         if self._rows is not None:
             with np.errstate(divide="ignore", invalid="ignore"):
-                loglik, d_delta = self._log_likelihood(params.delta)
+                loglik, d_delta = self._log_likelihood(theta, 1.0, guarded=True)
             logp += loglik
-            grad[:-1] += d_delta
+            grad += d_delta
         return logp, grad
 
-    def _log_likelihood(self, delta: np.ndarray, sq_norm: float = math.inf) -> tuple:
+    def _log_likelihood(self, v: np.ndarray, scale: float, guarded: bool) -> tuple:
         """Log probability of every report and its gradient in delta.
 
-        Callers hold an ``np.errstate``: an interval whose mass underflows
-        to zero gives -inf, which the sampler treats as divergent.
-        ``sq_norm`` is |delta|^2 when the caller has it.
+        delta = scale * v[:-1]; the gradient has the K + 1 entries of v, the
+        last one zero.  ``guarded`` clamps and rescales the sums, and the
+        caller then holds an ``np.errstate``: an interval whose mass
+        underflows to zero gives -inf, which the sampler treats as
+        divergent.  Unguarded calls need every |sum| <= _SAFE_SUM and
+        ``_safe_rows``, which keep every step finite and exception-free.
         """
-        sums, unclamped = _clamped_sums(delta, sq_norm)
-        # |sums| <= sqrt(K sq_norm) <= 300 keeps exp(sums) far inside double range
-        alpha = np.exp(sums) if delta.size * sq_norm <= 9e4 else _rescaled_alpha(sums)
-        mass = self._rows @ alpha
-        loglik = float(self._weights @ np.log(mass))
-        d_sums = alpha * ((self._weights / mass) @ self._rows)
+        sums = self._upper.dot(v)
+        sums *= scale
+        unclamped = None
+        if guarded:
+            sums, unclamped = _clamp(sums)
+            alpha = _rescaled_alpha(sums)
+        else:
+            alpha = np.exp(sums)
+        mass = self._rows.dot(alpha)
+        loglik = float(self._weights.dot(np.log(mass)))
+        d_sums = self._rows_t.dot(self._weights / mass)
+        d_sums *= alpha
         if unclamped is not None:
             d_sums *= unclamped
-        return loglik, np.add.accumulate(d_sums)
+        return loglik, self._upper_t.dot(d_sums)
 
     def noncentered_logp_and_grad(self, eta: np.ndarray) -> tuple[float, np.ndarray]:
         """Log density and gradient in scale-free coordinates.
@@ -292,26 +320,40 @@ class PosteriorDensity:
         1 - sigma^2 + z . sigma L).
         """
         eta = np.asarray(eta, dtype=float)
-        z = eta[:-1]
-        log_sigma = float(eta[-1])
+        z = eta.tolist()
+        log_sigma = z.pop()
+        z_norm = math.hypot(*z)
+        # |log_sigma| <= 200 and K |delta|^2 <= 300^2 bound every reverse
+        # sum by 300 (Cauchy-Schwarz) and every intermediate of the kernel
+        # far inside double range: no clamp, rescale or np.errstate needed
+        if abs(log_sigma) <= _SAFE_LOG_SIGMA and self._safe_rows:
+            sigma = math.exp(log_sigma)
+            delta_norm = sigma * z_norm
+            if len(z) * delta_norm * delta_norm <= _SAFE_SUM * _SAFE_SUM:
+                return self._noncentered(eta, z_norm * z_norm, log_sigma, sigma, False)
         sigma = _safe_exp(log_sigma)
+        z_sq = z_norm * z_norm
+        # finite only when z, log_sigma and sigma^2 are and |delta|^2 =
+        # sigma^2 |z|^2 fits a double, so every delta = sigma z is finite
+        if not math.isfinite(z_sq * (sigma * sigma) + log_sigma):
+            return -math.inf, np.zeros_like(eta)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            z_sq = float(z @ z)
-            sigma_sq = sigma * sigma
-            # finite only when z, log_sigma and sigma^2 are and |delta|^2 =
-            # sigma^2 |z|^2 fits a double, so every delta = sigma z is finite
-            if not math.isfinite(z_sq * sigma_sq + log_sigma):
-                return -math.inf, np.zeros_like(eta)
-            logp = self._prior_const - 0.5 * (z_sq + sigma_sq) + log_sigma
+            return self._noncentered(eta, z_sq, log_sigma, sigma, True)
+
+    def _noncentered(self, eta, z_sq, log_sigma, sigma, guarded):
+        """The kernel body on both paths; ``guarded`` as in ``_log_likelihood``."""
+        sigma_sq = sigma * sigma
+        logp = self._prior_const - 0.5 * (z_sq + sigma_sq) + log_sigma
+        if self._rows is None:
             grad = -eta
             grad[-1] = 1.0 - sigma_sq
-            if self._rows is not None:
-                loglik, d_z = self._log_likelihood(z * sigma, z_sq * sigma_sq)
-                d_z *= sigma
-                logp += loglik
-                grad[:-1] += d_z
-                grad[-1] += float(z @ d_z)
-        return logp, grad
+            return logp, grad
+        loglik, grad = self._log_likelihood(eta, sigma, guarded)
+        grad *= sigma
+        z_dz = float(eta.dot(grad))
+        grad -= eta
+        grad[-1] = 1.0 - sigma_sq + z_dz
+        return logp + loglik, grad
 
 
 def to_noncentered(theta: np.ndarray) -> np.ndarray:

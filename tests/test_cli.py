@@ -1,6 +1,7 @@
 """End-to-end CLI: ingestion, fitting, simulation, diagnosis."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from curdur.cli import (
     EXIT_ERROR,
     EXIT_FLAGGED,
     EXIT_OK,
+    _write_json,
     ingest,
     main,
     parse_truth,
     read_draws_csv,
     write_dataset,
+    write_draws_csv,
 )
 from curdur.errors import ConfigurationError, IngestError
 from curdur.reporting import ReportedDuration, Unit, day_interval
@@ -267,3 +270,78 @@ class TestCommands:
         path.write_text("chain,iteration\n")
         code = main(["diagnose", "--draws", str(path)])
         assert code == EXIT_ERROR
+
+
+class _RowsThenError:
+    """Draws of chain 0 index fine; chain 1 fails, as a full disk would partway."""
+
+    def __getitem__(self, index):
+        if index[0] == 1:
+            raise OSError("no space left on device")
+        return np.array([0.25, -1.0])
+
+
+def _write_failing(kind, path):
+    if kind == "dataset":
+        records = [ReportedDuration(z=3, unit=Unit.WEEK)] * 200 + [None]
+        write_dataset(SimpleNamespace(records=records), path)
+    elif kind == "draws":
+        draws = SimpleNamespace(param_names=["delta_1", "log_sigma"], num_chains=2,
+                                num_kept=300, draws=_RowsThenError())
+        write_draws_csv(draws, path)
+    else:
+        _write_json({"levels": list(range(500)), "bad": object()}, path)
+
+
+def _write_ok(kind, path):
+    if kind == "dataset":
+        write_dataset(SimpleNamespace(records=[ReportedDuration(z=3, unit=Unit.WEEK)]), path)
+    elif kind == "draws":
+        draws = SimpleNamespace(param_names=["delta_1", "log_sigma"], num_chains=1,
+                                num_kept=2, draws=_RowsThenError())
+        write_draws_csv(draws, path)
+    else:
+        _write_json({"levels": [0.8]}, path)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", ["dataset", "draws", "json"])
+    def test_failure_partway_keeps_old_file(self, tmp_path, kind):
+        target = tmp_path / "out.txt"
+        target.write_text("previous run\n")
+        with pytest.raises((OSError, AttributeError, TypeError)):
+            _write_failing(kind, target)
+        assert target.read_text() == "previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("kind", ["dataset", "draws", "json"])
+    def test_success_replaces_old_file(self, tmp_path, kind):
+        target = tmp_path / "out.txt"
+        target.write_text("previous run\n")
+        _write_ok(kind, target)
+        assert target.read_text() != "previous run\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_fit_keeps_previous_histogram(self, tmp_path, monkeypatch):
+        data = tmp_path / "data.csv"
+        write_dataset(simulate_survey(truncated_geometric(0.1), n=200, seed=3), data)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "histogram.csv").write_text("previous run\n")
+        # the histogram is the last file a fit writes, a row per day
+        monkeypatch.setattr("curdur.cli.spread_mass", lambda *args: _FailingRows())
+        with pytest.raises(OSError):
+            main(["fit", "--input", str(data), "--outdir", str(outdir), "--chains", "2",
+                  "--iters", "40", "--warmup", "20", "--knots", "4"])
+        assert (outdir / "histogram.csv").read_text() == "previous run\n"
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "diagnostics.json", "draws.csv", "estimates.json", "histogram.csv"]
+
+
+class _FailingRows:
+    """Observed weights that fail partway through the histogram."""
+
+    def __getitem__(self, day):
+        if day == 100:
+            raise OSError("no space left on device")
+        return 1.0

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curdur.basis import BasisConfig, build_basis
 from curdur.errors import DegenerateDistributionError
@@ -66,6 +68,17 @@ class TestTbsFromTsls:
             assert np.all(f >= 0.0)
 
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=730).filter(lambda v: sum(v) > 0))
+    def test_round_trip_property(self, increments):
+        # a non-increasing simplex is the normalised reverse sum of any
+        # non-negative increments
+        tail = np.cumsum(np.array(increments)[::-1])[::-1]
+        phi = tail / tail.sum()
+        back = tsls_from_tbs(tbs_from_tsls(TslsDistribution(phi=phi))).phi
+        assert np.abs(back - phi).max() <= 1e-12
+
+
 class TestSurvival:
     def test_starts_at_one_ends_at_zero(self, rng):
         s = survival_from_tsls(TslsDistribution(phi=random_monotone_simplex(rng)))
@@ -120,6 +133,36 @@ class TestQuantileBand:
         assert abs(band.lower + 1.959964) < 0.08
         assert abs(band.upper - 1.959964) < 0.08
         assert abs(q.median) < 0.08
+
+    @pytest.mark.parametrize("case", ["random", "tied", "constant", "one_row",
+                                      "two_rows", "one_d", "three_d"])
+    def test_bit_identical_to_numpy_quantile(self, rng, case):
+        samples = {
+            "random": rng.standard_normal((2001, 37)),
+            "tied": rng.integers(0, 4, (800, 9)).astype(float),
+            "constant": np.full((300, 5), 0.125),
+            "one_row": rng.standard_normal((1, 6)),
+            "two_rows": rng.standard_normal((2, 6)),
+            "one_d": rng.exponential(size=999),
+            "three_d": rng.standard_normal((250, 3, 4)),
+        }[case]
+        levels = (0.5, 0.8, 0.9, 0.95, 0.99)
+        q = quantile_band(samples, levels)
+        tails = [0.5 * (1.0 - level) for level in levels]
+        got = [q.median] + [v for lv in levels for v in (q.band(lv).lower, q.band(lv).upper)]
+        probs = [0.5] + [p for t in tails for p in (t, 1.0 - t)]
+        expected = np.quantile(samples, probs, axis=0)
+        for value, reference in zip(got, expected):
+            assert np.array_equal(value, reference)
+            if samples.ndim == 1:
+                assert type(value) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_raise(self, rng, bad):
+        samples = rng.standard_normal((40, 3))
+        samples[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            quantile_band(samples, (0.8,))
 
     def test_ordering(self, rng):
         draws = rng.standard_normal((500, 7))

@@ -1,6 +1,8 @@
 """Parameter transforms, prior, posterior, and gradient correctness."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,15 +350,27 @@ class TestClampFastPath:
         overflow_guard.reset()
 
     @pytest.mark.parametrize("scale", [0.5, 0.99, 0.995, 1.0, 1.01])
-    def test_norm_bound_never_skips_a_clip(self, scale):
+    def test_norm_bound_never_skips_a_clip(self, rng, scale):
         # equal increments put the first sum at sqrt(K |delta|^2), the
-        # Cauchy-Schwarz worst case for the bound that sq_norm gives
+        # Cauchy-Schwarz worst case for the kernel's bound on the sums
         delta = np.full(13, scale * LOG_CLAMP / 13)
         expected, mask = _clip_path(delta)
         overflow_guard.reset()
-        sums, _ = _clamped_sums(delta, float(delta @ delta))
+        sums, _ = _clamped_sums(delta)
         assert np.array_equal(sums, expected)
         assert overflow_guard.count == np.count_nonzero(~mask)
+        # log_sigma = 0 makes delta = z exactly, so the kernel and the
+        # centered reference clip the same sums
+        density = PosteriorDensity(make_mixed_dataset(rng, n=60), BASIS)
+        eta = np.append(delta, 0.0)
+        overflow_guard.reset()
+        logp, grad = density.noncentered_logp_and_grad(eta)
+        clipped = overflow_guard.count
+        overflow_guard.reset()
+        ref_logp, ref_grad = _chain_rule_reference(density, eta)
+        assert clipped == overflow_guard.count
+        assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
+        assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
         overflow_guard.reset()
 
     def test_matrix_rows_match_clip_path(self):
@@ -391,3 +405,133 @@ class TestClampFastPath:
         centered = density.logp_and_grad(params.to_vector())[0]
         assert abs(centered - expected) <= 1e-10 * abs(expected)
         overflow_guard.reset()
+
+
+def _last_float_below(predicate, lo, hi):
+    """Adjacent floats (x, next float up) with predicate(x) and not predicate(next).
+
+    ``predicate`` must hold at lo, fail at hi and change once in between.
+    """
+    while np.nextafter(lo, math.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            mid = np.nextafter(lo, math.inf)
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _in_norm_bound(z, log_sigma):
+    # the kernel's test, evaluated in Python floats as the kernel does
+    delta_norm = math.exp(log_sigma) * math.hypot(*z)
+    return len(z) * delta_norm * delta_norm <= 300.0 * 300.0
+
+
+def _safe_region_edges(rng):
+    """Positions one ulp inside and outside the kernel's exception-free region.
+
+    Name -> (eta, inside).  The log_sigma edges come with a bulk z and with
+    a clamp-region z; the |delta| edges move the last z entry by one ulp.
+    """
+    edges = {}
+    inside = 200.0
+    outside = float(np.nextafter(200.0, math.inf))
+    for sign, side in [(1.0, "upper"), (-1.0, "lower")]:
+        for where, log_sigma in [("in", sign * inside), ("out", sign * outside)]:
+            sigma = math.exp(log_sigma)
+            bulk = rng.uniform(-1.0, 1.0, 13)
+            bulk *= 60.0 / (sigma * np.linalg.norm(bulk))
+            clamp = np.zeros(13)
+            clamp[-1] = 730.0 / sigma
+            clamp[0] = -60.0 / sigma
+            edges[f"log_sigma_{side}_{where}"] = (np.append(bulk, log_sigma), where == "in")
+            edges[f"log_sigma_{side}_{where}_clamp"] = (np.append(clamp, log_sigma), False)
+    for log_sigma in (0.0, -1.3, 2.1):
+        z = rng.uniform(-1.0, 1.0, 13)
+        z[-1] = 0.0
+
+        def inside_at(last, z=z, log_sigma=log_sigma):
+            return _in_norm_bound(np.append(z[:-1], last).tolist(), log_sigma)
+
+        lo, hi = _last_float_below(inside_at, 0.0, 400.0 * math.exp(-log_sigma))
+        for where, last in [("in", lo), ("out", hi)]:
+            eta = np.append(z, log_sigma)
+            eta[-2] = last
+            edges[f"norm_{log_sigma}_{where}"] = (eta, where == "in")
+    return edges
+
+
+def _split_reference(density, eta):
+    """The chain-rule transform of the centered reference, prior and likelihood apart.
+
+    Returns (logp, grad, size): the log density is the centered value plus
+    the log Jacobian k log_sigma.  On the centered prior the chain rule
+    gives (-z, 1 - sigma^2) in closed form; evaluated in floating point, as
+    in ``_chain_rule_reference``, it would cancel terms of size
+    |delta|^2 / sigma^2, which swamp the likelihood at extreme scales.  The
+    centered likelihood does not depend on log_sigma, so its gradient L in
+    delta comes from the centered reference at a log_sigma where the
+    prior's gradient in delta is negligible.  ``size`` bounds, per entry,
+    the terms summed into it, to scale the comparison's tolerance.
+    """
+    k = eta.size - 1
+    z, log_sigma = eta[:-1], float(eta[-1])
+    sigma = math.exp(log_sigma)
+    delta = z * sigma
+    logp_c, _ = density.logp_and_grad(np.append(delta, log_sigma))
+    wide = ModelParams(delta=delta, log_sigma=0.5 * math.log1p(delta @ delta) + 10.0)
+    _, g = density.logp_and_grad(wide.to_vector())
+    lik = g[:-1] - grad_log_prior(wide)[:-1]
+    grad = np.append(-z + sigma * lik, 1.0 - sigma**2 + float(delta @ lik))
+    size = np.append(np.abs(z) + sigma * np.abs(lik).max(),
+                     1.0 + sigma**2 + float(np.abs(delta) @ np.abs(lik)))
+    return logp_c + k * log_sigma, grad, size
+
+
+class TestSafeRegion:
+    """The kernel's exception-free fast path and the guarded path at its edges."""
+
+    @pytest.mark.parametrize("case", sorted(_safe_region_edges(np.random.default_rng(11))))
+    def test_edges_match_reference_without_warnings(self, monkeypatch, case):
+        eta, inside = _safe_region_edges(np.random.default_rng(11))[case]
+        density = PosteriorDensity(make_mixed_dataset(np.random.default_rng(5), n=60), BASIS)
+        errstates = []
+        errstate = np.errstate
+
+        def counting_errstate(**kwargs):
+            errstates.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counting_errstate)
+        overflow_guard.reset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logp, grad = density.noncentered_logp_and_grad(eta)
+        clipped = overflow_guard.count
+        monkeypatch.undo()
+        # only the guarded path enters an np.errstate
+        assert len(errstates) == (0 if inside else 1)
+        if case.endswith("clamp"):
+            assert clipped > 0
+        ref_logp, ref_grad, size = _split_reference(density, eta)
+        assert np.isfinite(logp) and np.isfinite(grad).all()
+        assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
+        assert (np.abs(grad - ref_grad) <= 1e-10 * (1.0 + size)).all()
+        overflow_guard.reset()
+
+    def test_fit_positions_match_recorded_values(self):
+        # 200 positions a fit of the benchmark's fit survey visited (geometric
+        # p=0.03, 1000 reports, survey seed 7, 2 chains, fit seed 1), with the
+        # log density and gradient an earlier, independently written kernel
+        # gave there
+        saved = np.load(Path(__file__).parent / "data" / "kernel_fit_positions.npz")
+        records = []
+        for z, unit, count in zip(saved["z"], saved["unit"], saved["count"]):
+            records += [ReportedDuration(z=int(z), unit=Unit(int(unit)))] * int(count)
+        density = PosteriorDensity(ReportedDataset.from_records(records), BASIS)
+        for eta, ref_logp, ref_grad in zip(saved["eta"], saved["logp"], saved["grad"]):
+            logp, grad = density.noncentered_logp_and_grad(eta)
+            assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
+            assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)

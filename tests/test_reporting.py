@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curdur.errors import ConfigurationError, OutOfWindowError
 from curdur.reporting import (
     DEFAULT_HEAP,
+    YEAR_INTERVAL_START,
     HeapSet,
     ReportedDataset,
     ReportedDuration,
@@ -14,6 +17,7 @@ from curdur.reporting import (
     reported_prob,
     spread_mass,
 )
+from curdur.window import LAST_DAY, NUM_DAYS
 from tests.conftest import random_monotone_simplex
 
 UNIFORM = np.ones(730) / 730.0
@@ -176,3 +180,58 @@ class TestSpreadMass:
 
         ds = make_mixed_dataset(rng, n=200)
         assert abs(spread_mass(ds).sum() - 200.0) < 1e-9
+
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+heaps = st.builds(
+    lambda halfwidth, offsets: HeapSet(days=tuple(halfwidth + d for d in offsets),
+                                       halfwidth=halfwidth),
+    st.integers(0, 5),
+    st.lists(st.integers(0, 760), max_size=8),
+)
+
+reports = st.one_of(
+    st.builds(ReportedDuration, z=st.integers(0, 800), unit=st.just(Unit.DAY)),
+    st.builds(ReportedDuration, z=st.integers(0, 120), unit=st.just(Unit.WEEK)),
+    st.builds(ReportedDuration, z=st.integers(0, 30), unit=st.just(Unit.MONTH)),
+    st.just(ReportedDuration(z=1, unit=Unit.YEAR)),
+)
+
+
+def _reports_meaning(y, heap):
+    """Every report a respondent whose duration is day y can give.
+
+    The exact day, a heap day within the half-width, the week, the month
+    (days 1 .. 720; day 0 is no month) and, from the year interval on, a
+    year.
+    """
+    found = [ReportedDuration(z=y, unit=Unit.DAY)]
+    found += [ReportedDuration(z=h, unit=Unit.DAY)
+              for h in heap.days if abs(y - h) <= heap.halfwidth]
+    found.append(ReportedDuration(z=y // 7, unit=Unit.WEEK))
+    if 1 <= y <= 720:
+        found.append(ReportedDuration(z=(y - 1) // 30, unit=Unit.MONTH))
+    if y >= YEAR_INTERVAL_START:
+        found.append(ReportedDuration(z=1, unit=Unit.YEAR))
+    return found
+
+
+class TestDayIntervalProperties:
+    @PROPERTY
+    @given(reports, heaps)
+    def test_stays_within_window(self, record, heap):
+        try:
+            lo, hi = day_interval(record, heap)
+        except OutOfWindowError:
+            # only a report that no day of the window can give is refused
+            assert all(record not in _reports_meaning(y, heap) for y in range(NUM_DAYS))
+            return
+        assert 0 <= lo <= hi <= LAST_DAY
+
+    @PROPERTY
+    @given(st.integers(0, LAST_DAY), heaps)
+    def test_contains_every_day_a_report_can_mean(self, y, heap):
+        for record in _reports_meaning(y, heap):
+            lo, hi = day_interval(record, heap)
+            assert lo <= y <= hi, record
