@@ -108,8 +108,45 @@ class IngestReport:
         }
 
 
+_BLANK, _RECORD, _EXCLUDED, _PROBLEM = range(4)
+
+
+def _classify_row(row: list) -> tuple:
+    """What one CSV row means, as (kind, value).
+
+    The value is None for a blank row, the record for a usable one, the
+    unit name for one beyond the window and the problem text (without
+    its line number) for a malformed one.
+    """
+    if not row or all(not cell.strip() for cell in row):
+        return _BLANK, None
+    if len(row) != 2:
+        return _PROBLEM, f"expected 2 fields, got {len(row)}"
+    z_text, unit_text = row[0].strip(), row[1].strip().lower()
+    unit = _UNIT_TOKENS.get(unit_text)
+    if unit is None:
+        return _PROBLEM, f"unknown unit {row[1].strip()!r}"
+    try:
+        z = int(z_text)
+    except ValueError:
+        return _PROBLEM, f"reported value {z_text!r} is not an integer"
+    if z < 0:
+        return _PROBLEM, f"reported value {z} is negative"
+    if unit == Unit.YEAR and z == 0:
+        return _PROBLEM, (
+            "a 0-year report is not representable "
+            "(expected z = 1 within the two-year window)"
+        )
+    if z >= _EXCLUSION_MIN[unit]:
+        return _EXCLUDED, unit.name.lower()
+    return _RECORD, ReportedDuration(z=z, unit=unit)
+
+
 def ingest(path) -> tuple[ReportedDataset, IngestReport]:
-    """Read a survey CSV, excluding reports beyond the two-year window."""
+    """Read a survey CSV, excluding reports beyond the two-year window.
+
+    Each distinct row is classified once; its lines share one record.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -125,77 +162,64 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
 
     records = []
     report = IngestReport()
+    excluded = report.excluded_by_unit
     problems = []
+    classes: dict[tuple, tuple] = {}
     for line_no, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        report.total_rows += 1
-        if len(row) != 2:
-            problems.append(f"line {line_no}: expected 2 fields, got {len(row)}")
-            continue
-        z_text, unit_text = row[0].strip(), row[1].strip().lower()
-        unit = _UNIT_TOKENS.get(unit_text)
-        if unit is None:
-            problems.append(f"line {line_no}: unknown unit {row[1].strip()!r}")
-            continue
-        try:
-            z = int(z_text)
-        except ValueError:
-            problems.append(f"line {line_no}: reported value {z_text!r} is not an integer")
-            continue
-        if z < 0:
-            problems.append(f"line {line_no}: reported value {z} is negative")
-            continue
-        if unit == Unit.YEAR and z == 0:
-            problems.append(
-                f"line {line_no}: a 0-year report is not representable "
-                "(expected z = 1 within the two-year window)"
-            )
-            continue
-        if z >= _EXCLUSION_MIN[unit]:
-            name = unit.name.lower()
-            report.excluded_by_unit[name] = report.excluded_by_unit.get(name, 0) + 1
-            continue
-        records.append(ReportedDuration(z=z, unit=unit))
+        key = tuple(row)
+        found = classes.get(key)
+        if found is None:
+            found = classes[key] = _classify_row(row)
+        kind, value = found
+        if kind == _RECORD:
+            records.append(value)
+        elif kind == _EXCLUDED:
+            excluded[value] = excluded.get(value, 0) + 1
+        elif kind == _PROBLEM:
+            problems.append(f"line {line_no}: {value}")
 
     if problems:
         shown = "; ".join(problems[:10])
         more = f" (and {len(problems) - 10} more)" if len(problems) > 10 else ""
         raise IngestError(f"{path}: {shown}{more}")
     report.retained = len(records)
+    report.total_rows = report.retained + report.excluded
     if not records:
         raise IngestError(f"{path}: no usable records after exclusions")
     return ReportedDataset.from_records(records), report
 
 
 @contextlib.contextmanager
-def _replacing(path, newline=None):
-    """Open a temporary file beside ``path``; on success it replaces ``path``.
+def _replacing(*paths):
+    """Yield a temporary path beside each of ``paths``, then replace them all.
 
-    An error while writing leaves any previous file at ``path`` as it was
-    and removes the temporary file.
+    The targets are replaced only once the block has written every
+    temporary file, so an error leaves all previous files as they were.
+    The temporary files are removed either way.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    paths = [Path(path) for path in paths]
+    tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
-        with open(tmp, "w", newline=newline) as handle:
-            yield handle
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def write_dataset(dataset: ReportedDataset, path) -> None:
-    """Write records as the ingestible CSV format."""
-    with _replacing(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["z", "unit"])
-        for record in dataset.records:
-            writer.writerow([record.z, record.unit.name.lower()])
+    """Write records as the ingestible CSV format, one formatted row per class."""
+    with _replacing(path) as (tmp,), open(tmp, "w", newline="") as handle:
+        # the rows csv.writer writes: no value or unit name needs quoting
+        distinct = dict.fromkeys(dataset.records)
+        lines = {r: f"{r.z},{r.unit.name.lower()}\r\n" for r in distinct}
+        handle.write("z,unit\r\n")
+        handle.writelines([lines[record] for record in dataset.records])
 
 
 def write_draws_csv(draws: PosteriorDraws, path) -> None:
-    with _replacing(path, newline="") as handle:
+    with _replacing(path) as (tmp,), open(tmp, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["chain", "iteration"] + list(draws.param_names))
         for chain in range(draws.num_chains):
@@ -237,7 +261,7 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
 
 
 def _write_json(payload: dict, path) -> None:
-    with _replacing(path) as handle:
+    with _replacing(path) as (tmp,), open(tmp, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
@@ -336,8 +360,6 @@ def _cmd_fit(args) -> int:
     report = compute_diagnostics(draws.draws, names=draws.param_names)
     summary = summarize(draws, basis, levels=run.levels)
 
-    write_draws_csv(draws, run.outdir / "draws.csv")
-
     estimates_payload = summary.to_dict()
     estimates_payload["dataset"] = ingest_report.to_dict()
     estimates_payload["config"] = {
@@ -355,21 +377,25 @@ def _cmd_fit(args) -> int:
         },
         "heap": {"days": list(run.heap.days), "halfwidth": run.heap.halfwidth},
     }
-    _write_json(estimates_payload, run.outdir / "estimates.json")
-
     diag_payload = report.to_dict()
     diag_payload["divergences"] = draws.divergence_count.tolist()
     diag_payload["accept_rate"] = draws.accept_stats.tolist()
     diag_payload["step_size"] = draws.step_sizes.tolist()
-    _write_json(diag_payload, run.outdir / "diagnostics.json")
-
     observed = spread_mass(dataset, run.heap)
     phi_median = np.asarray(summary.tsls_pmf.median)
-    with _replacing(run.outdir / "histogram.csv", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["day", "observed_weight", "phi_median"])
-        for day in range(NUM_DAYS):
-            writer.writerow([day, repr(float(observed[day])), repr(float(phi_median[day]))])
+
+    # all four files, or none: a failure leaves the previous run's outputs
+    names = ("draws.csv", "estimates.json", "diagnostics.json", "histogram.csv")
+    with _replacing(*(run.outdir / name for name in names)) as tmps:
+        draws_tmp, estimates_tmp, diag_tmp, histogram_tmp = tmps
+        write_draws_csv(draws, draws_tmp)
+        _write_json(estimates_payload, estimates_tmp)
+        _write_json(diag_payload, diag_tmp)
+        with open(histogram_tmp, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["day", "observed_weight", "phi_median"])
+            for day in range(NUM_DAYS):
+                writer.writerow([day, repr(float(observed[day])), repr(float(phi_median[day]))])
 
     if not report.passed:
         print(f"convergence flags: {report.flags}", file=sys.stderr)

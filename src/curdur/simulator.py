@@ -109,6 +109,10 @@ class ReportingBehavior:
     is within the heap half-width, otherwise exact), "week", "month"
     (falls back to a year report for days a month value cannot carry) and
     "year" (falls back to month below the year range).
+
+    ``simulate_survey`` calls ``rule`` once per distinct exact day and
+    reuses the answer for every record of that day, so ``rule`` must be a
+    pure function of the day.
     """
 
     rule: Callable[[int], Sequence[tuple[str, float]]] = default_unit_rule
@@ -162,37 +166,67 @@ def sample_tsls_exact(truth: TrueTbs, n: int, seed) -> np.ndarray:
     return rng.integers(0, gaps + 1)
 
 
+class _DayChannels:
+    """The reporting rule's channels for one exact day.
+
+    The rule runs, and its probabilities are checked, when the object is
+    built.  A channel is encoded, and its interval checked against the
+    day, the first time a uniform picks it; later picks return the same
+    record object.
+    """
+
+    __slots__ = ("y", "heap", "cumulative", "records")
+
+    def __init__(self, y: int, behavior: ReportingBehavior):
+        if not 0 <= y <= LAST_DAY:
+            raise ConfigurationError(f"exact day {y} outside [0, {LAST_DAY}]")
+        pairs = tuple(behavior.rule(y))
+        probs = np.array([p for _, p in pairs], dtype=float)
+        if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-9:
+            raise ConfigurationError(
+                f"channel probabilities for day {y} must be non-negative and sum to 1"
+            )
+        self.y, self.heap = y, behavior.heap
+        self.cumulative = []  # (channel, running probability sum)
+        acc = 0.0
+        for name, p in pairs:
+            acc += p
+            self.cumulative.append((name, acc))
+        self.records = {}
+
+    def report(self, u: float) -> ReportedDuration:
+        """The record of the first channel whose running sum exceeds u.
+
+        When none does (the sum may fall short of 1 by rounding), the loop
+        ends on the last channel, which is then the one reported.
+        """
+        for channel, acc in self.cumulative:
+            if u < acc:
+                break
+        record = self.records.get(channel)
+        if record is None:
+            record = self.records[channel] = self._checked_record(channel)
+        return record
+
+    def _checked_record(self, channel: str) -> ReportedDuration:
+        y = self.y
+        record = _encode(channel, y, self.heap)
+        lo, hi = day_interval(record, self.heap)
+        if not lo <= y <= hi:
+            raise ConfigurationError(
+                f"channel {channel!r} produced {record} whose interval [{lo}, {hi}] "
+                f"does not contain day {y}"
+            )
+        return record
+
+
 def apply_reporting(y: int, behavior: ReportingBehavior, rng) -> ReportedDuration:
     """Convert one exact duration into a survey record.
 
     Raises a configuration error if the rule proposes a channel whose day
     interval cannot contain the exact value.
     """
-    y = int(y)
-    if not 0 <= y <= LAST_DAY:
-        raise ConfigurationError(f"exact day {y} outside [0, {LAST_DAY}]")
-    pairs = tuple(behavior.rule(y))
-    probs = np.array([p for _, p in pairs], dtype=float)
-    if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-9:
-        raise ConfigurationError(
-            f"channel probabilities for day {y} must be non-negative and sum to 1"
-        )
-    u = rng.random()
-    acc = 0.0
-    channel = pairs[-1][0]
-    for name, p in pairs:
-        acc += p
-        if u < acc:
-            channel = name
-            break
-    record = _encode(channel, y, behavior.heap)
-    lo, hi = day_interval(record, behavior.heap)
-    if not lo <= y <= hi:
-        raise ConfigurationError(
-            f"channel {channel!r} produced {record} whose interval [{lo}, {hi}] "
-            f"does not contain day {y}"
-        )
-    return record
+    return _DayChannels(int(y), behavior).report(rng.random())
 
 
 def simulate_survey(
@@ -206,7 +240,15 @@ def simulate_survey(
     behavior = behavior if behavior is not None else ReportingBehavior()
     rng = np.random.default_rng(seed)
     exact = sample_tsls_exact(truth, n, rng)
-    records = [apply_reporting(int(y), behavior, rng) for y in exact]
+    # the same stream as one rng.random() per record, as apply_reporting draws
+    uniforms = rng.random(len(exact)).tolist()
+    days: dict[int, _DayChannels] = {}
+    records = []
+    for y, u in zip(exact.tolist(), uniforms):
+        channels = days.get(y)
+        if channels is None:
+            channels = days[y] = _DayChannels(y, behavior)
+        records.append(channels.report(u))
     dataset = ReportedDataset.from_records(records)
     if return_exact:
         return dataset, exact

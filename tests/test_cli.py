@@ -1,5 +1,6 @@
 """End-to-end CLI: ingestion, fitting, simulation, diagnosis."""
 
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -96,6 +97,82 @@ class TestIngest:
         back, report = ingest(path)
         assert back == dataset
         assert report.excluded == 0
+
+
+# one block of rows of every kind; the malformed ones are marked
+_ROW_KINDS = [
+    ("3,week", False),
+    ("14,day", False),
+    ("730,day", False),       # excluded, day
+    ("1,day,x", True),        # 3 fields
+    ("", False),              # blank
+    ("105,week", False),      # excluded, week
+    ("3,fortnight", True),    # unknown unit
+    ("24,month", False),      # excluded, month
+    ("abc,day", True),        # not an integer
+    (" , ", False),           # blank cells
+    ("-1,week", True),        # negative
+    ("2,year", False),        # excluded, year
+    ("0,year", True),         # 0-year
+    ("1,YEAR", False),
+]
+
+
+class TestIngestRepeatedRows:
+    """Every kind of row, repeated: each distinct row is classified once."""
+
+    def test_problem_text_in_line_order(self, tmp_path):
+        path = write_csv(tmp_path / "data.csv", [row for row, _ in _ROW_KINDS] * 3)
+        with pytest.raises(IngestError) as err:
+            ingest(path)
+        zero_year = ("a 0-year report is not representable "
+                     "(expected z = 1 within the two-year window)")
+        shown = []
+        for block in range(2):
+            first = 2 + 14 * block
+            shown += [
+                f"line {first + 3}: expected 2 fields, got 3",
+                f"line {first + 6}: unknown unit 'fortnight'",
+                f"line {first + 8}: reported value 'abc' is not an integer",
+                f"line {first + 10}: reported value -1 is negative",
+                f"line {first + 12}: {zero_year}",
+            ]
+        assert str(err.value) == f"{path}: {'; '.join(shown)} (and 5 more)"
+
+    def test_counts_and_shared_records(self, tmp_path):
+        clean = [row for row, bad in _ROW_KINDS if not bad]
+        dataset, report = ingest(write_csv(tmp_path / "data.csv", clean * 3))
+        assert report.to_dict() == {
+            "total_rows": 21,
+            "retained": 9,
+            "excluded": 12,
+            "excluded_by_unit": {"day": 3, "week": 3, "month": 3, "year": 3},
+        }
+        assert list(report.excluded_by_unit) == ["day", "week", "month", "year"]
+        week, day, year = (ReportedDuration(3, Unit.WEEK), ReportedDuration(14, Unit.DAY),
+                           ReportedDuration(1, Unit.YEAR))
+        assert dataset.records == (week, day, year) * 3
+        assert list(dataset.counts.items()) == [(week, 3), (day, 3), (year, 3)]
+        assert len({id(r) for r in dataset.records}) == len(dataset.counts)
+
+
+class TestDatasetRoundTrip:
+    def test_write_then_ingest_keeps_order_and_counts(self, tmp_path):
+        truth = parse_truth("geometric:p=0.02@0.7+uniform:lo=300,hi=600@0.3")
+        dataset = simulate_survey(truth, n=3000, seed=11)
+        path = tmp_path / "data.csv"
+        write_dataset(dataset, path)
+        back, report = ingest(path)
+        assert back.records == dataset.records
+        assert list(back.counts.items()) == list(dataset.counts.items())
+        assert (report.total_rows, report.excluded) == (3000, 0)
+
+    def test_fit_survey_bytes_are_pinned(self, tmp_path):
+        # the survey the fit benchmark fits; its bytes must not drift
+        assert main(["simulate", "--truth", "geometric:p=0.03", "--n", "1000",
+                     "--seed", "7", "--outdir", str(tmp_path)]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "data.csv").read_bytes()).hexdigest()
+        assert digest == "c8064bd75d50fe012e4908dc1c89943fb97a82b7379338ab2f1b822a95645368"
 
 
 class TestParseTruth:
@@ -327,15 +404,18 @@ class TestAtomicWrites:
         write_dataset(simulate_survey(truncated_geometric(0.1), n=200, seed=3), data)
         outdir = tmp_path / "out"
         outdir.mkdir()
-        (outdir / "histogram.csv").write_text("previous run\n")
+        names = ["diagnostics.json", "draws.csv", "estimates.json", "histogram.csv"]
+        for name in names:
+            (outdir / name).write_text(f"previous run: {name}\n")
         # the histogram is the last file a fit writes, a row per day
         monkeypatch.setattr("curdur.cli.spread_mass", lambda *args: _FailingRows())
         with pytest.raises(OSError):
             main(["fit", "--input", str(data), "--outdir", str(outdir), "--chains", "2",
                   "--iters", "40", "--warmup", "20", "--knots", "4"])
-        assert (outdir / "histogram.csv").read_text() == "previous run\n"
-        assert sorted(p.name for p in outdir.iterdir()) == [
-            "diagnostics.json", "draws.csv", "estimates.json", "histogram.csv"]
+        # no new file replaced an old one, and no temporary file is left
+        assert sorted(p.name for p in outdir.iterdir()) == names
+        for name in names:
+            assert (outdir / name).read_text() == f"previous run: {name}\n"
 
 
 class _FailingRows:

@@ -177,3 +177,63 @@ class TestSimulateSurvey:
         for record, y in zip(ds.records, exact):
             lo, hi = day_interval(record, heap)
             assert lo <= y <= hi
+
+
+def per_record_survey(truth, behavior, n, seed):
+    """The survey record by record: one apply_reporting per exact day drawn."""
+    rng = np.random.default_rng(seed)
+    exact = sample_tsls_exact(truth, n, rng)
+    return tuple(apply_reporting(int(y), behavior, rng) for y in exact)
+
+
+def three_channel_rule(y):
+    if y <= 3:
+        return (("day_exact", 1.0),)
+    return (("day_heaped", 0.25), ("week", 0.25), ("month", 0.5))
+
+
+class TestSimulateMatchesPerRecord:
+    """simulate_survey runs the rule once per distinct day, with the same result."""
+
+    MIXTURE = mixture([(truncated_geometric(0.02), 0.7), (uniform_gap(300, 600), 0.3)])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("truth", [truncated_geometric(0.1), MIXTURE],
+                             ids=["geometric", "mixture"])
+    def test_default_behavior(self, truth, seed):
+        behavior = ReportingBehavior()
+        ds = simulate_survey(truth, behavior, n=3000, seed=seed)
+        assert ds.records == per_record_survey(truth, behavior, 3000, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_custom_rule_and_heap(self, seed):
+        behavior = ReportingBehavior(
+            rule=three_channel_rule, heap=HeapSet(days=(10, 35, 100), halfwidth=3)
+        )
+        truth = uniform_gap(0, 200)
+        ds = simulate_survey(truth, behavior, n=2000, seed=seed)
+        assert ds.records == per_record_survey(truth, behavior, 2000, seed)
+        assert {r.unit for r in ds.records} == {Unit.DAY, Unit.WEEK, Unit.MONTH}
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_surveys(self, n):
+        behavior = ReportingBehavior()
+        ds = simulate_survey(self.MIXTURE, behavior, n=n, seed=3)
+        assert ds.records == per_record_survey(self.MIXTURE, behavior, n, seed=3)
+        assert len(ds) == n
+
+    @pytest.mark.parametrize("bad_rule, bad_day", [
+        # probabilities that do not sum to 1 on one day
+        (lambda y: (("week", 0.5),) if y == 12 else (("day_exact", 1.0),), 12),
+        # a channel that cannot encode one day
+        (lambda y: (("month", 1.0),) if y == 0 else (("day_exact", 1.0),), 0),
+    ], ids=["probabilities", "encoding"])
+    def test_rule_error_matches_per_record(self, bad_rule, bad_day):
+        behavior = ReportingBehavior(rule=bad_rule)
+        truth = uniform_gap(0, 30)
+        with pytest.raises(ConfigurationError) as per_record:
+            per_record_survey(truth, behavior, 500, seed=4)
+        with pytest.raises(ConfigurationError) as batched:
+            simulate_survey(truth, behavior, n=500, seed=4)
+        assert str(batched.value) == str(per_record.value)
+        assert f"day {bad_day}" in str(batched.value)
