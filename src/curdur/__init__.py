@@ -36,8 +36,6 @@ from .model import (
     PosteriorDensity,
     TslsDistribution,
     alpha_from_delta,
-    grad_log_posterior,
-    log_posterior,
     log_prior,
     phi_from_params,
 )

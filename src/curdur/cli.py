@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +266,13 @@ def _write_json(payload: dict, path) -> None:
         handle.write("\n")
 
 
+def _make_outdir(outdir: Path) -> None:
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {outdir}: {exc}") from exc
+
+
 def _heap_from_args(args) -> HeapSet:
     if args.heap_days is None and args.heap_halfwidth is None:
         return DEFAULT_HEAP
@@ -342,7 +349,7 @@ def parse_truth(spec: str) -> simulator.TrueTbs:
 
 def _cmd_fit(args) -> int:
     run = RunConfig.from_fit_args(args)
-    run.outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(run.outdir)
     dataset, ingest_report = ingest(run.input_path)
     print(
         f"ingested {ingest_report.retained} records "
@@ -363,19 +370,7 @@ def _cmd_fit(args) -> int:
     estimates_payload = summary.to_dict()
     estimates_payload["dataset"] = ingest_report.to_dict()
     estimates_payload["config"] = {
-        "basis": {
-            "support_days": run.basis.support_days,
-            "num_segments": run.basis.num_segments,
-            "degree": run.basis.degree,
-        },
-        "sampler": {
-            "chains": run.sampler.chains,
-            "iterations_per_chain": run.sampler.iterations_per_chain,
-            "warmup": run.sampler.warmup,
-            "seed": run.sampler.seed,
-            "target_accept": run.sampler.target_accept,
-        },
-        "heap": {"days": list(run.heap.days), "halfwidth": run.heap.halfwidth},
+        name: asdict(getattr(run, name)) for name in ("basis", "sampler", "heap")
     }
     diag_payload = report.to_dict()
     diag_payload["divergences"] = draws.divergence_count.tolist()
@@ -405,7 +400,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_outdir(outdir)
     truth = parse_truth(args.truth)
     dataset = simulator.simulate_survey(truth, n=args.n, seed=args.seed)
     write_dataset(dataset, outdir / "data.csv")

@@ -15,6 +15,8 @@ import numpy as np
 from scipy.fft import next_fast_len
 from scipy.special import ndtri
 
+from .errors import DimensionError
+
 RHAT_THRESHOLD = 1.01
 ESS_THRESHOLD = 400.0
 
@@ -22,11 +24,11 @@ ESS_THRESHOLD = 400.0
 def _as_chain_matrix(draws) -> np.ndarray:
     x = np.asarray(draws, dtype=float)
     if x.ndim != 2:
-        raise ValueError(f"draws must be (chains, iterations), got shape {x.shape}")
+        raise DimensionError(f"draws must be (chains, iterations), got shape {x.shape}")
     if x.shape[0] < 2:
-        raise ValueError("diagnostics require at least 2 chains")
+        raise DimensionError("diagnostics require at least 2 chains")
     if x.shape[1] < 4:
-        raise ValueError("diagnostics require at least 4 draws per chain")
+        raise DimensionError("diagnostics require at least 4 draws per chain")
     return x
 
 
@@ -152,8 +154,6 @@ class DiagnosticsReport:
     ess_tail: np.ndarray
     flags: list
     degenerate: list
-    rhat_threshold: float = RHAT_THRESHOLD
-    ess_threshold: float = ESS_THRESHOLD
 
     @property
     def passed(self) -> bool:
@@ -173,24 +173,19 @@ class DiagnosticsReport:
             "max_rhat": float(np.max(self.rhat)),
             "min_ess_bulk": float(np.min(self.ess_bulk)),
             "min_ess_tail": float(np.min(self.ess_tail)),
-            "rhat_threshold": self.rhat_threshold,
-            "ess_threshold": self.ess_threshold,
+            "rhat_threshold": RHAT_THRESHOLD,
+            "ess_threshold": ESS_THRESHOLD,
             "flags": list(self.flags),
             "degenerate": list(self.degenerate),
             "passed": self.passed,
         }
 
 
-def compute_diagnostics(
-    draws: np.ndarray,
-    names=None,
-    rhat_threshold: float = RHAT_THRESHOLD,
-    ess_threshold: float = ESS_THRESHOLD,
-) -> DiagnosticsReport:
+def compute_diagnostics(draws: np.ndarray, names=None) -> DiagnosticsReport:
     """Diagnostics for a (chains, iterations, parameters) draw array."""
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 3:
-        raise ValueError(
+        raise DimensionError(
             f"draws must be (chains, iterations, parameters), got {draws.shape}"
         )
     n_params = draws.shape[2]
@@ -209,12 +204,12 @@ def compute_diagnostics(
         rhat[i] = split_rank_rhat(series)
         bulk[i] = ess_bulk(series)
         tail[i] = ess_tail(series)
-        if not rhat[i] <= rhat_threshold:
-            flags.append(f"{names[i]}: rhat {rhat[i]:.4f} > {rhat_threshold}")
-        if not bulk[i] >= ess_threshold:
-            flags.append(f"{names[i]}: ess_bulk {bulk[i]:.1f} < {ess_threshold}")
-        if not tail[i] >= ess_threshold:
-            flags.append(f"{names[i]}: ess_tail {tail[i]:.1f} < {ess_threshold}")
+        if not rhat[i] <= RHAT_THRESHOLD:
+            flags.append(f"{names[i]}: rhat {rhat[i]:.4f} > {RHAT_THRESHOLD}")
+        if not bulk[i] >= ESS_THRESHOLD:
+            flags.append(f"{names[i]}: ess_bulk {bulk[i]:.1f} < {ESS_THRESHOLD}")
+        if not tail[i] >= ESS_THRESHOLD:
+            flags.append(f"{names[i]}: ess_tail {tail[i]:.1f} < {ESS_THRESHOLD}")
     return DiagnosticsReport(
         parameters=names,
         rhat=rhat,
@@ -222,6 +217,4 @@ def compute_diagnostics(
         ess_tail=tail,
         flags=flags,
         degenerate=degenerate,
-        rhat_threshold=rhat_threshold,
-        ess_threshold=ess_threshold,
     )

@@ -35,22 +35,6 @@ def _safe_exp(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
-class ClampCounter:
-    """Counts how often log-scale coefficient sums hit the overflow clamp."""
-
-    def __init__(self):
-        self.count = 0
-
-    def bump(self, n: int = 1) -> None:
-        self.count += int(n)
-
-    def reset(self) -> None:
-        self.count = 0
-
-
-overflow_guard = ClampCounter()
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Unconstrained parameter vector defining one candidate distribution."""
@@ -85,7 +69,6 @@ class TslsDistribution:
     """
 
     phi: np.ndarray
-    phi_at_boundary: float = 0.0
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float)
@@ -102,23 +85,18 @@ class TslsDistribution:
         slack = 1e-12 * float(phi[0])
         if np.any(np.diff(phi) > slack):
             raise ValueError("phi must be non-increasing")
-        if self.phi_at_boundary != 0.0:
-            raise ValueError("the boundary probability is identically zero")
 
 
 def _clamp(sums: np.ndarray) -> tuple:
     """Clip log-scale coefficient sums to +/- LOG_CLAMP.
 
     Also returns the mask of entries the clip left alone, or None when every
-    sum lies within the clamp, which skips the clip; clip events are counted
-    on ``overflow_guard``.
+    sum lies within the clamp, which skips the clip.
     """
     if np.maximum.reduce(np.abs(sums), axis=None, initial=0.0) <= LOG_CLAMP:
         return sums, None
     clipped = sums.clip(-LOG_CLAMP, LOG_CLAMP)
-    unclamped = clipped == sums
-    overflow_guard.bump(unclamped.size - np.count_nonzero(unclamped))
-    return clipped, unclamped
+    return clipped, clipped == sums
 
 
 def _clamped_sums(delta: np.ndarray) -> tuple:
@@ -136,8 +114,7 @@ def alpha_from_delta(delta: np.ndarray) -> np.ndarray:
     """Positive spline coefficients from the unconstrained increments.
 
     alpha_k = exp(delta_k + delta_{k+1} + ... + delta_K).  Sums are clamped
-    to +/- 700 before exponentiation; clamp events are counted on
-    ``overflow_guard``.
+    to +/- 700 before exponentiation.
     """
     delta = np.asarray(delta, dtype=float)
     if delta.ndim != 1:
@@ -218,7 +195,6 @@ class PosteriorDensity:
         data: ReportedDataset | None,
         basis: SplineBasis,
         heap: HeapSet | None = None,
-        prior_only: bool = False,
     ):
         heap = heap if heap is not None else DEFAULT_HEAP
         if basis.support_days != NUM_DAYS:
@@ -226,9 +202,6 @@ class PosteriorDensity:
                 f"likelihood evaluation needs a basis over {NUM_DAYS} days, "
                 f"got {basis.support_days}"
             )
-        self.basis = basis
-        self.heap = heap
-        self.prior_only = prior_only
         k = basis.num_basis
         self.num_params = k + 1
         # sums = _upper.dot(v) are the reverse sums of v[:-1] and
@@ -243,7 +216,7 @@ class PosteriorDensity:
         # weighted by the counts, then minus their total
         self._rows = None
         self._safe_rows = True
-        if not (prior_only or data is None or len(data) == 0):
+        if not (data is None or len(data) == 0):
             rows = []
             weights = []
             for record, n in data.counts.items():
@@ -366,23 +339,3 @@ def to_centered(eta: np.ndarray) -> np.ndarray:
     """Map scale-free coordinates back to (delta, log_sigma)."""
     eta = np.asarray(eta, dtype=float)
     return np.concatenate([eta[:-1] * _safe_exp(eta[-1]), eta[-1:]])
-
-
-def log_posterior(
-    params: ModelParams,
-    data: ReportedDataset,
-    basis: SplineBasis,
-    heap: HeapSet | None = None,
-) -> float:
-    """Log prior plus the log probability of every report."""
-    return PosteriorDensity(data, basis, heap).logp_and_grad(params.to_vector())[0]
-
-
-def grad_log_posterior(
-    params: ModelParams,
-    data: ReportedDataset,
-    basis: SplineBasis,
-    heap: HeapSet | None = None,
-) -> np.ndarray:
-    """Exact gradient of the log posterior with respect to (delta, log_sigma)."""
-    return PosteriorDensity(data, basis, heap).logp_and_grad(params.to_vector())[1]

@@ -3,8 +3,8 @@
 Multi-chain sampler with leapfrog integration, dual-averaging step-size
 adaptation toward a target acceptance rate, and diagonal mass-matrix
 estimation in expanding warm-up windows.  The number of leapfrog steps is
-chosen each iteration so that step size times steps matches the
-configured trajectory length, capped at a configurable maximum.
+chosen each iteration so that step size times steps matches a fixed
+trajectory length, capped at a fixed maximum.
 
 Chains run one after another and own independent seeded RNG streams, so
 results are bit-identical across runs.
@@ -20,7 +20,10 @@ import numpy as np
 from .errors import ConfigurationError, SamplingError
 from .model import PosteriorDensity, to_noncentered
 
-DEFAULT_TRAJECTORY_LENGTH = 2.0
+# step size times leapfrog steps each iteration aims for; longer
+# trajectories cost more gradient evaluations but decorrelate draws faster
+TRAJECTORY_LENGTH = 2.0
+MAX_LEAPFROG_STEPS = 1024
 DIVERGENCE_ENERGY = 1000.0
 DUAL_GAMMA = 0.05
 DUAL_T0 = 10.0
@@ -29,20 +32,13 @@ DUAL_KAPPA = 0.75
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain layout, adaptation target, and seeding.
-
-    ``trajectory_length`` is the product of step size and leapfrog steps
-    each iteration aims for; longer trajectories cost more gradient
-    evaluations but decorrelate draws faster.
-    """
+    """Chain layout, adaptation target, and seeding."""
 
     chains: int = 4
     iterations_per_chain: int = 2000
     warmup: int = 1000
     seed: int = 0
     target_accept: float = 0.8
-    max_leapfrog_steps: int = 1024
-    trajectory_length: float = DEFAULT_TRAJECTORY_LENGTH
 
     def __post_init__(self):
         if self.chains < 2:
@@ -62,10 +58,6 @@ class SamplerConfig:
             raise ConfigurationError(
                 f"target_accept must be in (0, 1), got {self.target_accept}"
             )
-        if self.max_leapfrog_steps < 1:
-            raise ConfigurationError("max_leapfrog_steps must be >= 1")
-        if self.trajectory_length <= 0.0:
-            raise ConfigurationError("trajectory_length must be positive")
 
     @property
     def kept_iterations(self) -> int:
@@ -275,8 +267,8 @@ def _run_chain(logp_and_grad, dim, config: SamplerConfig, chain_index: int, prog
     for it in range(config.iterations_per_chain):
         warming = it < config.warmup
         step_size = dual.step if warming else final_step
-        num_steps = int(min(config.max_leapfrog_steps,
-                            max(1, round(config.trajectory_length / step_size))))
+        num_steps = int(min(MAX_LEAPFROG_STEPS,
+                            max(1, round(TRAJECTORY_LENGTH / step_size))))
 
         p = rng.standard_normal(dim) * momentum_sd
         energy0 = _energy(logp, p, inv_mass)
@@ -389,7 +381,7 @@ def sample(
     if not prior_only and (data is None or len(data) == 0):
         raise SamplingError("dataset is empty; nothing to fit (use prior_only to "
                             "sample the prior)")
-    density = PosteriorDensity(data, basis, heap=heap, prior_only=prior_only)
+    density = PosteriorDensity(None if prior_only else data, basis, heap=heap)
     k = basis.num_basis
     names = [f"delta_{i + 1}" for i in range(k)] + ["log_sigma"]
 

@@ -43,7 +43,7 @@ class TrueTbs:
             raise ConfigurationError(
                 f"true gap distribution must have length {NUM_DAYS}, got {f_x.shape}"
             )
-        if np.any(f_x < 0.0) or abs(float(f_x.sum()) - 1.0) > 1e-9:
+        if np.any(f_x < 0.0) or not abs(float(f_x.sum()) - 1.0) <= 1e-9:
             raise ConfigurationError("true gap distribution must be a simplex")
 
 
@@ -76,7 +76,7 @@ def uniform_gap(lo: int, hi: int) -> TrueTbs:
 def mixture(parts: Sequence[tuple[TrueTbs, float]]) -> TrueTbs:
     """Weighted mixture of gap distributions."""
     weights = np.array([w for _, w in parts], dtype=float)
-    if np.any(weights < 0.0) or abs(weights.sum() - 1.0) > 1e-9:
+    if np.any(weights < 0.0) or not abs(weights.sum() - 1.0) <= 1e-9:
         raise ConfigurationError("mixture weights must be non-negative and sum to 1")
     f = np.zeros(NUM_DAYS)
     for part, w in parts:
@@ -182,7 +182,7 @@ class _DayChannels:
             raise ConfigurationError(f"exact day {y} outside [0, {LAST_DAY}]")
         pairs = tuple(behavior.rule(y))
         probs = np.array([p for _, p in pairs], dtype=float)
-        if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-9:
+        if np.any(probs < 0.0) or not abs(float(probs.sum()) - 1.0) <= 1e-9:
             raise ConfigurationError(
                 f"channel probabilities for day {y} must be non-negative and sum to 1"
             )

@@ -331,13 +331,27 @@ class TestCommands:
             (["simulate", "--truth", "geometric:q=0.1", "--n", "10"], "ConfigurationError"),
             (["simulate", "--truth", "geometric:p=abc", "--n", "10"], "ConfigurationError"),
             (["simulate", "--truth", "pointmass:day=inf", "--n", "10"], "ConfigurationError"),
+            (["simulate", "--truth", "geometric:p=0.1@nan", "--n", "10"], "ConfigurationError"),
+            # three kept draws per chain, too few for diagnostics, found
+            # after the whole fit (two warm-up iterations adapt the step, so
+            # the chains do not all diverge first)
+            (["fit", "--iters", "5", "--warmup", "2"], "DimensionError"),
+            (["diagnose", "--draws", "{draws}"], "DimensionError"),
+            # an output directory that is an existing file
+            (["fit", "--outdir", "{data}"], "ConfigurationError"),
+            (["simulate", "--truth", "geometric:p=0.1", "--n", "10", "--outdir", "{data}"],
+             "ConfigurationError"),
         ],
     )
     def test_bad_arguments_give_error_json(self, tmp_path, capsys, argv, error):
         data = write_csv(tmp_path / "d.csv", ["5,day"])
+        draws = write_csv(tmp_path / "draws.csv", ["0,1,0.5", "0,2,0.7", "1,1,0.1", "1,2,0.3"],
+                          header="chain,iteration,x")
         if argv[0] == "fit":
             argv = argv + ["--input", str(data)]
-        code = main(argv + ["--outdir", str(tmp_path / "out")])
+        if argv[0] != "diagnose" and "--outdir" not in argv:
+            argv = argv + ["--outdir", str(tmp_path / "out")]
+        code = main([arg.format(data=data, draws=draws) for arg in argv])
         assert code == EXIT_ERROR
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == error

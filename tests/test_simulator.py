@@ -7,6 +7,7 @@ from curdur.errors import ConfigurationError
 from curdur.reporting import HeapSet, Unit, day_interval
 from curdur.simulator import (
     ReportingBehavior,
+    TrueTbs,
     apply_reporting,
     mixture,
     point_mass,
@@ -53,6 +54,14 @@ class TestTruthBuilders:
     def test_mixture_weights_checked(self):
         with pytest.raises(ConfigurationError):
             mixture([(point_mass(1), 0.6), (point_mass(2), 0.6)])
+        with pytest.raises(ConfigurationError):
+            mixture([(point_mass(1), float("nan"))])
+
+    def test_truth_must_be_a_simplex(self):
+        with pytest.raises(ConfigurationError):
+            TrueTbs(f_x=np.full(730, 1.0 / 700))
+        with pytest.raises(ConfigurationError):
+            TrueTbs(f_x=np.full(730, np.nan))
 
     def test_uniform_gap(self):
         t = uniform_gap(3, 6)
@@ -111,6 +120,9 @@ class TestApplyReporting:
 
     def test_bad_probabilities(self, rng):
         behavior = ReportingBehavior(rule=lambda y: (("week", 0.4),))
+        with pytest.raises(ConfigurationError):
+            apply_reporting(10, behavior, rng)
+        behavior = ReportingBehavior(rule=lambda y: (("week", float("nan")),))
         with pytest.raises(ConfigurationError):
             apply_reporting(10, behavior, rng)
 
