@@ -218,29 +218,58 @@ def write_dataset(dataset: ReportedDataset, path) -> None:
         handle.writelines([lines[record] for record in dataset.records])
 
 
+def _csv_line(head: str, values) -> str:
+    """``head`` then the repr of each float, as csv.writer writes the row.
+
+    No field needs quoting: ``head`` holds integers, and a float repr has
+    no comma, quote or line break.
+    """
+    return f"{head},{','.join(map(repr, values))}\r\n"
+
+
 def write_draws_csv(draws: PosteriorDraws, path) -> None:
     with _replacing(path) as (tmp,), open(tmp, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["chain", "iteration"] + list(draws.param_names))
+        csv.writer(handle).writerow(["chain", "iteration"] + list(draws.param_names))
+        lines = []
         for chain in range(draws.num_chains):
-            for it in range(draws.num_kept):
-                row = [chain, it + 1] + [repr(float(v)) for v in draws.draws[chain, it]]
-                writer.writerow(row)
+            rows = np.asarray(draws.draws[chain], dtype=float).tolist()
+            lines += [_csv_line(f"{chain},{it}", row) for it, row in enumerate(rows, 1)]
+        handle.writelines(lines)
 
 
-def read_draws_csv(path) -> tuple[np.ndarray, list]:
-    """Rebuild the (chains, iterations, parameters) array from draws.csv."""
-    path = Path(path)
+def _check_chain_sizes(path: Path, sizes: list) -> None:
+    if len(sizes) < 2:
+        raise IngestError(f"{path}: diagnostics need at least 2 chains")
+    if len(set(sizes)) != 1:
+        raise IngestError(f"{path}: chains have unequal lengths {sorted(set(sizes))}")
+
+
+def _parse_draws(body: list, num_values: int):
+    """Chain ids and value rows of draws.csv body lines, in one bulk parse.
+
+    Returns None for anything the row loop of ``_parse_draw_rows`` might
+    read differently: a field numpy refuses, a row with other than
+    ``num_values + 2`` fields, or an empty body.  The iteration column is
+    not read.
+    """
+    if not any(body):
+        return None
+    row = np.dtype([("chain", np.int64), ("values", np.float64, (num_values,))])
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows or len(rows[0]) < 3 or rows[0][:2] != ["chain", "iteration"]:
-        raise IngestError(f"{path}: expected header 'chain,iteration,<parameters>'")
-    names = rows[0][2:]
+        table = np.loadtxt(body, dtype=row, delimiter=",", comments=None,
+                           usecols=[0, *range(2, num_values + 2)], ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    # loadtxt ignores columns past usecols; the row loop refuses them
+    if sum(line.count(",") for line in body) != len(table) * (num_values + 1):
+        return None
+    return table["chain"], table["values"]
+
+
+def _parse_draw_rows(path: Path, reader, num_values: int) -> np.ndarray:
+    """Parse draws.csv rows one by one, naming the first bad line."""
     by_chain: dict = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
         try:
@@ -248,16 +277,39 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
             values = [float(v) for v in row[2:]]
         except ValueError as exc:
             raise IngestError(f"{path}: line {line_no}: {exc}") from exc
-        if len(values) != len(names):
+        if len(values) != num_values:
             raise IngestError(f"{path}: line {line_no}: wrong number of values")
         by_chain.setdefault(chain, []).append(values)
-    if len(by_chain) < 2:
-        raise IngestError(f"{path}: diagnostics need at least 2 chains")
-    sizes = {len(v) for v in by_chain.values()}
-    if len(sizes) != 1:
-        raise IngestError(f"{path}: chains have unequal lengths {sorted(sizes)}")
-    ordered = [by_chain[c] for c in sorted(by_chain)]
-    return np.array(ordered), names
+    _check_chain_sizes(path, [len(v) for v in by_chain.values()])
+    return np.array([by_chain[c] for c in sorted(by_chain)])
+
+
+def read_draws_csv(path) -> tuple[np.ndarray, list]:
+    """Rebuild the (chains, iterations, parameters) array from draws.csv.
+
+    A leading UTF-8 byte-order mark is skipped.  The body is parsed in
+    bulk; input that parse refuses goes through the row loop, which
+    returns the same array or names the first bad line.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or len(header) < 3 or header[:2] != ["chain", "iteration"]:
+        raise IngestError(f"{path}: expected header 'chain,iteration,<parameters>'")
+    names = header[2:]
+    parsed = _parse_draws(lines[reader.line_num:], len(names))
+    if parsed is None:
+        return _parse_draw_rows(path, reader, len(names)), names
+    chains, values = parsed
+    ids, sizes = np.unique(chains, return_counts=True)
+    _check_chain_sizes(path, sizes.tolist())
+    grouped = values[np.argsort(chains, kind="stable")]
+    return grouped.reshape(len(ids), -1, len(names)), names
 
 
 def _write_json(payload: dict, path) -> None:
@@ -387,10 +439,11 @@ def _cmd_fit(args) -> int:
         _write_json(estimates_payload, estimates_tmp)
         _write_json(diag_payload, diag_tmp)
         with open(histogram_tmp, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["day", "observed_weight", "phi_median"])
-            for day in range(NUM_DAYS):
-                writer.writerow([day, repr(float(observed[day])), repr(float(phi_median[day]))])
+            handle.write("day,observed_weight,phi_median\r\n")
+            handle.writelines([
+                _csv_line(str(day), (float(observed[day]), float(phi_median[day])))
+                for day in range(NUM_DAYS)
+            ])
 
     if not report.passed:
         print(f"convergence flags: {report.flags}", file=sys.stderr)

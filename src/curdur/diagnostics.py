@@ -72,18 +72,19 @@ def split_rank_rhat(draws) -> float:
 
 
 def _autocovariance(x: np.ndarray) -> np.ndarray:
-    n = x.size
+    """Autocovariance of each row of a (chains, draws) matrix, in one FFT."""
+    n = x.shape[1]
     m = next_fast_len(2 * n)
-    centered = x - x.mean()
-    freq = np.fft.rfft(centered, m)
-    acov = np.fft.irfft(freq * np.conj(freq), m)[:n].real
+    centered = x - x.mean(axis=1, keepdims=True)
+    freq = np.fft.rfft(centered, m, axis=-1)
+    acov = np.fft.irfft(freq * np.conj(freq), m, axis=-1)[:, :n].real
     return acov / n
 
 
 def _ess_core(z: np.ndarray) -> float:
     """Multi-chain ESS via Geyer's initial monotone positive sequence."""
     n_chain, n_draw = z.shape
-    acov = np.array([_autocovariance(z[c]) for c in range(n_chain)])
+    acov = _autocovariance(z)
     chain_means = z.mean(axis=1)
     mean_var = float(acov[:, 0].mean()) * n_draw / (n_draw - 1.0)
     var_plus = mean_var * (n_draw - 1.0) / n_draw
@@ -198,12 +199,15 @@ def compute_diagnostics(draws: np.ndarray, names=None) -> DiagnosticsReport:
     flags = []
     degenerate = []
     for i in range(n_params):
-        series = draws[:, :, i]
-        if _is_constant(series):
+        # split_rank_rhat and ess_bulk, sharing one rank normalisation
+        x = _as_chain_matrix(draws[:, :, i])
+        if _is_constant(x):
             degenerate.append(names[i])
-        rhat[i] = split_rank_rhat(series)
-        bulk[i] = ess_bulk(series)
-        tail[i] = ess_tail(series)
+            rhat[i], bulk[i] = 1.0, 0.0
+        else:
+            z = _rank_normalize(_split_chains(x))
+            rhat[i], bulk[i] = _classic_rhat(z), _ess_core(z)
+        tail[i] = ess_tail(x)
         if not rhat[i] <= RHAT_THRESHOLD:
             flags.append(f"{names[i]}: rhat {rhat[i]:.4f} > {RHAT_THRESHOLD}")
         if not bulk[i] >= ESS_THRESHOLD:

@@ -44,19 +44,26 @@ def _phi_vector(phi) -> np.ndarray:
     return vec
 
 
-def _tbs_rows(phi: np.ndarray) -> np.ndarray:
-    """f_x = (phi_x - phi_{x+1}) / phi_0 along the last axis, boundary phi zero."""
-    phi0 = phi[..., :1]
-    f = np.empty_like(phi)
-    f[..., :-1] = (phi[..., :-1] - phi[..., 1:]) / phi0
-    f[..., -1:] = phi[..., -1:] / phi0
+def _tbs_rows(phi: np.ndarray, out=None) -> np.ndarray:
+    """f_x = (phi_x - phi_{x+1}) / phi_0 along axis 0, boundary phi zero.
+
+    Writes into ``out`` (shaped like ``phi``) when given.
+    """
+    f = np.empty_like(phi) if out is None else out
+    np.subtract(phi[:-1], phi[1:], out=f[:-1])
+    np.divide(f[:-1], phi[:1], out=f[:-1])
+    np.divide(phi[-1:], phi[:1], out=f[-1:])
     return f
 
 
-def _survival_rows(phi: np.ndarray) -> np.ndarray:
-    """S(y) = phi_y / phi_0 along the last axis, with the boundary value 0."""
-    s = np.zeros(phi.shape[:-1] + (phi.shape[-1] + 1,))
-    s[..., :-1] = phi / phi[..., :1]
+def _survival_rows(phi: np.ndarray, out=None) -> np.ndarray:
+    """S(y) = phi_y / phi_0 along axis 0, with the boundary value 0.
+
+    Writes into ``out`` (one row longer than ``phi``) when given.
+    """
+    s = np.empty((phi.shape[0] + 1,) + phi.shape[1:]) if out is None else out
+    np.divide(phi, phi[:1], out=s[:-1])
+    s[-1] = 0.0
     return s
 
 
@@ -159,14 +166,13 @@ class EstimateSummary:
         }
 
 
-def quantile_band(samples: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
-    """Median and central credible bands via linear-interpolation quantiles.
+def _band_in_place(x: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
+    """Median and bands of ``x``, whose draws lie along its last axis.
 
-    ``samples`` has draws along axis 0; remaining axes are pointwise.  The
-    draws are sorted once; the median and both tails of every level then
-    interpolate between neighbouring order statistics with the arithmetic
-    of ``np.quantile``'s default "linear" method, so the values are
-    bit-identical to it.  Non-finite samples raise ValueError.
+    Sorts ``x`` in place along that axis; the median and both tails of
+    every level then interpolate between neighbouring order statistics
+    with the arithmetic of ``np.quantile``'s default "linear" method, so
+    the values are bit-identical to it.  Non-finite draws raise ValueError.
     """
     probs = [0.5]
     for level in levels:
@@ -174,23 +180,23 @@ def quantile_band(samples: np.ndarray, levels: tuple[float, ...]) -> QuantitySum
             raise ValueError(f"credible level must be in (0, 1), got {level}")
         tail = 0.5 * (1.0 - level)
         probs += [tail, 1.0 - tail]
-    ordered = np.sort(np.asarray(samples, dtype=float), axis=0)
-    n = ordered.shape[0]
+    x.sort(axis=-1)
+    n = x.shape[-1]
     if n == 0:
         raise ValueError("no samples to summarize")
-    # NaN sorts last, so the extreme rows show every non-finite sample
-    if not (np.isfinite(ordered[0]).all() and np.isfinite(ordered[-1]).all()):
+    # NaN sorts last, so the extreme draws show every non-finite sample
+    if not (np.isfinite(x[..., 0]).all() and np.isfinite(x[..., -1]).all()):
         raise ValueError("samples must be finite")
     values = []
     for p in probs:
         pos = (n - 1) * p
         lo = math.floor(pos)
         t = pos - lo
-        a = ordered[lo]
-        b = ordered[min(lo + 1, n - 1)]
+        a = x[..., lo]
+        b = x[..., min(lo + 1, n - 1)]
         d = b - a
         values.append(a + d * t if t < 0.5 else b - d * (1.0 - t))
-    if ordered.ndim == 1:
+    if x.ndim == 1:
         values = [float(v) for v in values]
     bands = {
         level: IntervalBand(lower=values[2 * i + 1], upper=values[2 * i + 2])
@@ -199,22 +205,41 @@ def quantile_band(samples: np.ndarray, levels: tuple[float, ...]) -> QuantitySum
     return QuantitySummary(median=values[0], bands=bands)
 
 
+def quantile_band(samples: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
+    """Median and central credible bands via linear-interpolation quantiles.
+
+    ``samples`` has draws along axis 0; remaining axes are pointwise.  One
+    contiguous copy puts the draws along the last axis, where they are
+    sorted in place; the values are bit-identical to ``np.quantile``.
+    Non-finite samples raise ValueError.
+    """
+    draws_last = np.moveaxis(np.asarray(samples, dtype=float), 0, -1).copy()
+    return _band_in_place(draws_last, levels)
+
+
 def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:
     """Per-draw transforms followed by pointwise posterior quantiles.
 
     ``draws`` is a PosteriorDraws holding the raw parameter array; every
     draw yields one linked duration / gap-time pair, and quantiles are
-    taken across draws.
+    taken across draws.  The curves are held day-major, (days, draws),
+    and each is sorted in place, so at most two (draws, days) arrays are
+    alive at once: the phi matrix and its day-major copy, then that copy
+    and one buffer that holds the gap-time pmf and then the survival.
     """
     levels = tuple(float(lvl) for lvl in levels)
     flat = draws.draws.reshape(-1, draws.draws.shape[-1])
     if flat.shape[0] == 0:
         raise ValueError("no draws to summarize")
-    phi = phi_matrix(flat, basis)
+    phi = np.ascontiguousarray(phi_matrix(flat, basis).T)
+    mean_tbs = 1.0 / phi[0]
+    buffer = np.empty((phi.shape[0] + 1, phi.shape[1]))
+    tbs_pmf = _band_in_place(_tbs_rows(phi, out=buffer[:-1]), levels)
+    tbs_survival = _band_in_place(_survival_rows(phi, out=buffer), levels)
     return EstimateSummary(
         levels=levels,
-        tsls_pmf=quantile_band(phi, levels),
-        tbs_pmf=quantile_band(_tbs_rows(phi), levels),
-        tbs_survival=quantile_band(_survival_rows(phi), levels),
-        mean_tbs_days=quantile_band(1.0 / phi[:, 0], levels),
+        tsls_pmf=_band_in_place(phi, levels),
+        tbs_pmf=tbs_pmf,
+        tbs_survival=tbs_survival,
+        mean_tbs_days=_band_in_place(mean_tbs, levels),
     )

@@ -133,7 +133,10 @@ def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
     """Vectorized phi transform for a stack of parameter vectors (rows).
 
     Each row is (delta_1 .. delta_K, log_sigma); log_sigma does not enter
-    the transform.  Returns an array of shape (rows, support_days).
+    the transform.  Returns an array of shape (rows, support_days): a
+    view, normalised in place, of the (rows, support_days + 1) basis
+    evaluation without its boundary column, so its rows are not
+    contiguous with each other.
     """
     param_matrix = np.asarray(param_matrix, dtype=float)
     deltas = param_matrix[:, :-1]
@@ -144,7 +147,8 @@ def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
         )
     gamma = _rescaled_alpha(_clamped_sums(deltas)[0]) @ basis.values.T
     body = gamma[:, :-1]
-    return body / body.sum(axis=1, keepdims=True)
+    body /= body.sum(axis=1, keepdims=True)
+    return body
 
 
 def log_prior(params: ModelParams) -> float:

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from curdur import cli
 from curdur.cli import (
     EXIT_ERROR,
     EXIT_FLAGGED,
@@ -21,6 +26,7 @@ from curdur.cli import (
 )
 from curdur.errors import ConfigurationError, IngestError
 from curdur.reporting import ReportedDuration, Unit, day_interval
+from curdur.sampler import PosteriorDraws
 from curdur.simulator import simulate_survey, truncated_geometric
 
 
@@ -173,6 +179,107 @@ class TestDatasetRoundTrip:
                      "--seed", "7", "--outdir", str(tmp_path)]) == EXIT_OK
         digest = hashlib.sha256((tmp_path / "data.csv").read_bytes()).hexdigest()
         assert digest == "c8064bd75d50fe012e4908dc1c89943fb97a82b7379338ab2f1b822a95645368"
+
+
+def posterior(values, names=None) -> PosteriorDraws:
+    values = np.asarray(values, dtype=float)
+    chains = values.shape[0]
+    return PosteriorDraws(
+        draws=values,
+        accept_stats=np.ones(chains),
+        divergence_count=np.zeros(chains, dtype=int),
+        step_sizes=np.ones(chains),
+        param_names=names or [f"p{i}" for i in range(values.shape[2])],
+    )
+
+
+ROW_PAIR = [[[0.5, 1.0]], [[0.7, 2.0]]]
+
+# draws.csv bodies under the header "chain,iteration,x,y": the array, or the
+# error text after "<path>: ", that read_draws_csv gives, and whether the
+# bulk parse reads the body (False: the row loop reads it)
+DRAWS_BODIES = [
+    ("blank_lines", "0,1,0.5,1\n\n1,1,0.7,2\n\n", ROW_PAIR, True),
+    ("whitespace_line", "0,1,0.5,1\n   \n1,1,0.7,2\n",
+     "line 3: invalid literal for int() with base 10: '   '", False),
+    ("hash_line", "# note\n0,1,0.5,1\n1,1,0.7,2\n",
+     "line 2: invalid literal for int() with base 10: '# note'", False),
+    ("quoted_fields", '"0","1","0.5",1\n1,"a,b",0.7,"2"\n', ROW_PAIR, False),
+    ("chain_float", "0,1,0.5,1\n1.0,1,0.7,2\n",
+     "line 3: invalid literal for int() with base 10: '1.0'", False),
+    ("chain_exponent", "0,1,0.5,1\n1e0,1,0.7,2\n",
+     "line 3: invalid literal for int() with base 10: '1e0'", False),
+    ("chain_underscore", "0,1,0.5,1\n1_0,1,0.7,2\n", ROW_PAIR, False),
+    ("chain_beyond_int64", "0,1,0.5,1\n99999999999999999999,1,0.7,2\n", ROW_PAIR, False),
+    ("value_underscore", "0,1,1_0,1\n1,1,0.7,2\n", [[[10.0, 1.0]], [[0.7, 2.0]]], False),
+    ("crlf_rows", "0,1,0.5,1\r\n1,1,0.7,2\r\n", ROW_PAIR, True),
+    ("padded_fields", " 0 ,1, 0.5 ,1\n1,1,0.7,2\n", ROW_PAIR, True),
+    ("special_values", "0,1,nan,-inf\n1,1,Infinity,-0.0\n",
+     [[[math.nan, -math.inf]], [[math.inf, -0.0]]], True),
+    ("trailing_comma", "0,1,0.5,1,\n1,1,0.7,2,\n",
+     "line 2: could not convert string to float: ''", False),
+    ("short_row", "0,1,0.5\n1,1,0.7,2\n", "line 2: wrong number of values", False),
+    ("unequal_chains", "0,1,0.5,1\n0,2,0.6,1\n1,1,0.7,2\n",
+     "chains have unequal lengths [1, 2]", True),
+    ("one_chain", "0,1,0.5,1\n0,2,0.7,2\n", "diagnostics need at least 2 chains", True),
+    ("header_only", "", "diagnostics need at least 2 chains", False),
+    ("iteration_text", "1,b,0.5,1\n0,a,0.7,2\n1,c,0.9,3\n0,d,1.1,4\n",
+     [[[0.7, 2.0], [1.1, 4.0]], [[0.5, 1.0], [0.9, 3.0]]], True),
+]
+
+
+class TestDrawsCsv:
+    def test_bytes_are_pinned(self, tmp_path):
+        values = [[[-0.0, 5e-324, 0.1], [1e308, math.nan, math.inf]],
+                  [[-math.inf, 2.5, -1e-7], [0.0, -5e-324, 1.0 / 3.0]]]
+        path = tmp_path / "draws.csv"
+        write_draws_csv(posterior(values, ["delta_1", "delta_2", "log_sigma"]), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "bc25fd62d42c9268303cd2fb7ef25526a2518b2c8e796549c8d4a4e0e7469255"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(values=hnp.arrays(np.float64,
+                             st.tuples(st.integers(2, 3), st.integers(1, 4), st.integers(1, 3)),
+                             elements=st.floats(allow_nan=False)))
+    def test_round_trip_is_bitwise(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        write_draws_csv(posterior(values), path)
+        back, names = read_draws_csv(path)
+        assert names == [f"p{i}" for i in range(values.shape[2])]
+        assert back.shape == values.shape
+        assert back.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("body, expected, bulk", [case[1:] for case in DRAWS_BODIES],
+                             ids=[case[0] for case in DRAWS_BODIES])
+    def test_malformed_input(self, tmp_path, monkeypatch, body, expected, bulk):
+        path = tmp_path / "draws.csv"
+        path.write_bytes(("chain,iteration,x,y\n" + body).encode())
+        row_loop = cli._parse_draw_rows
+        calls = []
+        monkeypatch.setattr(cli, "_parse_draw_rows",
+                            lambda *args: calls.append(args) or row_loop(*args))
+        if isinstance(expected, str):
+            with pytest.raises(IngestError) as info:
+                read_draws_csv(path)
+            assert str(info.value) == f"{path}: {expected}"
+        else:
+            draws, names = read_draws_csv(path)
+            assert names == ["x", "y"]
+            assert draws.tobytes() == np.array(expected).tobytes()
+            assert draws.shape == np.shape(expected)
+        assert len(calls) == (0 if bulk else 1)
+
+    def test_diagnose_reads_a_byte_order_mark(self, tmp_path, capsys):
+        plain = tmp_path / "plain.csv"
+        write_draws_csv(posterior(np.random.default_rng(1).standard_normal((2, 8, 2))), plain)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for path in (plain, marked):
+            code = main(["diagnose", "--draws", str(path)])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0][0] != EXIT_ERROR
+        assert outputs[1] == outputs[0]
 
 
 class TestParseTruth:
@@ -366,10 +473,13 @@ class TestCommands:
 class _RowsThenError:
     """Draws of chain 0 index fine; chain 1 fails, as a full disk would partway."""
 
-    def __getitem__(self, index):
-        if index[0] == 1:
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getitem__(self, chain):
+        if chain == 1:
             raise OSError("no space left on device")
-        return np.array([0.25, -1.0])
+        return np.tile([0.25, -1.0], (self.rows, 1))
 
 
 def _write_failing(kind, path):
@@ -378,7 +488,7 @@ def _write_failing(kind, path):
         write_dataset(SimpleNamespace(records=records), path)
     elif kind == "draws":
         draws = SimpleNamespace(param_names=["delta_1", "log_sigma"], num_chains=2,
-                                num_kept=300, draws=_RowsThenError())
+                                draws=_RowsThenError(300))
         write_draws_csv(draws, path)
     else:
         _write_json({"levels": list(range(500)), "bad": object()}, path)
@@ -389,7 +499,7 @@ def _write_ok(kind, path):
         write_dataset(SimpleNamespace(records=[ReportedDuration(z=3, unit=Unit.WEEK)]), path)
     elif kind == "draws":
         draws = SimpleNamespace(param_names=["delta_1", "log_sigma"], num_chains=1,
-                                num_kept=2, draws=_RowsThenError())
+                                draws=_RowsThenError(2))
         write_draws_csv(draws, path)
     else:
         _write_json({"levels": [0.8]}, path)

@@ -1,6 +1,7 @@
 """Gap-time transforms and posterior summaries."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -18,8 +19,9 @@ from curdur.estimates import (
     tbs_from_tsls,
     tsls_from_tbs,
 )
-from curdur.model import TslsDistribution
+from curdur.model import TslsDistribution, phi_matrix
 from curdur.sampler import PosteriorDraws
+from curdur.window import NUM_DAYS
 from tests.conftest import random_monotone_simplex
 
 UNIFORM = TslsDistribution(phi=np.ones(730) / 730.0)
@@ -174,13 +176,13 @@ class TestQuantileBand:
 
 
 class TestSummarize:
-    def _draws(self, rows):
+    def _draws(self, rows, chains=1):
         rows = np.asarray(rows, dtype=float)
         return PosteriorDraws(
-            draws=rows[None, :, :],
-            accept_stats=np.array([1.0]),
-            divergence_count=np.array([0]),
-            step_sizes=np.array([0.1]),
+            draws=rows.reshape(chains, -1, rows.shape[1]),
+            accept_stats=np.ones(chains),
+            divergence_count=np.zeros(chains, dtype=int),
+            step_sizes=np.full(chains, 0.1),
             param_names=[f"delta_{i+1}" for i in range(rows.shape[1] - 1)]
             + ["log_sigma"],
         )
@@ -218,3 +220,43 @@ class TestSummarize:
         payload = summarize(self._draws(rows), basis).to_dict()
         text = json.dumps(payload)
         assert "tsls_pmf" in text and "mean_tbs_days" in text
+
+    def test_equals_numpy_quantile_of_row_major_transforms(self, rng):
+        basis = build_basis(BasisConfig())
+        rows = np.column_stack(
+            [rng.uniform(-0.5, 0.5, (300, 13)), rng.uniform(-0.3, 0.3, (300, 1))]
+        )
+        levels = (0.5, 0.8, 0.95)
+        summary = summarize(self._draws(rows, chains=3), basis, levels=levels)
+        # the transforms row by row, one draw per row, as np.quantile takes them
+        phi = phi_matrix(rows, basis)
+        tbs = np.empty_like(phi)
+        tbs[:, :-1] = (phi[:, :-1] - phi[:, 1:]) / phi[:, :1]
+        tbs[:, -1:] = phi[:, -1:] / phi[:, :1]
+        survival = np.zeros((phi.shape[0], phi.shape[1] + 1))
+        survival[:, :-1] = phi / phi[:, :1]
+        tails = [0.5 * (1.0 - level) for level in levels]
+        probs = [0.5] + [p for t in tails for p in (t, 1.0 - t)]
+        for q, samples in [(summary.tsls_pmf, phi), (summary.tbs_pmf, tbs),
+                           (summary.tbs_survival, survival),
+                           (summary.mean_tbs_days, 1.0 / phi[:, 0])]:
+            got = [q.median] + [v for lv in levels for v in (q.band(lv).lower, q.band(lv).upper)]
+            for value, reference in zip(got, np.quantile(samples, probs, axis=0)):
+                assert np.array_equal(value, reference)
+
+    def test_peak_memory_is_two_curve_arrays(self, rng):
+        basis = build_basis(BasisConfig())
+        rows = np.column_stack(
+            [rng.uniform(-0.5, 0.5, (2000, 13)), rng.uniform(-0.3, 0.3, (2000, 1))]
+        )
+        draws = self._draws(rows, chains=4)
+        summarize(draws, basis)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            summarize(draws, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (draws, days) float array is 2000 * 730 * 8 bytes
+        assert (peak - start) / (rows.shape[0] * NUM_DAYS * 8) <= 2.5
