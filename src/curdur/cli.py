@@ -142,6 +142,16 @@ def _classify_row(row: list) -> tuple:
     return _RECORD, ReportedDuration(z=z, unit=unit)
 
 
+@contextlib.contextmanager
+def _csv_errors(path: Path, reader):
+    """Turn what the csv module refuses, such as a field over its size
+    limit, into an IngestError naming the line."""
+    try:
+        yield
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
+
+
 def ingest(path) -> tuple[ReportedDataset, IngestReport]:
     """Read a survey CSV, excluding reports beyond the two-year window.
 
@@ -153,7 +163,9 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
 
-    rows = list(csv.reader(text.splitlines()))
+    reader = csv.reader(text.splitlines())
+    with _csv_errors(path, reader):
+        rows = list(reader)
     if not rows:
         raise IngestError(f"{path}: file is empty")
     header = [cell.strip().lower() for cell in rows[0]]
@@ -269,17 +281,18 @@ def _parse_draws(body: list, num_values: int):
 def _parse_draw_rows(path: Path, reader, num_values: int) -> np.ndarray:
     """Parse draws.csv rows one by one, naming the first bad line."""
     by_chain: dict = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        try:
-            chain = int(row[0])
-            values = [float(v) for v in row[2:]]
-        except ValueError as exc:
-            raise IngestError(f"{path}: line {line_no}: {exc}") from exc
-        if len(values) != num_values:
-            raise IngestError(f"{path}: line {line_no}: wrong number of values")
-        by_chain.setdefault(chain, []).append(values)
+    with _csv_errors(path, reader):
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                chain = int(row[0])
+                values = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise IngestError(f"{path}: line {line_no}: {exc}") from exc
+            if len(values) != num_values:
+                raise IngestError(f"{path}: line {line_no}: wrong number of values")
+            by_chain.setdefault(chain, []).append(values)
     _check_chain_sizes(path, [len(v) for v in by_chain.values()])
     return np.array([by_chain[c] for c in sorted(by_chain)])
 
@@ -298,7 +311,8 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     reader = csv.reader(lines)
-    header = next(reader, None)
+    with _csv_errors(path, reader):
+        header = next(reader, None)
     if header is None or len(header) < 3 or header[:2] != ["chain", "iteration"]:
         raise IngestError(f"{path}: expected header 'chain,iteration,<parameters>'")
     names = header[2:]

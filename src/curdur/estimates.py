@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import SplineBasis
 from .errors import DegenerateDistributionError
-from .model import TslsDistribution, phi_matrix
+from .model import _DAY_BLOCK, TslsDistribution, _phi_blocks
 
 
 @dataclass(frozen=True)
@@ -44,27 +44,20 @@ def _phi_vector(phi) -> np.ndarray:
     return vec
 
 
-def _tbs_rows(phi: np.ndarray, out=None) -> np.ndarray:
-    """f_x = (phi_x - phi_{x+1}) / phi_0 along axis 0, boundary phi zero.
+def _tbs_rows(phi: np.ndarray, phi_0, out=None) -> np.ndarray:
+    """f_x = (phi_x - phi_{x+1}) / phi_0 along axis 0.
 
-    Writes into ``out`` (shaped like ``phi``) when given.
+    ``phi`` runs one day past the result, up to the boundary day (phi
+    zero) for a result that ends on the last support day.  Writes into
+    ``out`` when given.
     """
-    f = np.empty_like(phi) if out is None else out
-    np.subtract(phi[:-1], phi[1:], out=f[:-1])
-    np.divide(f[:-1], phi[:1], out=f[:-1])
-    np.divide(phi[-1:], phi[:1], out=f[-1:])
-    return f
+    f = np.subtract(phi[:-1], phi[1:], out=out)
+    return np.divide(f, phi_0, out=f)
 
 
-def _survival_rows(phi: np.ndarray, out=None) -> np.ndarray:
-    """S(y) = phi_y / phi_0 along axis 0, with the boundary value 0.
-
-    Writes into ``out`` (one row longer than ``phi``) when given.
-    """
-    s = np.empty((phi.shape[0] + 1,) + phi.shape[1:]) if out is None else out
-    np.divide(phi, phi[:1], out=s[:-1])
-    s[-1] = 0.0
-    return s
+def _survival_rows(phi: np.ndarray, phi_0, out=None) -> np.ndarray:
+    """S(y) = phi_y / phi_0 along axis 0; 0 at the boundary day."""
+    return np.divide(phi, phi_0, out=out)
 
 
 def tbs_from_tsls(phi) -> TbsDistribution:
@@ -73,7 +66,8 @@ def tbs_from_tsls(phi) -> TbsDistribution:
     f_x = (phi_x - phi_{x+1}) / phi_0, with the boundary probability zero;
     non-negative by monotonicity of phi, no clipping involved.
     """
-    return TbsDistribution(f_x=_tbs_rows(_phi_vector(phi)))
+    phi = np.append(_phi_vector(phi), 0.0)
+    return TbsDistribution(f_x=_tbs_rows(phi, phi[0]))
 
 
 def tsls_from_tbs(f_x) -> TslsDistribution:
@@ -95,7 +89,8 @@ def survival_from_tsls(phi) -> np.ndarray:
 
     S(0) is exactly 1 and the boundary value is exactly 0.
     """
-    return _survival_rows(_phi_vector(phi))
+    phi = np.append(_phi_vector(phi), 0.0)
+    return _survival_rows(phi, phi[0])
 
 
 def expected_tbs(phi) -> float:
@@ -217,29 +212,60 @@ def quantile_band(samples: np.ndarray, levels: tuple[float, ...]) -> QuantitySum
     return _band_in_place(draws_last, levels)
 
 
+def _joined(parts: list) -> QuantitySummary:
+    """One summary from the summaries of consecutive blocks of days."""
+    bands = {
+        level: IntervalBand(lower=np.concatenate([q.bands[level].lower for q in parts]),
+                            upper=np.concatenate([q.bands[level].upper for q in parts]))
+        for level in parts[0].bands
+    }
+    return QuantitySummary(median=np.concatenate([q.median for q in parts]), bands=bands)
+
+
 def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:
     """Per-draw transforms followed by pointwise posterior quantiles.
 
     ``draws`` is a PosteriorDraws holding the raw parameter array; every
     draw yields one linked duration / gap-time pair, and quantiles are
-    taken across draws.  The curves are held day-major, (days, draws),
-    and each is sorted in place, so at most two (draws, days) arrays are
-    alive at once: the phi matrix and its day-major copy, then that copy
-    and one buffer that holds the gap-time pmf and then the survival.
+    taken across draws.  No (draws, days) array is built: the curves are
+    made a block of days at a time from the blocks ``phi_matrix`` is
+    assembled from, held day-major and sorted in place.  Besides the
+    coefficients, only (draws, block) arrays are alive: the block products,
+    the block's day-major copy and one buffer for the gap-time pmf and then
+    the survival.  The values are bit-identical to ``np.quantile`` of the
+    row-by-row transforms of ``phi_matrix``.
     """
     levels = tuple(float(lvl) for lvl in levels)
     flat = draws.draws.reshape(-1, draws.draws.shape[-1])
     if flat.shape[0] == 0:
         raise ValueError("no draws to summarize")
-    phi = np.ascontiguousarray(phi_matrix(flat, basis).T)
-    mean_tbs = 1.0 / phi[0]
-    buffer = np.empty((phi.shape[0] + 1, phi.shape[1]))
-    tbs_pmf = _band_in_place(_tbs_rows(phi, out=buffer[:-1]), levels)
-    tbs_survival = _band_in_place(_survival_rows(phi, out=buffer), levels)
+    # day-major rows: phi of the day before the block, the block (at most
+    # _DAY_BLOCK + 1 days) and, after the last block, the boundary day
+    phi = np.empty((_DAY_BLOCK + 3, flat.shape[0]))
+    buffer = np.empty_like(phi)
+    tsls, tbs, survival = [], [], []
+    lead = 0
+    for start, block in _phi_blocks(flat, basis):
+        width = block.shape[1]
+        last = start + width == basis.support_days
+        rows = phi[: lead + width + last]
+        rows[lead : lead + width] = block.T
+        if last:
+            rows[-1] = 0.0
+        if start == 0:
+            phi_0 = rows[0].copy()
+        pmf = _tbs_rows(rows, phi_0, out=buffer[: len(rows) - 1])
+        tbs.append(_band_in_place(pmf, levels))
+        surv = _survival_rows(rows[lead:], phi_0, out=buffer[: len(rows) - lead])
+        survival.append(_band_in_place(surv, levels))
+        carry = rows[lead + width - 1].copy()
+        tsls.append(_band_in_place(rows[lead : lead + width], levels))
+        phi[0] = carry
+        lead = 1
     return EstimateSummary(
         levels=levels,
-        tsls_pmf=_band_in_place(phi, levels),
-        tbs_pmf=tbs_pmf,
-        tbs_survival=tbs_survival,
-        mean_tbs_days=_band_in_place(mean_tbs, levels),
+        tsls_pmf=_joined(tsls),
+        tbs_pmf=_joined(tbs),
+        tbs_survival=_joined(survival),
+        mean_tbs_days=_band_in_place(1.0 / phi_0, levels),
     )

@@ -28,6 +28,12 @@ LOG_CLAMP = 700.0
 _SAFE_LOG_SIGMA = 200.0
 _SAFE_SUM = 300.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# block sizes of the phi transform: rows for its normaliser totals, days
+# for its values.  On 8000 draws and 30 segments, summarize took 145-172 ms
+# with day blocks of 8 to 96, least at 16; row blocks of 256 and 512 ran
+# alike, and 256 keeps the peak lower
+_ROW_BLOCK = 256
+_DAY_BLOCK = 16
 
 
 def _safe_exp(x: float) -> float:
@@ -129,14 +135,27 @@ def phi_from_params(params: ModelParams, basis: SplineBasis) -> TslsDistribution
     return TslsDistribution(phi=phi_matrix(params.to_vector()[None, :], basis)[0])
 
 
-def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
-    """Vectorized phi transform for a stack of parameter vectors (rows).
+def _blocks(size: int, block: int) -> list:
+    """(start, stop) pairs covering range(size) in steps of ``block``.
+
+    A remainder of one joins the block before it, so every block product
+    is a gemm, as one product of all rows and days is: numpy hands a
+    product with a single row or column to gemv, which rounds differently.
+    """
+    starts = list(range(0, max(size - 1, 1), block))
+    return list(zip(starts, starts[1:] + [size]))
+
+
+def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis):
+    """The phi transform of a stack of parameter vectors, in day blocks.
 
     Each row is (delta_1 .. delta_K, log_sigma); log_sigma does not enter
-    the transform.  Returns an array of shape (rows, support_days): a
-    view, normalised in place, of the (rows, support_days + 1) basis
-    evaluation without its boundary column, so its rows are not
-    contiguous with each other.
+    the transform.  Yields ``(start, block)``, where ``block[i, j]`` is phi
+    of row i at day start + j: the basis combination gamma divided by the
+    row's total over the support days.  Rows are processed in blocks of
+    ``_ROW_BLOCK`` for the totals and days in blocks of ``_DAY_BLOCK``, so
+    no (rows, support_days) array is built.  Every caller sees the same
+    products, so the values do not depend on which caller asks.
     """
     param_matrix = np.asarray(param_matrix, dtype=float)
     deltas = param_matrix[:, :-1]
@@ -145,10 +164,27 @@ def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
             f"parameter rows have {deltas.shape[1]} deltas, "
             f"basis has {basis.num_basis} columns"
         )
-    gamma = _rescaled_alpha(_clamped_sums(deltas)[0]) @ basis.values.T
-    body = gamma[:, :-1]
-    body /= body.sum(axis=1, keepdims=True)
-    return body
+    alpha = _rescaled_alpha(_clamped_sums(deltas)[0])
+    totals = np.empty((alpha.shape[0], 1))
+    for start, stop in _blocks(alpha.shape[0], _ROW_BLOCK):
+        gamma = alpha[start:stop] @ basis.values.T
+        gamma[:, :-1].sum(axis=1, keepdims=True, out=totals[start:stop])
+    for start, stop in _blocks(basis.support_days, _DAY_BLOCK):
+        block = alpha @ basis.values[start:stop].T
+        block /= totals
+        yield start, block
+
+
+def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
+    """Vectorized phi transform for a stack of parameter vectors (rows).
+
+    Returns an array of shape (rows, support_days) assembled from
+    ``_phi_blocks``, so it holds the values every summary is taken from.
+    """
+    phi = np.empty((np.shape(param_matrix)[0], basis.support_days))
+    for start, block in _phi_blocks(param_matrix, basis):
+        phi[:, start : start + block.shape[1]] = block
+    return phi
 
 
 def log_prior(params: ModelParams) -> float:

@@ -463,6 +463,29 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == error
 
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            ("fit", "z,unit\n{field},day\n", 2),
+            ("diagnose", '"{field}",iteration,x\n0,1,0.5\n1,1,0.5\n', 1),
+            # quoted, so the bulk parse refuses it and the row loop reads it
+            ("diagnose", 'chain,iteration,x\n0,1,"{field}"\n1,1,0.5\n', 2),
+        ],
+        ids=["survey", "draws-header", "draws-row"],
+    )
+    def test_oversized_csv_field_gives_error_json(self, tmp_path, capsys, command, text, line):
+        # one field past the csv module's default limit of 131072 characters
+        path = tmp_path / "in.csv"
+        path.write_text(text.format(field="1" * 200_000))
+        if command == "fit":
+            argv = ["fit", "--input", str(path), "--outdir", str(tmp_path / "out")]
+        else:
+            argv = ["diagnose", "--draws", str(path)]
+        assert main(argv) == EXIT_ERROR
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "IngestError"
+        assert payload["message"].startswith(f"{path}: line {line}: field larger than")
+
     def test_diagnose_bad_file(self, tmp_path, capsys):
         path = tmp_path / "draws.csv"
         path.write_text("chain,iteration\n")

@@ -244,6 +244,55 @@ class TestSummarize:
             for value, reference in zip(got, np.quantile(samples, probs, axis=0)):
                 assert np.array_equal(value, reference)
 
+    @pytest.mark.parametrize(
+        "num_draws, segments, degree, support_days",
+        [(n, seg, deg, NUM_DAYS) for n in (1, 2, 513, 2000) for seg in (2, 10, 30, 60)
+         for deg in (1, 2, 3)]
+        # grids shorter than one day block, and a few blocks long
+        + [(n, 10, 3, days) for n in (1, 2, 513) for days in (2, 17, 49)],
+    )
+    def test_day_blocks_equal_numpy_quantile(self, num_draws, segments, degree,
+                                             support_days):
+        # summarize walks the days in blocks: its first block, a partial last
+        # block, the day carried between blocks and a one-draw posterior
+        # must all give the quantiles of the whole row-major transforms
+        basis = build_basis(BasisConfig(support_days=support_days,
+                                        num_segments=segments, degree=degree))
+        rng = np.random.default_rng(num_draws * 1000 + segments * 10 + degree)
+        rows = np.column_stack([rng.uniform(-0.5, 0.5, (num_draws, basis.num_basis)),
+                                rng.uniform(-0.3, 0.3, (num_draws, 1))])
+        levels = (0.5, 0.8, 0.95)
+        summary = summarize(self._draws(rows), basis, levels=levels)
+        phi = phi_matrix(rows, basis)
+        with_boundary = np.column_stack([phi, np.zeros(num_draws)])
+        tbs = (with_boundary[:, :-1] - with_boundary[:, 1:]) / phi[:, :1]
+        survival = with_boundary / phi[:, :1]
+        tails = [0.5 * (1.0 - level) for level in levels]
+        probs = [0.5] + [p for t in tails for p in (t, 1.0 - t)]
+        for q, samples in [(summary.tsls_pmf, phi), (summary.tbs_pmf, tbs),
+                           (summary.tbs_survival, survival),
+                           (summary.mean_tbs_days, 1.0 / phi[:, 0])]:
+            got = [q.median] + [v for lv in levels for v in (q.band(lv).lower, q.band(lv).upper)]
+            for value, reference in zip(got, np.quantile(samples, probs, axis=0)):
+                assert np.array_equal(value, reference)
+
+    def test_peak_memory_is_a_quarter_curve_array(self, rng):
+        basis = build_basis(BasisConfig())
+        rows = np.column_stack(
+            [rng.uniform(-0.5, 0.5, (8000, 13)), rng.uniform(-0.3, 0.3, (8000, 1))]
+        )
+        draws = self._draws(rows, chains=4)
+        summarize(draws, basis)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            summarize(draws, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (draws, days) float array is 8000 * 730 * 8 bytes
+        assert (peak - start) / (rows.shape[0] * NUM_DAYS * 8) <= 0.25
+
     def test_peak_memory_is_two_curve_arrays(self, rng):
         basis = build_basis(BasisConfig())
         rows = np.column_stack(
