@@ -152,18 +152,33 @@ def _csv_errors(path: Path, reader):
         raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of ``path``, a leading byte-order mark skipped.
+
+    A file that cannot be read or is not UTF-8 raises IngestError; the
+    latter names the offset of the first bad byte in the file.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+            f"at offset {exc.start} ({exc.reason})"
+        ) from exc
+    return text.removeprefix("\ufeff")
+
+
 def ingest(path) -> tuple[ReportedDataset, IngestReport]:
     """Read a survey CSV, excluding reports beyond the two-year window.
 
     Each distinct row is classified once; its lines share one record.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(_read_text(path).splitlines())
     with _csv_errors(path, reader):
         rows = list(reader)
     if not rows:
@@ -207,12 +222,16 @@ def _replacing(*paths):
 
     The targets are replaced only once the block has written every
     temporary file, so an error leaves all previous files as they were.
-    The temporary files are removed either way.
+    A target that is a directory raises ConfigurationError before any is
+    replaced.  The temporary files are removed either way.
     """
     paths = [Path(path) for path in paths]
     tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
     try:
         yield tmps
+        for path in paths:
+            if path.is_dir() and not path.is_symlink():
+                raise ConfigurationError(f"cannot write {path}: it is a directory")
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
     finally:
@@ -305,11 +324,7 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
     returns the same array or names the first bad line.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     reader = csv.reader(lines)
     with _csv_errors(path, reader):
         header = next(reader, None)
@@ -391,6 +406,11 @@ def _truth_component(chunk: str) -> tuple[simulator.TrueTbs, float]:
         raise ConfigurationError(
             f"truth family {name!r} takes {sorted(arg_types)}, got {sorted(kwargs)}"
         )
+    for key, cast in arg_types.items():
+        if cast is int and not kwargs[key].is_integer():
+            raise ConfigurationError(
+                f"truth argument {key}={kwargs[key]!r} of {name!r} must be an integer"
+            )
     return make(**{k: cast(kwargs[k]) for k, cast in arg_types.items()}), weight
 
 

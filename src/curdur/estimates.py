@@ -239,9 +239,9 @@ def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:
     flat = draws.draws.reshape(-1, draws.draws.shape[-1])
     if flat.shape[0] == 0:
         raise ValueError("no draws to summarize")
-    # day-major rows: phi of the day before the block, the block (at most
-    # _DAY_BLOCK + 1 days) and, after the last block, the boundary day
-    phi = np.empty((_DAY_BLOCK + 3, flat.shape[0]))
+    # day-major rows: phi of the day before the block, the block and, after
+    # the last block, the boundary day
+    phi = np.empty((_DAY_BLOCK + 2, flat.shape[0]))
     buffer = np.empty_like(phi)
     tsls, tbs, survival = [], [], []
     lead = 0

@@ -28,11 +28,8 @@ LOG_CLAMP = 700.0
 _SAFE_LOG_SIGMA = 200.0
 _SAFE_SUM = 300.0
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-# block sizes of the phi transform: rows for its normaliser totals, days
-# for its values.  On 8000 draws and 30 segments, summarize took 145-172 ms
-# with day blocks of 8 to 96, least at 16; row blocks of 256 and 512 ran
-# alike, and 256 keeps the peak lower
-_ROW_BLOCK = 256
+# days per block of the phi transform.  On 8000 draws and 30 segments,
+# summarize took 145-172 ms with day blocks of 8 to 96, least at 16
 _DAY_BLOCK = 16
 
 
@@ -135,15 +132,13 @@ def phi_from_params(params: ModelParams, basis: SplineBasis) -> TslsDistribution
     return TslsDistribution(phi=phi_matrix(params.to_vector()[None, :], basis)[0])
 
 
-def _blocks(size: int, block: int) -> list:
-    """(start, stop) pairs covering range(size) in steps of ``block``.
+def _support_totals(basis: SplineBasis) -> np.ndarray:
+    """Column totals of the basis over the support days.
 
-    A remainder of one joins the block before it, so every block product
-    is a gemm, as one product of all rows and days is: numpy hands a
-    product with a single row or column to gemv, which rounds differently.
+    ``alpha @ _support_totals(basis)`` is gamma's total over the support,
+    the normaliser of phi and of every report probability.
     """
-    starts = list(range(0, max(size - 1, 1), block))
-    return list(zip(starts, starts[1:] + [size]))
+    return basis.values[:-1].sum(axis=0)
 
 
 def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis):
@@ -152,10 +147,9 @@ def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis):
     Each row is (delta_1 .. delta_K, log_sigma); log_sigma does not enter
     the transform.  Yields ``(start, block)``, where ``block[i, j]`` is phi
     of row i at day start + j: the basis combination gamma divided by the
-    row's total over the support days.  Rows are processed in blocks of
-    ``_ROW_BLOCK`` for the totals and days in blocks of ``_DAY_BLOCK``, so
-    no (rows, support_days) array is built.  Every caller sees the same
-    products, so the values do not depend on which caller asks.
+    row's total over the support days, ``alpha @ _support_totals(basis)``.
+    Days come in blocks of ``_DAY_BLOCK``, so no (rows, support_days) array
+    is built.
     """
     param_matrix = np.asarray(param_matrix, dtype=float)
     deltas = param_matrix[:, :-1]
@@ -165,14 +159,10 @@ def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis):
             f"basis has {basis.num_basis} columns"
         )
     alpha = _rescaled_alpha(_clamped_sums(deltas)[0])
-    totals = np.empty((alpha.shape[0], 1))
-    for start, stop in _blocks(alpha.shape[0], _ROW_BLOCK):
-        gamma = alpha[start:stop] @ basis.values.T
-        gamma[:, :-1].sum(axis=1, keepdims=True, out=totals[start:stop])
-    for start, stop in _blocks(basis.support_days, _DAY_BLOCK):
-        block = alpha @ basis.values[start:stop].T
-        block /= totals
-        yield start, block
+    alpha /= (alpha @ _support_totals(basis))[:, None]
+    support = basis.values[:-1]
+    for start in range(0, basis.support_days, _DAY_BLOCK):
+        yield start, alpha @ support[start : start + _DAY_BLOCK].T
 
 
 def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
@@ -263,7 +253,7 @@ class PosteriorDensity:
                 lo, hi = day_interval(record, heap)
                 rows.append(basis.values[lo : hi + 1].sum(axis=0))
                 weights.append(float(n))
-            rows.append(basis.values[:-1].sum(axis=0))
+            rows.append(_support_totals(basis))
             weights.append(-sum(weights))
             self._rows = np.array(rows)
             self._rows_t = np.ascontiguousarray(self._rows.T)

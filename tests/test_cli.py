@@ -299,10 +299,16 @@ class TestParseTruth:
         with pytest.raises(ConfigurationError):
             parse_truth("geometric:p=0.1@half")
 
+    @pytest.mark.parametrize("spec", ["pointmass:day=40", "pointmass:day=40.0"])
+    def test_integral_arguments(self, spec):
+        assert parse_truth(spec).f_x[40] == 1.0
+
     @pytest.mark.parametrize(
         "spec",
         ["geometric:q=0.1", "geometric:p=abc", "geometric:p=0.1,q=0.2",
-         "pointmass:day=nan", "uniform:lo=3"],
+         "pointmass:day=nan", "uniform:lo=3",
+         # integer arguments are not truncated
+         "pointmass:day=40.7", "uniform:lo=3.5,hi=6", "uniform:lo=3,hi=6.000001"],
     )
     def test_bad_arguments(self, spec):
         with pytest.raises(ConfigurationError):
@@ -486,6 +492,31 @@ class TestCommands:
         assert payload["error"] == "IngestError"
         assert payload["message"].startswith(f"{path}: line {line}: field larger than")
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            # a Latin-1 survey: "3,día"
+            ("fit", b"z,unit\n3,d\xeda\n"),
+            # the offset counts the byte-order mark
+            ("fit", b"\xef\xbb\xbfz,unit\n3,d\xeda\n"),
+            ("diagnose", b"chain,iteration,x\n0,1,0.5\n1,1,0.\xff5\n"),
+        ],
+        ids=["survey", "survey-bom", "draws"],
+    )
+    def test_non_utf8_input_gives_error_json(self, tmp_path, capsys, command, data):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        if command == "fit":
+            argv = ["fit", "--input", str(path), "--outdir", str(tmp_path / "out")]
+        else:
+            argv = ["diagnose", "--draws", str(path)]
+        assert main(argv) == EXIT_ERROR
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "IngestError"
+        offset = next(i for i, byte in enumerate(data) if byte in b"\xed\xff")
+        assert payload["message"].startswith(f"{path}: not UTF-8 text: ")
+        assert f"at offset {offset} " in payload["message"]
+
     def test_diagnose_bad_file(self, tmp_path, capsys):
         path = tmp_path / "draws.csv"
         path.write_text("chain,iteration\n")
@@ -563,6 +594,46 @@ class TestAtomicWrites:
         assert sorted(p.name for p in outdir.iterdir()) == names
         for name in names:
             assert (outdir / name).read_text() == f"previous run: {name}\n"
+
+    @pytest.mark.parametrize(
+        "directory", ["draws.csv", "estimates.json", "diagnostics.json", "histogram.csv"]
+    )
+    def test_directory_at_an_output_path_keeps_previous_files(self, tmp_path, capsys,
+                                                               directory):
+        data = tmp_path / "data.csv"
+        write_dataset(simulate_survey(truncated_geometric(0.1), n=200, seed=3), data)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        names = ["diagnostics.json", "draws.csv", "estimates.json", "histogram.csv"]
+        for name in names:
+            if name == directory:
+                (outdir / name).mkdir()
+            else:
+                (outdir / name).write_text(f"previous run: {name}\n")
+        code = main(["fit", "--input", str(data), "--outdir", str(outdir), "--chains", "2",
+                     "--iters", "40", "--warmup", "20", "--knots", "4"])
+        assert code == EXIT_ERROR
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert directory in payload["message"]
+        # no new file replaced an old one, and no temporary file is left
+        assert sorted(p.name for p in outdir.iterdir()) == names
+        for name in names:
+            if name == directory:
+                assert (outdir / name).is_dir()
+            else:
+                assert (outdir / name).read_text() == f"previous run: {name}\n"
+
+    def test_simulate_into_a_directory_gives_error_json(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        (outdir / "data.csv").mkdir(parents=True)
+        code = main(["simulate", "--truth", "geometric:p=0.1", "--n", "10",
+                     "--outdir", str(outdir)])
+        assert code == EXIT_ERROR
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert [p.name for p in outdir.iterdir()] == ["data.csv"]
+        assert (outdir / "data.csv").is_dir()
 
 
 class _FailingRows:

@@ -107,6 +107,14 @@ class TestPhiFromParams:
             assert np.all(np.diff(phi.phi) <= 1e-12 * phi.phi[0])
             assert abs(phi.phi.sum() - 1.0) < 1e-12
 
+    def test_clamp_edge_rows_monotone_simplex(self):
+        # rows whose sums sit on or one ulp past the clamp, where
+        # _rescaled_alpha moves the scale
+        deltas = np.stack(list(_clamp_edge_deltas().values()))
+        phi = phi_matrix(np.column_stack([deltas, np.zeros(len(deltas))]), BASIS)
+        assert np.all(np.abs(phi.sum(axis=1) - 1.0) < 1e-12)
+        assert np.all(np.diff(phi, axis=1) <= 0.0)
+
     def test_phi_matrix_matches_scalar_path(self, rng):
         rows = np.column_stack(
             [rng.uniform(-2.0, 2.0, (5, 13)), rng.uniform(-1.0, 1.0, (5, 1))]
