@@ -11,6 +11,7 @@ and reflected so every column is non-increasing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,24 +23,21 @@ from .window import NUM_DAYS
 class BasisConfig:
     """Knot layout for the spline basis.
 
-    support_days
-        Number of support points (days 0 .. support_days - 1); the basis
-        grid extends one day further, to the boundary pinned at zero.
     num_segments
         Number of equal-width knot segments on [0, support_days].
     degree
         Polynomial degree of the underlying B-splines.
+
+    ``support_days`` is the survey window, a constant of the method and not
+    a setting: support points are days 0 .. support_days - 1, and the basis
+    grid extends one day further, to the boundary pinned at zero.
     """
 
-    support_days: int = NUM_DAYS
+    support_days: ClassVar[int] = NUM_DAYS
     num_segments: int = 10
     degree: int = 3
 
     def __post_init__(self):
-        if self.support_days < 2:
-            raise ConfigurationError(
-                f"support_days must be >= 2, got {self.support_days}"
-            )
         if self.num_segments < 1:
             raise ConfigurationError(
                 f"num_segments must be >= 1, got {self.num_segments}"
@@ -65,7 +63,6 @@ class SplineBasis:
 
     values: np.ndarray
     knots: np.ndarray
-    config: BasisConfig
 
     @property
     def num_basis(self) -> int:
@@ -104,17 +101,16 @@ def _bspline_columns(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarra
 
 
 def _cumulative_integrals(
-    knots_ext: np.ndarray, degree: int, support_days: int, breaks: np.ndarray
+    knots_ext: np.ndarray, degree: int, breaks: np.ndarray
 ) -> np.ndarray:
-    """Cumulative integral of each B-spline at every integer grid point.
+    """Cumulative integral of each B-spline at days 0 .. NUM_DAYS.
 
     Integration is exact: the integrand is polynomial between consecutive
     cut points (integers plus knots), and the Gauss-Legendre order is
     chosen to integrate that degree exactly.
     """
-    cuts = np.unique(
-        np.concatenate([np.arange(support_days + 1, dtype=float), breaks])
-    )
+    grid = np.arange(NUM_DAYS + 1, dtype=float)
+    cuts = np.unique(np.concatenate([grid, breaks]))
     q = degree // 2 + 1
     nodes, weights = np.polynomial.legendre.leggauss(q)
     lo, hi = cuts[:-1], cuts[1:]
@@ -126,28 +122,26 @@ def _cumulative_integrals(
     piece = (design.reshape(lo.size, q, k) * weights[None, :, None]).sum(axis=1)
     piece *= half[:, None]
     running = np.vstack([np.zeros((1, k)), np.cumsum(piece, axis=0)])
-    grid_idx = np.searchsorted(cuts, np.arange(support_days + 1, dtype=float))
-    return running[grid_idx]
+    return running[np.searchsorted(cuts, grid)]
 
 
 def build_basis(config: BasisConfig) -> SplineBasis:
     """Construct the decreasing basis for the given knot layout.
 
-    Knots are placed evenly on [0, support_days]; each B-spline is
-    integrated, normalized to [0, 1], and reflected so column k runs from
-    1 at day 0 down to 0 at the boundary.
+    Knots are placed evenly on [0, NUM_DAYS]; each B-spline is integrated,
+    normalized to [0, 1], and reflected so column k runs from 1 at day 0
+    down to 0 at the boundary.
     """
-    boundary = float(config.support_days)
-    breaks = np.linspace(0.0, boundary, config.num_segments + 1)
+    breaks = np.linspace(0.0, float(NUM_DAYS), config.num_segments + 1)
     knots_ext = np.concatenate(
-        [np.zeros(config.degree), breaks, np.full(config.degree, boundary)]
+        [np.zeros(config.degree), breaks, np.full(config.degree, float(NUM_DAYS))]
     )
-    cumint = _cumulative_integrals(knots_ext, config.degree, config.support_days, breaks)
+    cumint = _cumulative_integrals(knots_ext, config.degree, breaks)
     totals = cumint[-1, :]
     values = 1.0 - cumint / totals
     values[0, :] = 1.0
     values[-1, :] = 0.0
-    return SplineBasis(values=values, knots=breaks, config=config)
+    return SplineBasis(values=values, knots=breaks)
 
 
 def evaluate_gamma(basis: SplineBasis, alpha: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ Input CSV has header ``z,unit`` with unit tokens day/week/month/year
 interval lies beyond the two-year window are excluded and counted;
 malformed rows abort ingestion with their line numbers.
 
-Exit codes: 0 success, 1 error (machine-readable JSON on stderr),
-3 fit or diagnose completed but a convergence flag fired.
+Exit codes: 0 success, 1 error, usage errors included (machine-readable
+JSON on stderr), 3 fit or diagnose completed but a convergence flag fired.
+Run as ``curdur <command>`` or ``python -m curdur.cli <command>``.
 """
 
 from __future__ import annotations
@@ -55,36 +56,6 @@ _UNIT_TOKENS = {
 
 # first reported value whose day interval lies wholly beyond the window
 _EXCLUSION_MIN = {Unit.DAY: 730, Unit.WEEK: 105, Unit.MONTH: 24, Unit.YEAR: 2}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one fit run needs: paths, model, sampler, reporting."""
-
-    input_path: Path
-    outdir: Path
-    basis: BasisConfig
-    sampler: SamplerConfig
-    heap: HeapSet
-    levels: tuple
-
-    @classmethod
-    def from_fit_args(cls, args) -> "RunConfig":
-        return cls(
-            input_path=Path(args.input),
-            outdir=Path(args.outdir),
-            basis=BasisConfig(
-                support_days=NUM_DAYS, num_segments=args.knots, degree=args.degree
-            ),
-            sampler=SamplerConfig(
-                chains=args.chains,
-                iterations_per_chain=args.iters,
-                warmup=args.warmup,
-                seed=args.seed,
-            ),
-            heap=_heap_from_args(args),
-            levels=_parse_levels(args.levels),
-        )
 
 
 @dataclass
@@ -434,40 +405,47 @@ def parse_truth(spec: str) -> simulator.TrueTbs:
 
 
 def _cmd_fit(args) -> int:
-    run = RunConfig.from_fit_args(args)
-    _make_outdir(run.outdir)
-    dataset, ingest_report = ingest(run.input_path)
+    basis_config = BasisConfig(num_segments=args.knots, degree=args.degree)
+    sampler_config = SamplerConfig(chains=args.chains, iterations_per_chain=args.iters,
+                                   warmup=args.warmup, seed=args.seed)
+    heap = _heap_from_args(args)
+    levels = _parse_levels(args.levels)
+    outdir = Path(args.outdir)
+    _make_outdir(outdir)
+    dataset, ingest_report = ingest(args.input)
     print(
         f"ingested {ingest_report.retained} records "
         f"({ingest_report.excluded} excluded as beyond the window)",
         file=sys.stderr,
     )
 
-    basis = build_basis(run.basis)
+    basis = build_basis(basis_config)
 
     def progress(chain, iteration, total):
         if iteration == total:
             print(f"chain {chain}: {total} iterations done", file=sys.stderr)
 
-    draws = sample(run.sampler, dataset, basis, heap=run.heap, progress=progress)
+    draws = sample(sampler_config, dataset, basis, heap=heap, progress=progress)
     report = compute_diagnostics(draws.draws, names=draws.param_names)
-    summary = summarize(draws, basis, levels=run.levels)
+    summary = summarize(draws, basis, levels=levels)
 
     estimates_payload = summary.to_dict()
     estimates_payload["dataset"] = ingest_report.to_dict()
     estimates_payload["config"] = {
-        name: asdict(getattr(run, name)) for name in ("basis", "sampler", "heap")
+        "basis": asdict(basis_config),
+        "sampler": asdict(sampler_config),
+        "heap": asdict(heap),
     }
     diag_payload = report.to_dict()
     diag_payload["divergences"] = draws.divergence_count.tolist()
     diag_payload["accept_rate"] = draws.accept_stats.tolist()
     diag_payload["step_size"] = draws.step_sizes.tolist()
-    observed = spread_mass(dataset, run.heap)
+    observed = spread_mass(dataset, heap)
     phi_median = np.asarray(summary.tsls_pmf.median)
 
     # all four files, or none: a failure leaves the previous run's outputs
     names = ("draws.csv", "estimates.json", "diagnostics.json", "histogram.csv")
-    with _replacing(*(run.outdir / name for name in names)) as tmps:
+    with _replacing(*(outdir / name for name in names)) as tmps:
         draws_tmp, estimates_tmp, diag_tmp, histogram_tmp = tmps
         write_draws_csv(draws, draws_tmp)
         _write_json(estimates_payload, estimates_tmp)
@@ -490,25 +468,44 @@ def _cmd_simulate(args) -> int:
     _make_outdir(outdir)
     truth = parse_truth(args.truth)
     dataset = simulator.simulate_survey(truth, n=args.n, seed=args.seed)
-    write_dataset(dataset, outdir / "data.csv")
-    _write_json(
-        {"truth": args.truth, "n": args.n, "seed": args.seed, "f_x": truth.f_x.tolist()},
-        outdir / "truth.json",
-    )
+    # both files, or neither: a survey never sits beside another run's truth
+    with _replacing(outdir / "data.csv", outdir / "truth.json") as (data_tmp, truth_tmp):
+        write_dataset(dataset, data_tmp)
+        _write_json(
+            {"truth": args.truth, "n": args.n, "seed": args.seed, "f_x": truth.f_x.tolist()},
+            truth_tmp,
+        )
     print(f"wrote {len(dataset)} records to {outdir / 'data.csv'}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_diagnose(args) -> int:
     draws, names = read_draws_csv(args.draws)
+    bad = np.argwhere(~np.isfinite(draws))
+    if bad.size:
+        # chains are numbered in the sorted order of their ids
+        chain, iteration, param = bad[0]
+        raise IngestError(
+            f"{args.draws}: chain {chain}, draw {iteration + 1}: "
+            f"parameter {names[param]} is {draws[chain, iteration, param]}"
+        )
     report = compute_diagnostics(draws, names=names)
     json.dump(report.to_dict(), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK if report.passed else EXIT_FLAGGED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ConfigurationError, so
+    they exit 1 with a JSON line like every other error.  Subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curdur",
         description="Estimate time-between-sex distributions from heaped "
         "time-since-last-sex survey reports.",
@@ -544,9 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CurdurError as exc:
         print(
@@ -558,3 +554,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

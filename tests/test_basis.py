@@ -1,11 +1,14 @@
 """Basis construction and evaluation against an independent spline oracle."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
 from curdur.basis import BasisConfig, build_basis, evaluate_gamma
 from curdur.errors import ConfigurationError, DimensionError
+from curdur.window import NUM_DAYS
 
 
 def scipy_reflected_basis(config):
@@ -30,11 +33,16 @@ def scipy_reflected_basis(config):
 class TestBasisConfig:
     def test_rejects_degenerate_configs(self):
         with pytest.raises(ConfigurationError):
-            BasisConfig(support_days=1)
-        with pytest.raises(ConfigurationError):
             BasisConfig(num_segments=0)
         with pytest.raises(ConfigurationError):
             BasisConfig(degree=0)
+
+    def test_window_is_fixed(self):
+        # the survey window is a constant of the method, not a setting
+        assert BasisConfig().support_days == NUM_DAYS
+        assert asdict(BasisConfig()) == {"num_segments": 10, "degree": 3}
+        with pytest.raises(TypeError):
+            BasisConfig(support_days=NUM_DAYS)
 
     def test_num_basis(self):
         assert BasisConfig(num_segments=10, degree=3).num_basis == 13
@@ -49,7 +57,7 @@ class TestBuildBasis:
 
     def test_default_shape_and_monotone_columns(self):
         # exhaustive scan over every day of the default 13-column basis
-        basis = build_basis(BasisConfig(support_days=730, num_segments=10, degree=3))
+        basis = build_basis(BasisConfig(num_segments=10, degree=3))
         assert basis.values.shape == (731, 13)
         assert np.all(np.diff(basis.values, axis=0) <= 0.0)
 
@@ -62,9 +70,9 @@ class TestBuildBasis:
         "config",
         [
             BasisConfig(),
-            BasisConfig(support_days=730, num_segments=30, degree=3),
-            BasisConfig(support_days=10, num_segments=2, degree=2),
-            BasisConfig(support_days=50, num_segments=4, degree=1),
+            BasisConfig(num_segments=30, degree=3),
+            BasisConfig(num_segments=2, degree=2),
+            BasisConfig(num_segments=4, degree=1),
         ],
     )
     def test_matches_scipy_oracle(self, config):
@@ -73,8 +81,8 @@ class TestBuildBasis:
         assert np.allclose(basis.values, oracle, atol=1e-12, rtol=0.0)
 
     def test_small_config_monotone(self):
-        basis = build_basis(BasisConfig(support_days=10, num_segments=2, degree=2))
-        assert basis.values.shape == (11, 4)
+        basis = build_basis(BasisConfig(num_segments=2, degree=2))
+        assert basis.values.shape == (731, 4)
         assert np.all(np.diff(basis.values, axis=0) <= 0.0)
 
     def test_knots_evenly_spaced(self):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +18,10 @@ from curdur.cli import (
     EXIT_ERROR,
     EXIT_FLAGGED,
     EXIT_OK,
+    _heap_from_args,
+    _parse_levels,
     _write_json,
+    build_parser,
     ingest,
     main,
     parse_truth,
@@ -317,8 +322,6 @@ class TestParseTruth:
 
 class TestRunConfig:
     def test_heap_overrides(self, tmp_path):
-        from curdur.cli import RunConfig, build_parser
-
         args = build_parser().parse_args(
             [
                 "fit",
@@ -334,12 +337,12 @@ class TestRunConfig:
                 "0.5,0.9",
             ]
         )
-        run = RunConfig.from_fit_args(args)
-        assert run.heap.days == (5, 10)
-        assert run.heap.halfwidth == 1
-        assert run.levels == (0.5, 0.9)
-        assert run.basis.num_segments == 10
-        assert run.sampler.chains == 4
+        heap = _heap_from_args(args)
+        assert heap.days == (5, 10)
+        assert heap.halfwidth == 1
+        assert _parse_levels(args.levels) == (0.5, 0.9)
+        assert args.knots == 10
+        assert args.chains == 4
 
 
 class TestCommands:
@@ -392,6 +395,8 @@ class TestCommands:
         assert set(estimates["tsls_pmf"]["intervals"]) == {"0.8", "0.95"}
         assert estimates["dataset"]["retained"] == 400
         assert estimates["mean_tbs_days"]["median"] > 0
+        assert list(estimates["config"]) == ["basis", "sampler", "heap"]
+        assert estimates["config"]["basis"] == {"num_segments": 6, "degree": 3}
 
         diagnostics = json.loads((fit_dir / "diagnostics.json").read_text())
         assert len(diagnostics["parameters"]) == 10  # 6 + 3 deltas, log_sigma
@@ -523,6 +528,54 @@ class TestCommands:
         code = main(["diagnose", "--draws", str(path)])
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_diagnose_rejects_non_finite_draws(self, tmp_path, capsys, value):
+        # two chains of 50 draws, a non-finite y at draw 31 of the second
+        rng = np.random.default_rng(5)
+        rows = [f"{chain},{it},{x!r},{y!r}" for chain in range(2) for it in range(1, 51)
+                for x, y in [rng.normal(size=2).tolist()]]
+        rows[80] = f"1,31,0.5,{value}"
+        path = write_csv(tmp_path / "draws.csv", rows, header="chain,iteration,x,y")
+        assert main(["diagnose", "--draws", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload == {"error": "IngestError",
+                           "message": f"{path}: chain 1, draw 31: parameter y is {value}"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--input", "d.csv", "--outdir", "o", "--knots", "ten"],
+            ["fit", "--outdir", "o"],
+            ["fit", "--input", "d.csv", "--outdir", "o", "--no-such-option"],
+            ["estimate"],
+            [],
+        ],
+        ids=["bad-int", "missing-input", "unknown-option", "unknown-command", "no-command"],
+    )
+    def test_usage_errors_give_error_json(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "usage:" not in err
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigurationError"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: curdur")
+
+    def test_module_form_runs_the_cli(self, tmp_path):
+        outdir = tmp_path / "sim"
+        subprocess.run([sys.executable, "-m", "curdur.cli", "simulate", "--truth",
+                        "geometric:p=0.1", "--n", "10", "--outdir", str(outdir)],
+                       capture_output=True, check=True)
+        assert (outdir / "data.csv").stat().st_size > 0
+
 
 class _RowsThenError:
     """Draws of chain 0 index fine; chain 1 fails, as a full disk would partway."""
@@ -634,6 +687,20 @@ class TestAtomicWrites:
         assert payload["error"] == "ConfigurationError"
         assert [p.name for p in outdir.iterdir()] == ["data.csv"]
         assert (outdir / "data.csv").is_dir()
+
+    def test_simulate_keeps_previous_survey_when_truth_fails(self, tmp_path, capsys):
+        # a survey is written with its truth or not at all
+        outdir = tmp_path / "out"
+        (outdir / "truth.json").mkdir(parents=True)
+        previous = b"z,unit\r\n5,day\r\n"
+        (outdir / "data.csv").write_bytes(previous)
+        code = main(["simulate", "--truth", "geometric:p=0.1", "--n", "10",
+                     "--outdir", str(outdir)])
+        assert code == EXIT_ERROR
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert (outdir / "data.csv").read_bytes() == previous
+        assert sorted(p.name for p in outdir.iterdir()) == ["data.csv", "truth.json"]
 
 
 class _FailingRows:
