@@ -123,58 +123,76 @@ def _csv_errors(path: Path, reader):
         raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
-def _read_text(path: Path) -> str:
-    """The UTF-8 text of ``path``, a leading byte-order mark skipped.
+def _decode_error(path: Path, exc: UnicodeDecodeError) -> IngestError:
+    """The IngestError for a file that is not UTF-8, naming the first bad
+    byte and its offset in the file.
 
-    A file that cannot be read or is not UTF-8 raises IngestError; the
-    latter names the offset of the first bad byte in the file.
+    A text stream decodes chunk by chunk and ``exc`` counts from the start
+    of its chunk, so a regular file is decoded again whole to count from
+    its start.  A pipe cannot be read again: its error names no offset.
+    """
+    offset = ""
+    if path.is_file():
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc, offset = whole, f" at offset {whole.start}"
+        except OSError:
+            pass
+    return IngestError(
+        f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x}{offset} ({exc.reason})"
+    )
+
+
+@contextlib.contextmanager
+def _open_text(path: Path):
+    """``path`` open as UTF-8 text for the csv module, a leading
+    byte-order mark skipped; only ``\\n``, ``\\r\\n`` and ``\\r`` end a line.
+
+    A file that cannot be read or is not UTF-8 raises IngestError,
+    whether that shows when it is opened or as it is read.
     """
     try:
-        data = path.read_bytes()
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            yield handle
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
-    try:
-        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise IngestError(
-            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
-            f"at offset {exc.start} ({exc.reason})"
-        ) from exc
-    return text.removeprefix("\ufeff")
+        raise _decode_error(path, exc) from exc
 
 
 def ingest(path) -> tuple[ReportedDataset, IngestReport]:
     """Read a survey CSV, excluding reports beyond the two-year window.
 
-    Each distinct row is classified once; its lines share one record.
+    The rows are classified as they are read, and each distinct row only
+    once; its lines share one record.
     """
     path = Path(path)
-    reader = csv.reader(_read_text(path).splitlines())
-    with _csv_errors(path, reader):
-        rows = list(reader)
-    if not rows:
-        raise IngestError(f"{path}: file is empty")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header != ["z", "unit"]:
-        raise IngestError(f"{path}: expected header 'z,unit', got {rows[0]!r}")
-
     records = []
     report = IngestReport()
     excluded = report.excluded_by_unit
     problems = []
     classes: dict[tuple, tuple] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        key = tuple(row)
-        found = classes.get(key)
-        if found is None:
-            found = classes[key] = _classify_row(row)
-        kind, value = found
-        if kind == _RECORD:
-            records.append(value)
-        elif kind == _EXCLUDED:
-            excluded[value] = excluded.get(value, 0) + 1
-        elif kind == _PROBLEM:
-            problems.append(f"line {line_no}: {value}")
+    with _open_text(path) as handle:
+        reader = csv.reader(handle)
+        with _csv_errors(path, reader):
+            head = next(reader, None)
+            if head is None:
+                raise IngestError(f"{path}: file is empty")
+            if [cell.strip().lower() for cell in head] != ["z", "unit"]:
+                raise IngestError(f"{path}: expected header 'z,unit', got {head!r}")
+            for line_no, row in enumerate(reader, start=2):
+                key = tuple(row)
+                found = classes.get(key)
+                if found is None:
+                    found = classes[key] = _classify_row(row)
+                kind, value = found
+                if kind == _RECORD:
+                    records.append(value)
+                elif kind == _EXCLUDED:
+                    excluded[value] = excluded.get(value, 0) + 1
+                elif kind == _PROBLEM:
+                    problems.append(f"line {line_no}: {value}")
 
     if problems:
         shown = "; ".join(problems[:10])
@@ -232,11 +250,11 @@ def _csv_line(head: str, values) -> str:
 def write_draws_csv(draws: PosteriorDraws, path) -> None:
     with _replacing(path) as (tmp,), open(tmp, "w", newline="") as handle:
         csv.writer(handle).writerow(["chain", "iteration"] + list(draws.param_names))
-        lines = []
+        # a chain at a time: the text of one chain is held, not of all
         for chain in range(draws.num_chains):
             rows = np.asarray(draws.draws[chain], dtype=float).tolist()
-            lines += [_csv_line(f"{chain},{it}", row) for it, row in enumerate(rows, 1)]
-        handle.writelines(lines)
+            handle.writelines([_csv_line(f"{chain},{it}", row)
+                               for it, row in enumerate(rows, 1)])
 
 
 def _check_chain_sizes(path: Path, sizes: list) -> None:
@@ -246,24 +264,50 @@ def _check_chain_sizes(path: Path, sizes: list) -> None:
         raise IngestError(f"{path}: chains have unequal lengths {sorted(set(sizes))}")
 
 
-def _parse_draws(body: list, num_values: int):
-    """Chain ids and value rows of draws.csv body lines, in one bulk parse.
-
-    Returns None for anything the row loop of ``_parse_draw_rows`` might
-    read differently: a field numpy refuses, a row with other than
-    ``num_values + 2`` fields, or an empty body.  The iteration column is
-    not read.
+def _bulk_safe(text: str) -> bool:
+    """Whether ``text`` is free of the characters numpy's parser is known
+    to read otherwise than int() and float() do: it strips the separators
+    \\x1c-\\x1f as whitespace, and some non-ASCII characters crash it.
     """
-    if not any(body):
+    return text.isascii() and not any(sep in text for sep in "\x1c\x1d\x1e\x1f")
+
+
+def _seek_body(handle, header_lines: int):
+    """Move ``handle`` to the line after its first ``header_lines``."""
+    handle.seek(0)
+    for _ in range(header_lines):
+        handle.readline()
+    return handle
+
+
+def _parse_draws(handle, header_lines: int, num_values: int):
+    """Chain ids and value rows of the draws.csv body, in one bulk parse.
+
+    ``handle`` is the open file and the header fills its first
+    ``header_lines`` lines.  One pass over the body counts its commas,
+    and numpy's parse is a second.  Returns None for anything the row
+    loop of ``_parse_draw_rows`` might read differently: text that is not
+    ``_bulk_safe``, a field numpy refuses, a row with other than
+    ``num_values + 2`` fields, or a body of blank lines.  The iteration
+    column is not read.
+    """
+    commas, blank = 0, True
+    _seek_body(handle, header_lines)
+    for chunk in iter(lambda: handle.read(1 << 16), ""):
+        if not _bulk_safe(chunk):
+            return None
+        commas += chunk.count(",")
+        blank = blank and not chunk.strip("\r\n")
+    if blank:
         return None
     row = np.dtype([("chain", np.int64), ("values", np.float64, (num_values,))])
     try:
-        table = np.loadtxt(body, dtype=row, delimiter=",", comments=None,
-                           usecols=[0, *range(2, num_values + 2)], ndmin=1)
+        table = np.loadtxt(_seek_body(handle, header_lines), dtype=row, delimiter=",",
+                           comments=None, usecols=[0, *range(2, num_values + 2)], ndmin=1)
     except (ValueError, OverflowError):
         return None
     # loadtxt ignores columns past usecols; the row loop refuses them
-    if sum(line.count(",") for line in body) != len(table) * (num_values + 1):
+    if commas != len(table) * (num_values + 1):
         return None
     return table["chain"], table["values"]
 
@@ -290,21 +334,26 @@ def _parse_draw_rows(path: Path, reader, num_values: int) -> np.ndarray:
 def read_draws_csv(path) -> tuple[np.ndarray, list]:
     """Rebuild the (chains, iterations, parameters) array from draws.csv.
 
-    A leading UTF-8 byte-order mark is skipped.  The body is parsed in
-    bulk; input that parse refuses goes through the row loop, which
-    returns the same array or names the first bad line.
+    The file is read as a stream, a leading UTF-8 byte-order mark
+    skipped.  The body of a regular file is parsed in bulk; a pipe, and
+    input that parse refuses, go through the row loop, which returns the
+    same array or names the first bad line.
     """
     path = Path(path)
-    lines = _read_text(path).splitlines()
-    reader = csv.reader(lines)
-    with _csv_errors(path, reader):
-        header = next(reader, None)
-    if header is None or len(header) < 3 or header[:2] != ["chain", "iteration"]:
-        raise IngestError(f"{path}: expected header 'chain,iteration,<parameters>'")
-    names = header[2:]
-    parsed = _parse_draws(lines[reader.line_num:], len(names))
-    if parsed is None:
-        return _parse_draw_rows(path, reader, len(names)), names
+    with _open_text(path) as handle:
+        reader = csv.reader(handle)
+        with _csv_errors(path, reader):
+            header = next(reader, None)
+        if header is None or len(header) < 3 or header[:2] != ["chain", "iteration"]:
+            raise IngestError(f"{path}: expected header 'chain,iteration,<parameters>'")
+        names = header[2:]
+        parsed = None
+        if handle.seekable():  # a pipe can be read once only, by the row loop
+            parsed = _parse_draws(handle, reader.line_num, len(names))
+            # the reader goes on from the body's first line, counting lines on
+            _seek_body(handle, reader.line_num)
+        if parsed is None:
+            return _parse_draw_rows(path, reader, len(names)), names
     chains, values = parsed
     ids, sizes = np.unique(chains, return_counts=True)
     _check_chain_sizes(path, sizes.tolist())
@@ -410,9 +459,10 @@ def _cmd_fit(args) -> int:
                                    warmup=args.warmup, seed=args.seed)
     heap = _heap_from_args(args)
     levels = _parse_levels(args.levels)
+    dataset, ingest_report = ingest(args.input)
+    # made once the inputs are read, so a bad input leaves no new directory
     outdir = Path(args.outdir)
     _make_outdir(outdir)
-    dataset, ingest_report = ingest(args.input)
     print(
         f"ingested {ingest_report.retained} records "
         f"({ingest_report.excluded} excluded as beyond the window)",
@@ -464,10 +514,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    outdir = Path(args.outdir)
-    _make_outdir(outdir)
     truth = parse_truth(args.truth)
     dataset = simulator.simulate_survey(truth, n=args.n, seed=args.seed)
+    # made once the truth and --n are checked, so neither leaves a new directory
+    outdir = Path(args.outdir)
+    _make_outdir(outdir)
     # both files, or neither: a survey never sits beside another run's truth
     with _replacing(outdir / "data.csv", outdir / "truth.json") as (data_tmp, truth_tmp):
         write_dataset(dataset, data_tmp)

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,6 +103,33 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             ingest(tmp_path / "nope.csv")
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            (b"\xef\xbb\xbfz,unit\r\n3,day\r\n2,week\r\n", None),
+            (b"z,unit\r3,day\r2,week\r", None),
+            # str.splitlines ends a line at these; a CSV file does not
+            ("z,unit\n3,day\x0c\n2,week\n".encode(), None),
+            ("z,unit\n3,day\x0c2,week\n".encode(), "line 2: expected 2 fields, got 3"),
+            ("z,unit\n3,day\x1c2,week\n".encode(), "line 2: expected 2 fields, got 3"),
+            ("z,unit\n3,day\u20282,week\n".encode(), "line 2: expected 2 fields, got 3"),
+        ],
+        ids=["bom_crlf", "cr", "formfeed_padding", "formfeed_in_row", "separator_in_row",
+             "line_separator_in_row"],
+    )
+    def test_line_ends(self, tmp_path, data, expected):
+        # only \n, \r\n and \r end a row; a byte-order mark is skipped
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        if expected is None:
+            dataset, _ = ingest(path)
+            assert dataset.records == (ReportedDuration(3, Unit.DAY),
+                                       ReportedDuration(2, Unit.WEEK))
+        else:
+            with pytest.raises(IngestError) as err:
+                ingest(path)
+            assert str(err.value) == f"{path}: {expected}"
 
     def test_round_trip(self, tmp_path):
         dataset = simulate_survey(truncated_geometric(0.1), n=800, seed=3)
@@ -230,6 +260,21 @@ DRAWS_BODIES = [
     ("header_only", "", "diagnostics need at least 2 chains", False),
     ("iteration_text", "1,b,0.5,1\n0,a,0.7,2\n1,c,0.9,3\n0,d,1.1,4\n",
      [[[0.7, 2.0], [1.1, 4.0]], [[0.5, 1.0], [0.9, 3.0]]], True),
+    ("cr_rows", "0,1,0.5,1\r1,1,0.7,2\r", ROW_PAIR, True),
+    # str.splitlines ends a line at \x0c, \x1c and \u2028; a CSV file does not
+    ("formfeed_in_row", "0,1,0.5,1\x0c1,1,0.7,2\n",
+     "line 2: could not convert string to float: '1\\x0c1'", False),
+    ("separator_in_row", "0,1,0.5,1\x1c1,1,0.7,2\n",
+     "line 2: could not convert string to float: '1\\x1c1'", False),
+    ("line_separator_in_row", "0,1,0.5,1\u20281,1,0.7,2\n",
+     "line 2: could not convert string to float: '1\\u20281'", False),
+    # float() strips \x0c but not \x1c; numpy's parser strips both
+    ("formfeed_padding", "0,1,0.5,1\x0c\n1,1,0.7,2\n", ROW_PAIR, True),
+    ("separator_padding", "0,1,0.5,1\x1c\n1,1,0.7,2\n",
+     "line 2: could not convert string to float: '1\\x1c'", False),
+    # a character numpy's parser crashes on in an integer field
+    ("astral_chain", "\U0009c6ca0,1,0.5,1\n1,1,0.7,2\n",
+     "line 2: invalid literal for int() with base 10: '\\U0009c6ca0'", False),
 ]
 
 
@@ -285,6 +330,78 @@ class TestDrawsCsv:
             outputs.append((code, capsys.readouterr().out))
         assert outputs[0][0] != EXIT_ERROR
         assert outputs[1] == outputs[0]
+
+
+def _traced_peak(fn, *args) -> int:
+    """Bytes of traced memory ``fn(*args)`` holds at most, its result included."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestReadMemory:
+    """Both readers stream the file: no whole-file text, line list or row list."""
+
+    def test_ingest_peak(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_dataset(simulate_survey(truncated_geometric(0.1), n=50_000, seed=1), path)
+        assert _traced_peak(ingest, path) < 2_000_000
+
+    def test_read_draws_peak(self, tmp_path):
+        values = np.random.default_rng(2).standard_normal((4, 2000, 34))
+        path = tmp_path / "draws.csv"
+        write_draws_csv(posterior(values), path)
+        assert _traced_peak(read_draws_csv, path) < 3 * values.nbytes
+
+
+def _read_through_pipe(tmp_path, data: bytes, read):
+    """``read(pipe)`` while a thread writes ``data`` into the named pipe."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return read(pipe)
+    finally:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestPipeInput:
+    """A pipe can be read once only: both readers take one pass over it."""
+
+    def test_survey(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_dataset(simulate_survey(truncated_geometric(0.1), n=2000, seed=4), path)
+        dataset, report = _read_through_pipe(tmp_path, path.read_bytes(), ingest)
+        expected, expected_report = ingest(path)
+        assert dataset == expected
+        assert report.to_dict() == expected_report.to_dict()
+
+    def test_draws(self, tmp_path):
+        values = np.random.default_rng(3).standard_normal((2, 500, 3))
+        path = tmp_path / "draws.csv"
+        write_draws_csv(posterior(values), path)
+        draws, names = _read_through_pipe(tmp_path, path.read_bytes(), read_draws_csv)
+        assert names == ["p0", "p1", "p2"]
+        assert draws.tobytes() == values.tobytes()
+
+    def test_non_utf8_survey_names_no_offset(self, tmp_path):
+        # the offset would need a second read of the pipe
+        with pytest.raises(IngestError) as err:
+            _read_through_pipe(tmp_path, b"z,unit\n3,d\xeda\n", ingest)
+        pipe = tmp_path / "pipe"
+        assert str(err.value) == (f"{pipe}: not UTF-8 text: byte 0xed "
+                                  "(invalid continuation byte)")
 
 
 class TestParseTruth:
@@ -505,8 +622,12 @@ class TestCommands:
             # the offset counts the byte-order mark
             ("fit", b"\xef\xbb\xbfz,unit\n3,d\xeda\n"),
             ("diagnose", b"chain,iteration,x\n0,1,0.5\n1,1,0.\xff5\n"),
+            # past the first chunks a stream decodes
+            ("fit", b"\xef\xbb\xbfz,unit\n" + b"3,day\n" * 40_000 + b"3,d\xeda\n"),
+            ("diagnose", b"chain,iteration,x\n" + b"0,1,0.5\n1,1,0.5\n" * 20_000
+             + b"1,1,0.\xff5\n"),
         ],
-        ids=["survey", "survey-bom", "draws"],
+        ids=["survey", "survey-bom", "draws", "survey-late", "draws-late"],
     )
     def test_non_utf8_input_gives_error_json(self, tmp_path, capsys, command, data):
         path = tmp_path / "in.csv"
@@ -561,6 +682,38 @@ class TestCommands:
         assert "usage:" not in err
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigurationError"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["simulate", "--truth", "geometric:q=1", "--n", "10", "--outdir", "newsim"],
+             "ConfigurationError"),
+            (["simulate", "--truth", "geometric:p=0.1", "--n", "-5", "--outdir", "newsim"],
+             "ConfigurationError"),
+            (["fit", "--input", "missing.csv", "--outdir", "newfit"], "IngestError"),
+        ],
+        ids=["simulate-bad-truth", "simulate-negative-n", "fit-missing-input"],
+    )
+    def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, monkeypatch,
+                                                 argv, error):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == error
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_bad_input_leaves_an_existing_directory_as_it_was(self, tmp_path, capsys,
+                                                              command):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "notes.txt").write_text("previous run\n")
+        if command == "simulate":
+            argv = ["simulate", "--truth", "geometric:q=1", "--n", "10"]
+        else:
+            argv = ["fit", "--input", str(tmp_path / "missing.csv")]
+        assert main(argv + ["--outdir", str(outdir)]) == EXIT_ERROR
+        assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
+        assert (outdir / "notes.txt").read_text() == "previous run\n"
 
     @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
     def test_help_exits_zero(self, capsys, argv):
