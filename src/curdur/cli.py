@@ -1,8 +1,8 @@
 """Command-line interface: ingest survey CSV, fit, simulate, diagnose.
 
 Input CSV has header ``z,unit`` with unit tokens day/week/month/year
-(case-insensitive) or the integer codes 1-4.  Rows whose implied day
-interval lies beyond the two-year window are excluded and counted;
+(case-insensitive) or the integer codes 1-4.  Reports beyond the
+two-year window (see ``_EXCLUSION_MIN``) are excluded and counted;
 malformed rows abort ingestion with their line numbers.
 
 Exit codes: 0 success, 1 error, usage errors included (machine-readable
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import simulator
 from .basis import BasisConfig, build_basis
-from .diagnostics import DiagnosticsReport, compute_diagnostics
+from .diagnostics import MIN_DRAWS_PER_CHAIN, DiagnosticsReport, compute_diagnostics
 from .errors import ConfigurationError, CurdurError, IngestError
 from .estimates import summarize
 from .reporting import (
@@ -54,7 +54,8 @@ _UNIT_TOKENS = {
     "4": Unit.YEAR,
 }
 
-# first reported value whose day interval lies wholly beyond the window
+# first value excluded: days and weeks wholly past day 729, and months and
+# years of two years or more (24 months, days 721-750, starts in the window)
 _EXCLUSION_MIN = {Unit.DAY: 730, Unit.WEEK: 105, Unit.MONTH: 24, Unit.YEAR: 2}
 
 
@@ -394,6 +395,8 @@ def _parse_levels(text: str) -> tuple[float, ...]:
         raise ConfigurationError(f"bad credible levels {text!r}") from exc
     if not levels or any(not 0.0 < lvl < 1.0 for lvl in levels):
         raise ConfigurationError(f"credible levels must lie in (0, 1), got {text!r}")
+    if len(set(levels)) != len(levels):
+        raise ConfigurationError(f"credible levels must be distinct, got {text!r}")
     return levels
 
 
@@ -416,8 +419,10 @@ def _truth_component(chunk: str) -> tuple[simulator.TrueTbs, float]:
     for pair in arg_text.split(","):
         if "=" not in pair:
             raise ConfigurationError(f"bad truth argument {pair!r}")
-        key, value = pair.split("=", 1)
-        kwargs[key.strip()] = float(value)
+        key, value = (part.strip() for part in pair.split("=", 1))
+        if key in kwargs:
+            raise ConfigurationError(f"truth argument {key!r} given twice in {chunk!r}")
+        kwargs[key] = float(value)
     name = name.strip().lower()
     if name not in _TRUTH_FAMILIES:
         raise ConfigurationError(f"unknown truth family {name!r}")
@@ -457,6 +462,9 @@ def _cmd_fit(args) -> int:
     basis_config = BasisConfig(num_segments=args.knots, degree=args.degree)
     sampler_config = SamplerConfig(chains=args.chains, iterations_per_chain=args.iters,
                                    warmup=args.warmup, seed=args.seed)
+    if sampler_config.kept_iterations < MIN_DRAWS_PER_CHAIN:
+        raise ConfigurationError(f"--iters - --warmup must keep the {MIN_DRAWS_PER_CHAIN} "
+                                 "draws per chain the diagnostics require")
     heap = _heap_from_args(args)
     levels = _parse_levels(args.levels)
     dataset, ingest_report = ingest(args.input)

@@ -4,14 +4,15 @@ Implements the rank-normalized split R-hat and the bulk / tail effective
 sample sizes.  Draws are split in half per chain, pooled ranks are mapped
 through the normal quantile function with the (r - 3/8) / (S + 1/4)
 adjustment, and autocorrelation sums use Geyer's initial monotone
-positive sequence.  Only numpy is used: the normal quantile is a port of
-the standard library's AS241 and the FFT length a pure-Python search.
+positive sequence.  No scipy is used: the normal scores come from
+``statistics.NormalDist`` and the FFT length from a pure-Python search.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -19,74 +20,18 @@ from .errors import DimensionError
 
 RHAT_THRESHOLD = 1.01
 ESS_THRESHOLD = 400.0
-
-# Wichura's AS241 (Applied Statistics 37:477, 1988), highest power first,
-# as in statistics.NormalDist.inv_cdf: one rational for |p - 1/2| <= 0.425,
-# two for the tails in r = sqrt(-log(min(p, 1 - p))).
-_CENTRAL = (
-    (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4,
-     6.72657_70927_00870_0853e+4, 4.59219_53931_54987_1457e+4,
-     1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
-     1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0),
-    (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4,
-     3.93078_95800_09271_0610e+4, 2.12137_94301_58659_5867e+4,
-     5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
-     4.23133_30701_60091_1252e+1, 1.0),
-)
-_NEAR_TAIL = (
-    (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2,
-     2.41780_72517_74506_11770e-1, 1.27045_82524_52368_38258e+0,
-     3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
-     4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0),
-    (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4,
-     1.51986_66563_61645_71966e-2, 1.48103_97642_74800_74590e-1,
-     6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
-     2.05319_16266_37758_82187e+0, 1.0),
-)
-_FAR_TAIL = (
-    (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5,
-     1.24266_09473_88078_43860e-3, 2.65321_89526_57612_30930e-2,
-     2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
-     5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0),
-    (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7,
-     1.84631_83175_10054_68180e-5, 7.86869_13114_56132_59100e-4,
-     1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
-     5.99832_20655_58879_37690e-1, 1.0),
-)
+MIN_DRAWS_PER_CHAIN = 4
 
 
-def _horner(coeffs, r: np.ndarray):
-    """Numerator and denominator of one AS241 rational at r."""
-    num, den = coeffs[0][0], coeffs[1][0]
-    for a, b in zip(coeffs[0][1:], coeffs[1][1:]):
-        num = num * r + a
-        den = den * r + b
-    return num, den
-
-
-def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile of each p in (0, 1), by AS241.
-
-    The operations and their order are those of the standard library's
-    ``statistics.NormalDist().inv_cdf``, so where |p - 1/2| <= 0.425 (only
-    + x /) the result is bit-identical to it.
-    """
-    q = p - 0.5
-    x = np.empty_like(q)
-    central = np.abs(q) <= 0.425
-    qc = q[central]
-    num, den = _horner(_CENTRAL, 0.180625 - qc * qc)
-    x[central] = num * qc / den
-    tail = ~central
-    qt = q[tail]
-    r = np.sqrt(-np.log(np.where(qt <= 0.0, p[tail], 1.0 - p[tail])))
-    near = r <= 5.0
-    num, den = _horner(_NEAR_TAIL, r[near] - 1.6)
-    r[near] = num / den
-    num, den = _horner(_FAR_TAIL, r[~near] - 5.0)
-    r[~near] = num / den
-    x[tail] = np.where(qt < 0.0, -r, r)
-    return x
+@functools.lru_cache(maxsize=16)
+def _rank_scores(size: int) -> np.ndarray:
+    """Normal scores of the average ranks r = 0.5, 1, ..., size + 0.5 of size
+    draws, the score of r at index 2r - 1; no draw takes the end ranks, but
+    ``_rank_normalize_indicator`` scores them when b holds one value."""
+    p = (np.arange(1, 2 * size + 2) / 2 - 0.375) / (size + 0.25)
+    scores = np.array([*map(NormalDist().inv_cdf, p.tolist())])
+    scores.flags.writeable = False
+    return scores
 
 
 @functools.lru_cache(maxsize=16)
@@ -111,8 +56,8 @@ def _as_chain_matrix(draws) -> np.ndarray:
         raise DimensionError(f"draws must be (chains, iterations), got shape {x.shape}")
     if x.shape[0] < 2:
         raise DimensionError("diagnostics require at least 2 chains")
-    if x.shape[1] < 4:
-        raise DimensionError("diagnostics require at least 4 draws per chain")
+    if x.shape[1] < MIN_DRAWS_PER_CHAIN:
+        raise DimensionError(f"diagnostics require at least {MIN_DRAWS_PER_CHAIN} draws per chain")
     return x
 
 
@@ -123,23 +68,18 @@ def _split_chains(x: np.ndarray) -> np.ndarray:
 
 def _rank_normalize(x: np.ndarray) -> np.ndarray:
     # 1-based ranks of the pooled draws; tied draws share their mean rank
+    # r = cumsum - (cnt - 1) / 2, whose score is at index 2r - 1
     _, idx, cnt = np.unique(x, return_inverse=True, return_counts=True)
-    ranks = np.cumsum(cnt) - 0.5 * (cnt - 1)
-    return _ndtri((ranks - 0.375) / (x.size + 0.25))[idx].reshape(x.shape)
+    return _rank_scores(x.size)[2 * np.cumsum(cnt) - cnt][idx].reshape(x.shape)
 
 
 def _rank_normalize_indicator(b: np.ndarray) -> np.ndarray:
-    """``_rank_normalize`` of a boolean array, in closed form.
-
-    The falses share rank (n0 + 1) / 2 and the trues n0 + (n1 + 1) / 2,
-    written as ``_rank_normalize`` writes them, so the scores are
-    bit-identical to its, also when b holds one value only.
-    """
-    n1 = int(np.count_nonzero(b))
-    n0 = b.size - n1
-    ranks = np.array([n0, b.size]) - 0.5 * (np.array([n0, n1]) - 1)
-    low, high = _ndtri((ranks - 0.375) / (b.size + 0.25))
-    return np.where(b, high, low)
+    """``_rank_normalize`` of a boolean array, in closed form: the falses
+    share rank (n0 + 1) / 2 and the trues n0 + (n1 + 1) / 2, at indices n0
+    and b.size + n0 of ``_rank_scores``, also when b holds one value only."""
+    n0 = b.size - int(np.count_nonzero(b))
+    scores = _rank_scores(b.size)
+    return np.where(b, scores[b.size + n0], scores[n0])
 
 
 def _is_constant(x: np.ndarray) -> bool:

@@ -175,6 +175,8 @@ def _band_in_place(x: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
             raise ValueError(f"credible level must be in (0, 1), got {level}")
         tail = 0.5 * (1.0 - level)
         probs += [tail, 1.0 - tail]
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"credible levels must be distinct, got {levels}")
     x.sort(axis=-1)
     n = x.shape[-1]
     if n == 0:

@@ -238,7 +238,10 @@ def simulate_survey(
 ):
     """Generate a synthetic survey dataset; deterministic per seed."""
     behavior = behavior if behavior is not None else ReportingBehavior()
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError as exc:  # a negative seed
+        raise ConfigurationError(f"bad seed {seed!r}: {exc}") from exc
     exact = sample_tsls_exact(truth, n, rng)
     # the same stream as one rng.random() per record, as apply_reporting draws
     uniforms = rng.random(len(exact)).tolist()

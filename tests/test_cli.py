@@ -430,7 +430,9 @@ class TestParseTruth:
         ["geometric:q=0.1", "geometric:p=abc", "geometric:p=0.1,q=0.2",
          "pointmass:day=nan", "uniform:lo=3",
          # integer arguments are not truncated
-         "pointmass:day=40.7", "uniform:lo=3.5,hi=6", "uniform:lo=3,hi=6.000001"],
+         "pointmass:day=40.7", "uniform:lo=3.5,hi=6", "uniform:lo=3,hi=6.000001",
+         # a repeated key is not overwritten by its last value
+         "geometric:p=0.1,p=0.5", "uniform:lo=3,hi=6,lo=4"],
     )
     def test_bad_arguments(self, spec):
         with pytest.raises(ConfigurationError):
@@ -567,15 +569,17 @@ class TestCommands:
             (["simulate", "--truth", "geometric:p=abc", "--n", "10"], "ConfigurationError"),
             (["simulate", "--truth", "pointmass:day=inf", "--n", "10"], "ConfigurationError"),
             (["simulate", "--truth", "geometric:p=0.1@nan", "--n", "10"], "ConfigurationError"),
-            # three kept draws per chain, too few for diagnostics, found
-            # after the whole fit (two warm-up iterations adapt the step, so
-            # the chains do not all diverge first)
-            (["fit", "--iters", "5", "--warmup", "2"], "DimensionError"),
+            # three kept draws per chain, too few for diagnostics, refused
+            # before sampling
+            (["fit", "--iters", "5", "--warmup", "2"], "ConfigurationError"),
             (["diagnose", "--draws", "{draws}"], "DimensionError"),
             # an output directory that is an existing file
             (["fit", "--outdir", "{data}"], "ConfigurationError"),
             (["simulate", "--truth", "geometric:p=0.1", "--n", "10", "--outdir", "{data}"],
              "ConfigurationError"),
+            # refused by _parse_levels before sampling: summarize would
+            # raise a ValueError after it
+            (["fit", "--levels", "0.8,0.95,0.80"], "ConfigurationError"),
         ],
     )
     def test_bad_arguments_give_error_json(self, tmp_path, capsys, argv, error):
@@ -691,8 +695,11 @@ class TestCommands:
             (["simulate", "--truth", "geometric:p=0.1", "--n", "-5", "--outdir", "newsim"],
              "ConfigurationError"),
             (["fit", "--input", "missing.csv", "--outdir", "newfit"], "IngestError"),
+            (["simulate", "--truth", "geometric:p=0.1", "--n", "10", "--seed", "-3",
+              "--outdir", "newsim"], "ConfigurationError"),
         ],
-        ids=["simulate-bad-truth", "simulate-negative-n", "fit-missing-input"],
+        ids=["simulate-bad-truth", "simulate-negative-n", "fit-missing-input",
+             "simulate-negative-seed"],
     )
     def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, monkeypatch,
                                                  argv, error):
@@ -700,6 +707,31 @@ class TestCommands:
         assert main(argv) == EXIT_ERROR
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == error
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("iters, sampled", [(62, False), (63, False), (64, True)])
+    def test_too_few_kept_draws_refused_before_sampling(self, tmp_path, capsys,
+                                                         monkeypatch, iters, sampled):
+        class Sampled(Exception):
+            pass
+
+        def sample(*args, **kwargs):
+            raise Sampled
+
+        monkeypatch.setattr(cli, "sample", sample)
+        data = write_csv(tmp_path / "d.csv", ["5,day"])
+        outdir = tmp_path / "out"
+        argv = ["fit", "--input", str(data), "--outdir", str(outdir), "--chains", "2",
+                "--iters", str(iters), "--warmup", "60"]
+        if sampled:
+            # four kept draws are enough: the fit goes on to sample
+            with pytest.raises(Sampled):
+                main(argv)
+            return
+        assert main(argv) == EXIT_ERROR
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert "must keep the 4 draws per chain" in payload["message"]
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "fit"])
     def test_bad_input_leaves_an_existing_directory_as_it_was(self, tmp_path, capsys,

@@ -14,10 +14,10 @@ from scipy.stats import rankdata
 from curdur.diagnostics import (
     _ess_core,
     _autocovariance,
-    _ndtri,
     _next_fast_len,
     _rank_normalize,
     _rank_normalize_indicator,
+    _rank_scores,
     _split_chains,
     compute_diagnostics,
     ess_bulk,
@@ -141,8 +141,9 @@ class TestReport:
 
 
 def rank_grid(size):
-    """The (r - 3/8) / (S + 1/4) probabilities of ranks 1..S."""
-    return (np.arange(1, size + 1) - 0.375) / (size + 0.25)
+    """The (r - 3/8) / (S + 1/4) probabilities of the average ranks
+    r = 0.5, 1, ..., S + 0.5."""
+    return (np.arange(1, 2 * size + 2) / 2 - 0.375) / (size + 0.25)
 
 
 def ulps(actual, expected):
@@ -158,10 +159,11 @@ class TestRankNormalize:
             "heavy_ties": rng.integers(0, 7, (4, 250)).astype(float),
             "constant": np.full((2, 10), 3.5),
         }[kind]
-        # the same quantile of scipy's average ranks: equal only if every
+        # the stdlib quantile of scipy's average ranks: equal only if every
         # rank is exactly scipy's
-        ranks = rankdata(x, method="average").reshape(x.shape)
-        expected = _ndtri((ranks - 0.375) / (x.size + 0.25))
+        p = (rankdata(x, method="average") - 0.375) / (x.size + 0.25)
+        inv_cdf = statistics.NormalDist().inv_cdf
+        expected = np.array([inv_cdf(v) for v in p.tolist()]).reshape(x.shape)
         assert np.array_equal(_rank_normalize(x), expected)
 
     @pytest.mark.parametrize("size", [1, 2, 7, 250])
@@ -174,30 +176,22 @@ class TestRankNormalize:
 
 
 class TestNdtri:
+    """The table of normal scores, ``_rank_scores``, against the quantile
+    of the standard library and scipy's ``ndtri``."""
+
     @pytest.mark.parametrize("size", [8, 250, 1000, 2000, 4000, 8000])
     def test_matches_stdlib_inv_cdf(self, size):
-        p = rank_grid(size)
         inv_cdf = statistics.NormalDist().inv_cdf
-        expected = np.array([inv_cdf(v) for v in p.tolist()])
-        got = _ndtri(p)
-        central = np.abs(p - 0.5) <= 0.425
-        assert central.any()
-        # only + x / in the central rational: bit-identical there
-        assert np.array_equal(got[central], expected[central])
-        # numpy's log and sqrt may round differently from libm's
-        assert np.all(ulps(got, expected) <= 1.0)
+        expected = [inv_cdf(v) for v in rank_grid(size).tolist()]
+        table = _rank_scores(size)
+        assert np.array_equal(table, expected)
+        # one cached array serves every caller
+        assert not table.flags.writeable
 
-    @pytest.mark.parametrize("size", [8, 250, 2000, 8000])
+    @pytest.mark.parametrize("size", [8, 250, 1000, 2000, 4000, 8000])
     def test_rank_grid_near_scipy(self, size):
         p = rank_grid(size)
-        assert np.all(ulps(_ndtri(p), ndtri(p)) <= 8.0)
-
-    def test_deep_tails_near_scipy(self):
-        low = np.logspace(-300.0, math.log10(0.5), 3000)
-        p = np.concatenate([low, 1.0 - low[low > 1e-15]])
-        got = _ndtri(p)
-        assert np.all(ulps(got, ndtri(p)) <= 8.0)
-        assert np.all(np.diff(got[: low.size]) > 0.0)
+        assert np.all(ulps(_rank_scores(size), ndtri(p)) <= 8.0)
 
 
 def test_next_fast_len_matches_scipy():

@@ -221,6 +221,16 @@ class TestSummarize:
         text = json.dumps(payload)
         assert "tsls_pmf" in text and "mean_tbs_days" in text
 
+    @pytest.mark.parametrize("levels", [(0.8, 0.8), (0.95, 0.8, 0.95)])
+    def test_repeated_levels_raise(self, rng, levels):
+        # each level keys one band: a repeat would write fewer bands than levels
+        basis = build_basis(BasisConfig())
+        rows = np.column_stack(
+            [rng.uniform(-0.5, 0.5, (10, 13)), rng.uniform(-0.3, 0.3, (10, 1))]
+        )
+        with pytest.raises(ValueError, match="distinct"):
+            summarize(self._draws(rows), basis, levels=levels)
+
     def test_equals_numpy_quantile_of_row_major_transforms(self, rng):
         basis = build_basis(BasisConfig())
         rows = np.column_stack(
