@@ -3,9 +3,9 @@
 The duration model writes the unnormalized probability weight at day d as
 a positive combination of basis functions, each starting at one on day 0
 and decaying to zero at the window boundary.  This module builds those
-functions: ordinary B-splines via the Cox-de Boor recurrence, integrated
-exactly with per-piece Gauss-Legendre quadrature, normalized to [0, 1],
-and reflected so every column is non-increasing.
+functions from de Boor's integral identity: one minus the normalized
+integral of a B-spline is a partial sum of the B-splines one degree higher,
+which the Cox-de Boor recurrence evaluates exactly.
 """
 
 from __future__ import annotations
@@ -100,46 +100,24 @@ def _bspline_columns(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarra
     return b
 
 
-def _cumulative_integrals(
-    knots_ext: np.ndarray, degree: int, breaks: np.ndarray
-) -> np.ndarray:
-    """Cumulative integral of each B-spline at days 0 .. NUM_DAYS.
-
-    Integration is exact: the integrand is polynomial between consecutive
-    cut points (integers plus knots), and the Gauss-Legendre order is
-    chosen to integrate that degree exactly.
-    """
-    grid = np.arange(NUM_DAYS + 1, dtype=float)
-    cuts = np.unique(np.concatenate([grid, breaks]))
-    q = degree // 2 + 1
-    nodes, weights = np.polynomial.legendre.leggauss(q)
-    lo, hi = cuts[:-1], cuts[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    design = _bspline_columns(pts.ravel(), knots_ext, degree)
-    k = design.shape[1]
-    piece = (design.reshape(lo.size, q, k) * weights[None, :, None]).sum(axis=1)
-    piece *= half[:, None]
-    running = np.vstack([np.zeros((1, k)), np.cumsum(piece, axis=0)])
-    return running[np.searchsorted(cuts, grid)]
-
-
 def build_basis(config: BasisConfig) -> SplineBasis:
     """Construct the decreasing basis for the given knot layout.
 
-    Knots are placed evenly on [0, NUM_DAYS]; each B-spline is integrated,
-    normalized to [0, 1], and reflected so column k runs from 1 at day 0
-    down to 0 at the boundary.
+    Knots are placed evenly on [0, NUM_DAYS].  By the integral identity,
+    one minus the normalized integral of the kth B-spline of degree p is
+    the sum of the first k + 1 B-splines of degree p + 1 on the same breaks
+    with one more repeat at each end, so column k runs from 1 at day 0 down
+    to 0 at the boundary.
     """
+    higher = config.degree + 1
     breaks = np.linspace(0.0, float(NUM_DAYS), config.num_segments + 1)
-    knots_ext = np.concatenate(
-        [np.zeros(config.degree), breaks, np.full(config.degree, float(NUM_DAYS))]
-    )
-    cumint = _cumulative_integrals(knots_ext, config.degree, breaks)
-    totals = cumint[-1, :]
-    values = 1.0 - cumint / totals
+    knots_ext = np.concatenate([np.zeros(higher), breaks, np.full(higher, float(NUM_DAYS))])
+    grid = np.arange(NUM_DAYS + 1, dtype=float)
+    values = np.cumsum(_bspline_columns(grid, knots_ext, higher)[:, :-1], axis=1)
+    # the sums round independently on each day: one running minimum down
+    # the days keeps every column non-increasing and within [0, 1]
     values[0, :] = 1.0
+    values = np.minimum.accumulate(values, axis=0)
     values[-1, :] = 0.0
     return SplineBasis(values=values, knots=breaks)
 

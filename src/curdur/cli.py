@@ -61,7 +61,10 @@ _EXCLUSION_MIN = {Unit.DAY: 730, Unit.WEEK: 105, Unit.MONTH: 24, Unit.YEAR: 2}
 
 @dataclass
 class IngestReport:
-    """Row accounting from one ingestion pass."""
+    """Row accounting from one ingestion pass.
+
+    ``excluded_by_unit`` maps unit names to excluded rows, in unit order.
+    """
 
     total_rows: int = 0
     retained: int = 0
@@ -87,7 +90,7 @@ def _classify_row(row: list) -> tuple:
     """What one CSV row means, as (kind, value).
 
     The value is None for a blank row, the record for a usable one, the
-    unit name for one beyond the window and the problem text (without
+    unit for one beyond the window and the problem text (without
     its line number) for a malformed one.
     """
     if not row or all(not cell.strip() for cell in row):
@@ -110,7 +113,7 @@ def _classify_row(row: list) -> tuple:
             "(expected z = 1 within the two-year window)"
         )
     if z >= _EXCLUSION_MIN[unit]:
-        return _EXCLUDED, unit.name.lower()
+        return _EXCLUDED, unit
     return _RECORD, ReportedDuration(z=z, unit=unit)
 
 
@@ -171,7 +174,7 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
     path = Path(path)
     records = []
     report = IngestReport()
-    excluded = report.excluded_by_unit
+    excluded: dict[Unit, int] = {}
     problems = []
     classes: dict[tuple, tuple] = {}
     with _open_text(path) as handle:
@@ -199,6 +202,7 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
         shown = "; ".join(problems[:10])
         more = f" (and {len(problems) - 10} more)" if len(problems) > 10 else ""
         raise IngestError(f"{path}: {shown}{more}")
+    report.excluded_by_unit = {unit.name.lower(): excluded[unit] for unit in sorted(excluded)}
     report.retained = len(records)
     report.total_rows = report.retained + report.excluded
     if not records:

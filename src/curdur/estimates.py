@@ -28,15 +28,18 @@ class TbsDistribution:
     def __post_init__(self):
         f_x = np.asarray(self.f_x, dtype=float)
         object.__setattr__(self, "f_x", f_x)
-        if np.any(f_x < 0.0):
+        # written so that NaN fails both checks
+        if not np.all(f_x >= 0.0):
             raise ValueError("gap-time probabilities must be non-negative")
         total = float(f_x.sum())
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"gap-time probabilities must sum to 1, got {total!r}")
 
 
 def _phi_vector(phi) -> np.ndarray:
     vec = np.asarray(getattr(phi, "phi", phi), dtype=float)
+    if not np.isfinite(vec).all():
+        raise ValueError("duration probabilities must be finite")
     if vec[0] <= 0.0:
         raise DegenerateDistributionError(
             "duration distribution has no mass at day zero"

@@ -79,14 +79,19 @@ class ReportedDuration:
 
 @dataclass(frozen=True)
 class ReportedDataset:
-    """All survey responses, plus a compressed multiset for fast likelihoods."""
+    """All survey responses, plus a compressed multiset for fast likelihoods.
+
+    ``counts`` holds each distinct report once, in (unit, z) order, so
+    nothing computed from it depends on the order of the records.
+    """
 
     records: tuple[ReportedDuration, ...]
     counts: dict = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "counts", dict(Counter(self.records)))
+        counts = sorted(Counter(self.records).items(), key=lambda c: (c[0].unit, c[0].z))
+        object.__setattr__(self, "counts", dict(counts))
 
     @classmethod
     def from_records(cls, records: Iterable[ReportedDuration]) -> "ReportedDataset":

@@ -80,6 +80,18 @@ class TestBuildBasis:
         oracle = scipy_reflected_basis(config)
         assert np.allclose(basis.values, oracle, atol=1e-12, rtol=0.0)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("num_segments", [1, 2, 7, 10, 30, 60])
+    def test_layouts(self, num_segments, degree):
+        config = BasisConfig(num_segments=num_segments, degree=degree)
+        values = build_basis(config).values
+        assert values.shape == (NUM_DAYS + 1, config.num_basis)
+        assert np.all(np.diff(values, axis=0) <= 0.0)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        assert np.all(values[0] == 1.0) and np.all(values[-1] == 0.0)
+        oracle = scipy_reflected_basis(config)
+        assert np.allclose(values, oracle, atol=1e-12, rtol=0.0)
+
     def test_small_config_monotone(self):
         basis = build_basis(BasisConfig(num_segments=2, degree=2))
         assert basis.values.shape == (731, 4)

@@ -193,8 +193,18 @@ class TestIngestRepeatedRows:
         week, day, year = (ReportedDuration(3, Unit.WEEK), ReportedDuration(14, Unit.DAY),
                            ReportedDuration(1, Unit.YEAR))
         assert dataset.records == (week, day, year) * 3
-        assert list(dataset.counts.items()) == [(week, 3), (day, 3), (year, 3)]
+        # the classes in (unit, z) order, not in order of first appearance
+        assert list(dataset.counts.items()) == [(day, 3), (week, 3), (year, 3)]
         assert len({id(r) for r in dataset.records}) == len(dataset.counts)
+
+    def test_class_and_unit_order_ignore_row_order(self, tmp_path):
+        clean = [row for row, bad in _ROW_KINDS if not bad] * 3
+        dataset, report = ingest(write_csv(tmp_path / "data.csv", clean))
+        back, back_report = ingest(write_csv(tmp_path / "back.csv", clean[::-1]))
+        assert back.records == dataset.records[::-1]
+        assert list(back.counts.items()) == list(dataset.counts.items())
+        assert list(back_report.excluded_by_unit) == ["day", "week", "month", "year"]
+        assert back_report.to_dict() == report.to_dict()
 
 
 class TestDatasetRoundTrip:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from curdur.basis import BasisConfig, build_basis
 from curdur.errors import DegenerateDistributionError
 from curdur.estimates import (
+    TbsDistribution,
     expected_tbs,
     quantile_band,
     summarize,
@@ -79,6 +80,27 @@ class TestTbsFromTsls:
         phi = tail / tail.sum()
         back = tsls_from_tbs(tbs_from_tsls(TslsDistribution(phi=phi))).phi
         assert np.abs(back - phi).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+class TestNonFiniteInput:
+    """NaN and infinities are refused, never passed through as a result."""
+
+    def test_gap_distribution_rejected(self, bad):
+        with pytest.raises(ValueError):
+            TbsDistribution(f_x=np.full(730, bad))
+        f_x = np.full(730, 1.0 / 730.0)
+        f_x[3] = bad
+        with pytest.raises(ValueError):
+            TbsDistribution(f_x=f_x)
+
+    @pytest.mark.parametrize("transform", [tbs_from_tsls, survival_from_tsls, expected_tbs])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_transforms_reject(self, bad, transform, position):
+        phi = [0.5, 0.5]
+        phi[position] = bad
+        with pytest.raises(ValueError):
+            transform(phi)
 
 
 class TestSurvival:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from curdur import model
@@ -23,7 +25,13 @@ from curdur.model import (
     phi_from_params,
     phi_matrix,
 )
-from curdur.reporting import ReportedDataset, ReportedDuration, Unit, day_interval
+from curdur.reporting import (
+    ReportedDataset,
+    ReportedDuration,
+    Unit,
+    day_interval,
+    spread_mass,
+)
 from tests.conftest import fd_grad, make_mixed_dataset
 
 BASIS = build_basis(BasisConfig())
@@ -205,14 +213,20 @@ class TestLogPosterior:
                 expected += math.log(p)
             assert abs(density.logp_and_grad(params.to_vector())[0] - expected) < 1e-10
 
-    def test_reorder_invariance(self, rng):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_reorder_invariance(self, seed):
+        # exact equality: the classes are summed in one order, whatever
+        # the order of the records
+        rng = np.random.default_rng(seed)
         data = make_mixed_dataset(rng, n=30)
-        shuffled = list(data.records)
-        rng.shuffle(shuffled)
-        reordered = ReportedDataset.from_records(shuffled)
+        shuffled = ReportedDataset.from_records(rng.permutation(data.records))
         theta = random_params(rng).to_vector()
-        logp = PosteriorDensity(data, BASIS).logp_and_grad(theta)[0]
-        assert logp == PosteriorDensity(reordered, BASIS).logp_and_grad(theta)[0]
+        logp, grad = PosteriorDensity(data, BASIS).logp_and_grad(theta)
+        back_logp, back_grad = PosteriorDensity(shuffled, BASIS).logp_and_grad(theta)
+        assert back_logp == logp
+        assert np.array_equal(back_grad, grad)
+        assert np.array_equal(spread_mass(shuffled), spread_mass(data))
 
 
 class TestGradient:
