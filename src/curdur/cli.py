@@ -58,6 +58,9 @@ _UNIT_TOKENS = {
 # years of two years or more (24 months, days 721-750, starts in the window)
 _EXCLUSION_MIN = {Unit.DAY: 730, Unit.WEEK: 105, Unit.MONTH: 24, Unit.YEAR: 2}
 
+# draws.csv rows formatted per write
+_WRITE_BLOCK = 256
+
 
 @dataclass
 class IngestReport:
@@ -255,11 +258,13 @@ def _csv_line(head: str, values) -> str:
 def write_draws_csv(draws: PosteriorDraws, path) -> None:
     with _replacing(path) as (tmp,), open(tmp, "w", newline="") as handle:
         csv.writer(handle).writerow(["chain", "iteration"] + list(draws.param_names))
-        # a chain at a time: the text of one chain is held, not of all
+        # a block of rows at a time: only that block is held as floats and text
         for chain in range(draws.num_chains):
-            rows = np.asarray(draws.draws[chain], dtype=float).tolist()
-            handle.writelines([_csv_line(f"{chain},{it}", row)
-                               for it, row in enumerate(rows, 1)])
+            values = np.asarray(draws.draws[chain], dtype=float)
+            for first in range(0, len(values), _WRITE_BLOCK):
+                rows = values[first : first + _WRITE_BLOCK].tolist()
+                handle.writelines([_csv_line(f"{chain},{it}", row)
+                                   for it, row in enumerate(rows, first + 1)])
 
 
 def _check_chain_sizes(path: Path, sizes: list) -> None:
@@ -340,7 +345,8 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
     """Rebuild the (chains, iterations, parameters) array from draws.csv.
 
     The file is read as a stream, a leading UTF-8 byte-order mark
-    skipped.  The body of a regular file is parsed in bulk; a pipe, and
+    skipped.  The body of a regular file is parsed in bulk, and rows in
+    chain order come back as a view of the parsed table; a pipe, and
     input that parse refuses, go through the row loop, which returns the
     same array or names the first bad line.
     """
@@ -362,8 +368,11 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
     chains, values = parsed
     ids, sizes = np.unique(chains, return_counts=True)
     _check_chain_sizes(path, sizes.tolist())
-    grouped = values[np.argsort(chains, kind="stable")]
-    return grouped.reshape(len(ids), -1, len(names)), names
+    # write_draws_csv writes the chains in order: then the parsed table,
+    # viewed by chain, is the array, and only other input is regrouped
+    if np.any(chains[1:] < chains[:-1]):
+        values = values[np.argsort(chains, kind="stable")]
+    return values.reshape(len(ids), -1, len(names)), names
 
 
 def _write_json(payload: dict, path) -> None:

@@ -17,6 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DimensionError
+from .estimates import _linear_quantile
 
 RHAT_THRESHOLD = 1.01
 ESS_THRESHOLD = 400.0
@@ -175,7 +176,12 @@ def ess_tail(draws) -> float:
     x = _as_chain_matrix(draws)
     if _is_constant(x):
         return 0.0
-    q05, q95 = np.quantile(x, [0.05, 0.95])
+    ordered = np.sort(x, axis=None)
+    # NaN sorts last and makes both of np.quantile's tails NaN, which no
+    # draw is <= or >=: both indicators are constant
+    if np.isnan(ordered[-1]):
+        return 0.0
+    q05, q95 = (_linear_quantile(ordered, p) for p in (0.05, 0.95))
     out = []
     for indicator in (x <= q05, x >= q95):
         if _is_constant(indicator):

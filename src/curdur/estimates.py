@@ -164,13 +164,29 @@ class EstimateSummary:
         }
 
 
+def _linear_quantile(ordered: np.ndarray, p: float):
+    """Quantile ``p`` of values sorted along the last axis of ``ordered``.
+
+    Interpolates between neighbouring order statistics with the arithmetic
+    of ``np.quantile``'s default "linear" method, so the values are
+    bit-identical to it for finite input.
+    """
+    n = ordered.shape[-1]
+    pos = (n - 1) * p
+    lo = math.floor(pos)
+    t = pos - lo
+    a = ordered[..., lo]
+    b = ordered[..., min(lo + 1, n - 1)]
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1.0 - t)
+
+
 def _band_in_place(x: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
     """Median and bands of ``x``, whose draws lie along its last axis.
 
-    Sorts ``x`` in place along that axis; the median and both tails of
-    every level then interpolate between neighbouring order statistics
-    with the arithmetic of ``np.quantile``'s default "linear" method, so
-    the values are bit-identical to it.  Non-finite draws raise ValueError.
+    Sorts ``x`` in place along that axis and reads the median and both
+    tails of every level off it with ``_linear_quantile``, so the values
+    are bit-identical to ``np.quantile``.  Non-finite draws raise ValueError.
     """
     probs = [0.5]
     for level in levels:
@@ -187,15 +203,7 @@ def _band_in_place(x: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
     # NaN sorts last, so the extreme draws show every non-finite sample
     if not (np.isfinite(x[..., 0]).all() and np.isfinite(x[..., -1]).all()):
         raise ValueError("samples must be finite")
-    values = []
-    for p in probs:
-        pos = (n - 1) * p
-        lo = math.floor(pos)
-        t = pos - lo
-        a = x[..., lo]
-        b = x[..., min(lo + 1, n - 1)]
-        d = b - a
-        values.append(a + d * t if t < 0.5 else b - d * (1.0 - t))
+    values = [_linear_quantile(x, p) for p in probs]
     if x.ndim == 1:
         values = [float(v) for v in values]
     bands = {
@@ -234,9 +242,9 @@ def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:
     draw yields one linked duration / gap-time pair, and quantiles are
     taken across draws.  No (draws, days) array is built: the curves are
     made a block of days at a time from the blocks ``phi_matrix`` is
-    assembled from, held day-major and sorted in place.  Besides the
-    coefficients, only (draws, block) arrays are alive: the block products,
-    the block's day-major copy and one buffer for the gap-time pmf and then
+    assembled from, written day-major and sorted in place.  Besides the
+    coefficients, only two (block, draws) arrays are alive: the rows the
+    blocks are written into and one buffer for the gap-time pmf and then
     the survival.  The values are bit-identical to ``np.quantile`` of the
     row-by-row transforms of ``phi_matrix``.
     """
@@ -244,29 +252,26 @@ def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:
     flat = draws.draws.reshape(-1, draws.draws.shape[-1])
     if flat.shape[0] == 0:
         raise ValueError("no draws to summarize")
-    # day-major rows: phi of the day before the block, the block and, after
-    # the last block, the boundary day
+    # day-major rows: phi of the day before the block, the block, which
+    # _phi_blocks writes from row 1, and after the last block the boundary day
     phi = np.empty((_DAY_BLOCK + 2, flat.shape[0]))
     buffer = np.empty_like(phi)
     tsls, tbs, survival = [], [], []
-    lead = 0
-    for start, block in _phi_blocks(flat, basis):
-        width = block.shape[1]
+    for start, block in _phi_blocks(flat, basis, phi[1 : _DAY_BLOCK + 1]):
+        width = len(block)
+        lead = int(start > 0)
         last = start + width == basis.support_days
-        rows = phi[: lead + width + last]
-        rows[lead : lead + width] = block.T
+        rows = phi[1 - lead : 1 + width + last]
         if last:
             rows[-1] = 0.0
         if start == 0:
-            phi_0 = rows[0].copy()
+            phi_0 = block[0].copy()
         pmf = _tbs_rows(rows, phi_0, out=buffer[: len(rows) - 1])
         tbs.append(_band_in_place(pmf, levels))
         surv = _survival_rows(rows[lead:], phi_0, out=buffer[: len(rows) - lead])
         survival.append(_band_in_place(surv, levels))
-        carry = rows[lead + width - 1].copy()
-        tsls.append(_band_in_place(rows[lead : lead + width], levels))
-        phi[0] = carry
-        lead = 1
+        phi[0] = block[-1]
+        tsls.append(_band_in_place(block, levels))
     return EstimateSummary(
         levels=levels,
         tsls_pmf=_joined(tsls),

@@ -91,26 +91,33 @@ class TslsDistribution:
 
 
 def _clamp(sums: np.ndarray) -> tuple:
-    """Clip log-scale coefficient sums to +/- LOG_CLAMP.
+    """Clip log-scale coefficient sums to +/- LOG_CLAMP, in place.
 
-    Also returns the mask of entries the clip left alone, or None when every
-    sum lies within the clamp, which skips the clip.
+    Returns ``sums`` and the mask of entries the clip left alone, or None
+    when every sum lies within the clamp, which skips the clip.
     """
-    if np.maximum.reduce(np.abs(sums), axis=None, initial=0.0) <= LOG_CLAMP:
+    if (np.maximum.reduce(sums, axis=None, initial=-LOG_CLAMP) <= LOG_CLAMP
+            and np.minimum.reduce(sums, axis=None, initial=LOG_CLAMP) >= -LOG_CLAMP):
         return sums, None
-    clipped = sums.clip(-LOG_CLAMP, LOG_CLAMP)
-    return clipped, clipped == sums
+    unclamped = np.abs(sums) <= LOG_CLAMP
+    return np.clip(sums, -LOG_CLAMP, LOG_CLAMP, out=sums), unclamped
 
 
 def _clamped_sums(delta: np.ndarray) -> tuple:
     """Reverse cumulative sums along the last axis, through ``_clamp``."""
-    return _clamp(np.add.accumulate(delta[..., ::-1], axis=-1)[..., ::-1])
+    sums = np.empty_like(delta)
+    np.add.accumulate(delta[..., ::-1], axis=-1, out=sums[..., ::-1])
+    return _clamp(sums)
 
 
 def _rescaled_alpha(sums: np.ndarray) -> np.ndarray:
-    # the common scale cancels in phi and in every likelihood ratio, so
-    # exp(sums - max) keeps all downstream sums inside double range
-    return np.exp(sums - np.maximum.reduce(sums, axis=-1, keepdims=True))
+    """exp(sums - max) along the last axis, in place.
+
+    The common scale cancels in phi and in every likelihood ratio, so
+    the shift keeps all downstream sums inside double range.
+    """
+    sums -= np.maximum.reduce(sums, axis=-1, keepdims=True)
+    return np.exp(sums, out=sums)
 
 
 def alpha_from_delta(delta: np.ndarray) -> np.ndarray:
@@ -141,15 +148,17 @@ def _support_totals(basis: SplineBasis) -> np.ndarray:
     return basis.values[:-1].sum(axis=0)
 
 
-def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis):
+def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis, out: np.ndarray):
     """The phi transform of a stack of parameter vectors, in day blocks.
 
     Each row is (delta_1 .. delta_K, log_sigma); log_sigma does not enter
-    the transform.  Yields ``(start, block)``, where ``block[i, j]`` is phi
-    of row i at day start + j: the basis combination gamma divided by the
-    row's total over the support days, ``alpha @ _support_totals(basis)``.
-    Days come in blocks of ``_DAY_BLOCK``, so no (rows, support_days) array
-    is built.
+    the transform.  ``out`` is a day-major (``_DAY_BLOCK``, rows) buffer.
+    Yields ``(start, block)``, where ``block`` is the leading rows of
+    ``out`` and ``block[j, i]`` is phi of row i at day start + j: the
+    basis combination gamma divided by the row's total over the support
+    days, ``alpha @ _support_totals(basis)``.  Each block is written when
+    it is asked for, so the caller may overwrite it once done with it.
+    Besides ``out``, only the (rows, K) coefficients are built.
     """
     param_matrix = np.asarray(param_matrix, dtype=float)
     deltas = param_matrix[:, :-1]
@@ -162,7 +171,8 @@ def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis):
     alpha /= (alpha @ _support_totals(basis))[:, None]
     support = basis.values[:-1]
     for start in range(0, basis.support_days, _DAY_BLOCK):
-        yield start, alpha @ support[start : start + _DAY_BLOCK].T
+        days = support[start : start + _DAY_BLOCK]
+        yield start, np.dot(days, alpha.T, out=out[: len(days)])
 
 
 def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
@@ -171,9 +181,10 @@ def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
     Returns an array of shape (rows, support_days) assembled from
     ``_phi_blocks``, so it holds the values every summary is taken from.
     """
-    phi = np.empty((np.shape(param_matrix)[0], basis.support_days))
-    for start, block in _phi_blocks(param_matrix, basis):
-        phi[:, start : start + block.shape[1]] = block
+    rows = np.shape(param_matrix)[0]
+    phi = np.empty((rows, basis.support_days))
+    for start, block in _phi_blocks(param_matrix, basis, np.empty((_DAY_BLOCK, rows))):
+        phi[:, start : start + len(block)] = block.T
     return phi
 
 

@@ -32,6 +32,7 @@ from curdur.cli import (
     write_dataset,
     write_draws_csv,
 )
+from curdur.diagnostics import compute_diagnostics
 from curdur.errors import ConfigurationError, IngestError
 from curdur.reporting import ReportedDuration, Unit, day_interval
 from curdur.sampler import PosteriorDraws
@@ -341,6 +342,23 @@ class TestDrawsCsv:
         assert outputs[0][0] != EXIT_ERROR
         assert outputs[1] == outputs[0]
 
+    def test_chain_order_of_rows_does_not_matter(self, tmp_path, monkeypatch):
+        values = np.random.default_rng(4).standard_normal((4, 60, 3))
+        ordered = tmp_path / "ordered.csv"
+        write_draws_csv(posterior(values), ordered)
+        head, *body = ordered.read_text().splitlines(keepends=True)
+        # the chains interleaved, last chain first, each chain's rows in order
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(head + "".join(line for it in range(60) for line in body[it::60][::-1]))
+        monkeypatch.setattr(cli, "_parse_draw_rows",
+                            lambda *args: pytest.fail("the row loop read the file"))
+        reports = []
+        for path in (ordered, shuffled):
+            draws, _ = read_draws_csv(path)
+            assert draws.tobytes() == values.tobytes()
+            reports.append(json.dumps(compute_diagnostics(draws).to_dict()))
+        assert reports[1] == reports[0]
+
 
 def _traced_peak(fn, *args) -> int:
     """Bytes of traced memory ``fn(*args)`` holds at most, its result included."""
@@ -369,7 +387,16 @@ class TestReadMemory:
         values = np.random.default_rng(2).standard_normal((4, 2000, 34))
         path = tmp_path / "draws.csv"
         write_draws_csv(posterior(values), path)
-        assert _traced_peak(read_draws_csv, path) < 3 * values.nbytes
+        assert _traced_peak(read_draws_csv, path) < 1.5 * values.nbytes
+
+
+class TestWriteMemory:
+    """The draws writer holds one block of rows as floats and text."""
+
+    @pytest.mark.parametrize("iterations", [2000, 8000])
+    def test_write_draws_peak(self, tmp_path, iterations):
+        draws = posterior(np.random.default_rng(5).standard_normal((4, iterations, 34)))
+        assert _traced_peak(write_draws_csv, draws, tmp_path / "draws.csv") < 1_000_000
 
 
 def _read_through_pipe(tmp_path, data: bytes, read):
@@ -397,11 +424,16 @@ class TestPipeInput:
         assert dataset == expected
         assert report.to_dict() == expected_report.to_dict()
 
-    def test_draws(self, tmp_path):
+    def test_draws(self, tmp_path, monkeypatch):
         values = np.random.default_rng(3).standard_normal((2, 500, 3))
         path = tmp_path / "draws.csv"
         write_draws_csv(posterior(values), path)
+        row_loop = cli._parse_draw_rows
+        calls = []
+        monkeypatch.setattr(cli, "_parse_draw_rows",
+                            lambda *args: calls.append(args) or row_loop(*args))
         draws, names = _read_through_pipe(tmp_path, path.read_bytes(), read_draws_csv)
+        assert len(calls) == 1
         assert names == ["p0", "p1", "p2"]
         assert draws.tobytes() == values.tobytes()
 

@@ -24,6 +24,7 @@ from curdur.diagnostics import (
     ess_tail,
     split_rank_rhat,
 )
+from curdur.estimates import _linear_quantile
 
 
 def ar1_chains(rng, n_chains, n_draws, rho):
@@ -280,10 +281,28 @@ class TestOddLengthIndicator:
         assert high.any() and not _split_chains(high).any()
         assert ess_tail(x) == self.unique_path_tail(x) == 0.0
 
+    def test_nan_draw(self, rng):
+        # np.quantile's tails are NaN, which no draw is <= or >=
+        x = ar1_chains(rng, 2, 40, 0.3)
+        x[1, 7] = math.nan
+        assert ess_tail(x) == self.unique_path_tail(x) == 0.0
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+def test_tail_quantiles_match_np_quantile(rng, decimals):
+    # rounding makes ties, so neighbouring order statistics are often equal
+    for n in range(4, 600, 7):
+        x = rng.standard_normal(n)
+        if decimals is not None:
+            x = x.round(decimals)
+        got = [_linear_quantile(np.sort(x), p) for p in (0.05, 0.95)]
+        assert np.array(got).tobytes() == np.quantile(x, [0.05, 0.95]).tobytes()
+
 
 def test_runtime_loads_no_scipy(tmp_path):
     # simulate, fit (which runs compute_diagnostics and summarize) and
-    # diagnose in one fresh process; the basis needs no numpy.polynomial
+    # diagnose in one fresh process; the basis needs no numpy.polynomial,
+    # and the tail quantiles no numpy.ma, which np.quantile loads
     code = f"""
 import sys
 from curdur import cli
@@ -295,7 +314,8 @@ assert cli.main(["fit", "--input", out + "/sim/data.csv", "--outdir", out + "/fi
                  "--warmup", "30"]) in (0, 3)
 assert cli.main(["diagnose", "--draws", out + "/fit/draws.csv"]) in (0, 3)
 print(sorted(m for m in sys.modules
-             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "polynomial"]))
+             if m.split(".")[0] == "scipy"
+             or m.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "ma"])))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)

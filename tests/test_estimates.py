@@ -305,7 +305,7 @@ class TestSummarize:
             for value, reference in zip(got, np.quantile(samples, probs, axis=0)):
                 assert np.array_equal(value, reference)
 
-    def test_peak_memory_is_a_quarter_curve_array(self, rng):
+    def test_peak_memory_is_a_tenth_curve_array(self, rng):
         basis = build_basis(BasisConfig())
         rows = np.column_stack(
             [rng.uniform(-0.5, 0.5, (8000, 13)), rng.uniform(-0.3, 0.3, (8000, 1))]
@@ -320,7 +320,7 @@ class TestSummarize:
         finally:
             tracemalloc.stop()
         # one (draws, days) float array is 8000 * 730 * 8 bytes
-        assert (peak - start) / (rows.shape[0] * NUM_DAYS * 8) <= 0.25
+        assert (peak - start) / (rows.shape[0] * NUM_DAYS * 8) <= 0.10
 
     def test_peak_memory_is_two_curve_arrays(self, rng):
         basis = build_basis(BasisConfig())
