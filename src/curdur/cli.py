@@ -295,11 +295,12 @@ def _parse_draws(handle, header_lines: int, num_values: int):
 
     ``handle`` is the open file and the header fills its first
     ``header_lines`` lines.  One pass over the body counts its commas,
-    and numpy's parse is a second.  Returns None for anything the row
-    loop of ``_parse_draw_rows`` might read differently: text that is not
-    ``_bulk_safe``, a field numpy refuses, a row with other than
-    ``num_values + 2`` fields, or a body of blank lines.  The iteration
-    column is not read.
+    and numpy's parse is a second.  The rows come back grouped by chain,
+    a view of the parsed table when the file has them in that order.
+    Returns None for anything the row loop of ``_parse_draw_rows`` might
+    read differently or refuse: text that is not ``_bulk_safe``, a field
+    numpy refuses, a row with other than ``num_values + 2`` fields, a body
+    of blank lines, or a chain whose iterations do not run 1, 2, ..., n.
     """
     commas, blank = 0, True
     _seek_body(handle, header_lines)
@@ -310,16 +311,27 @@ def _parse_draws(handle, header_lines: int, num_values: int):
         blank = blank and not chunk.strip("\r\n")
     if blank:
         return None
-    row = np.dtype([("chain", np.int64), ("values", np.float64, (num_values,))])
+    row = np.dtype([("chain", np.int64), ("iteration", np.int64),
+                    ("values", np.float64, (num_values,))])
     try:
         table = np.loadtxt(_seek_body(handle, header_lines), dtype=row, delimiter=",",
-                           comments=None, usecols=[0, *range(2, num_values + 2)], ndmin=1)
+                           comments=None, usecols=range(num_values + 2), ndmin=1)
     except (ValueError, OverflowError):
         return None
     # loadtxt ignores columns past usecols; the row loop refuses them
     if commas != len(table) * (num_values + 1):
         return None
-    return table["chain"], table["values"]
+    chains = table["chain"]
+    # write_draws_csv writes the chains in order: only other input is regrouped
+    if np.any(chains[1:] < chains[:-1]):
+        table = table[np.argsort(chains, kind="stable")]
+        chains = table["chain"]
+    # each chain's first iteration is 1 and every next one the last plus 1
+    iterations = table["iteration"]
+    due = np.where(chains[1:] == chains[:-1], iterations[:-1] + 1, 1)
+    if iterations[0] != 1 or not np.array_equal(iterations[1:], due):
+        return None
+    return chains, table["values"]
 
 
 def _parse_draw_rows(path: Path, reader, num_values: int) -> np.ndarray:
@@ -332,11 +344,17 @@ def _parse_draw_rows(path: Path, reader, num_values: int) -> np.ndarray:
             try:
                 chain = int(row[0])
                 values = [float(v) for v in row[2:]]
+                # a short row may lack the field: its length is the error
+                iteration = int(row[1]) if len(values) == num_values else None
             except ValueError as exc:
                 raise IngestError(f"{path}: line {line_no}: {exc}") from exc
-            if len(values) != num_values:
+            if iteration is None:
                 raise IngestError(f"{path}: line {line_no}: wrong number of values")
-            by_chain.setdefault(chain, []).append(values)
+            draws = by_chain.setdefault(chain, [])
+            if iteration != len(draws) + 1:
+                raise IngestError(f"{path}: line {line_no}: iteration {iteration} of "
+                                  f"chain {chain}, expected {len(draws) + 1}")
+            draws.append(values)
     _check_chain_sizes(path, [len(v) for v in by_chain.values()])
     return np.array([by_chain[c] for c in sorted(by_chain)])
 
@@ -345,7 +363,8 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
     """Rebuild the (chains, iterations, parameters) array from draws.csv.
 
     The file is read as a stream, a leading UTF-8 byte-order mark
-    skipped.  The body of a regular file is parsed in bulk, and rows in
+    skipped.  Each chain's rows must carry the iterations 1, 2, ..., n in
+    file order.  The body of a regular file is parsed in bulk, and rows in
     chain order come back as a view of the parsed table; a pipe, and
     input that parse refuses, go through the row loop, which returns the
     same array or names the first bad line.
@@ -368,10 +387,6 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
     chains, values = parsed
     ids, sizes = np.unique(chains, return_counts=True)
     _check_chain_sizes(path, sizes.tolist())
-    # write_draws_csv writes the chains in order: then the parsed table,
-    # viewed by chain, is the array, and only other input is regrouped
-    if np.any(chains[1:] < chains[:-1]):
-        values = values[np.argsort(chains, kind="stable")]
     return values.reshape(len(ids), -1, len(names)), names
 
 

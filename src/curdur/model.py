@@ -5,9 +5,9 @@ alpha_k = exp(sum of delta_k .. delta_K) are positive by construction, so
 the basis combination gamma is positive and non-increasing, and the
 normalized phi is a monotone simplex over the day grid.
 
-The likelihood of a report is the phi-sum over its day interval; all
-evaluations run in log scale against precomputed per-record basis sums, so
-the posterior and its exact gradient cost a few small matrix products.
+A report's likelihood is phi summed through the reporting model's
+observation matrix; evaluations run in log scale on the basis summed the
+same way, so the posterior and its exact gradient are a few small products.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import SplineBasis
 from .errors import ConfigurationError, DimensionError
-from .reporting import DEFAULT_HEAP, HeapSet, ReportedDataset, day_interval
+from .reporting import HeapSet, ReportedDataset, observation_matrix
 from .window import NUM_DAYS
 
 LOG_CLAMP = 700.0
@@ -225,8 +225,8 @@ def grad_log_prior(params: ModelParams) -> np.ndarray:
 class PosteriorDensity:
     """Log posterior and exact gradient for one dataset and basis.
 
-    Precomputes, for every distinct report, the basis-column sums over its
-    day interval, so each evaluation reduces to small matrix products.
+    Precomputes the basis columns summed over the days of each distinct
+    report, so each evaluation reduces to small matrix products.
     Instances are immutable after construction and safe to share across
     chains.
     """
@@ -237,7 +237,6 @@ class PosteriorDensity:
         basis: SplineBasis,
         heap: HeapSet | None = None,
     ):
-        heap = heap if heap is not None else DEFAULT_HEAP
         if basis.support_days != NUM_DAYS:
             raise ConfigurationError(
                 f"likelihood evaluation needs a basis over {NUM_DAYS} days, "
@@ -258,17 +257,10 @@ class PosteriorDensity:
         self._rows = None
         self._safe_rows = True
         if not (data is None or len(data) == 0):
-            rows = []
-            weights = []
-            for record, n in data.counts.items():
-                lo, hi = day_interval(record, heap)
-                rows.append(basis.values[lo : hi + 1].sum(axis=0))
-                weights.append(float(n))
-            rows.append(_support_totals(basis))
-            weights.append(-sum(weights))
-            self._rows = np.array(rows)
+            self._rows = np.vstack([observation_matrix(data, heap) @ basis.values[:-1],
+                                    _support_totals(basis)])
             self._rows_t = np.ascontiguousarray(self._rows.T)
-            self._weights = np.array(weights)
+            self._weights = np.array([*data.counts.values(), -len(data)], dtype=float)
             # with |sums| <= _SAFE_SUM every mass is at least e^-300 times
             # its row's largest entry: with that entry >= 1e-100 no mass
             # underflows and no counts / mass overflows (10 segments: >= 0.0536)

@@ -148,14 +148,22 @@ def reported_prob(phi, record: ReportedDuration, heap: HeapSet | None = None) ->
     return total
 
 
+def observation_matrix(dataset: ReportedDataset, heap: HeapSet | None = None) -> np.ndarray:
+    """P(report | day): row r is 1 on the ``day_interval`` of the r-th report
+    of ``dataset.counts`` and 0 elsewhere, so ``@ phi`` gives each report's
+    probability."""
+    matrix = np.zeros((len(dataset.counts), NUM_DAYS))
+    for row, record in zip(matrix, dataset.counts):
+        lo, hi = day_interval(record, heap)
+        row[lo : hi + 1] = 1.0
+    return matrix
+
+
 def spread_mass(dataset: ReportedDataset, heap: HeapSet | None = None) -> np.ndarray:
     """Per-day histogram weights with each report's mass spread evenly.
 
     Every record contributes 1 / (interval width) to each day of its
     interval, so the output sums to the number of records.
     """
-    weights = np.zeros(NUM_DAYS)
-    for record, n in dataset.counts.items():
-        lo, hi = day_interval(record, heap)
-        weights[lo : hi + 1] += n / (hi - lo + 1)
-    return weights
+    matrix = observation_matrix(dataset, heap)
+    return (np.fromiter(dataset.counts.values(), float) / matrix.sum(axis=1)) @ matrix

@@ -215,13 +215,15 @@ def _energy(logp: float, p: np.ndarray, inv_mass: np.ndarray) -> float:
     return energy if math.isfinite(energy) else math.inf
 
 
-def _find_initial_step(logp_and_grad, q, rng, inv_mass) -> float:
-    """Double or halve the step until the one-step acceptance crosses 1/2."""
+def _find_initial_step(logp_and_grad, q, logp0, grad0, rng, inv_mass) -> float:
+    """Double or halve the step until the one-step acceptance crosses 1/2.
+
+    ``logp0`` and ``grad0`` are the log density and its gradient at q.
+    """
     dim = q.size
     step = 1.0
     momentum_sd = inv_mass ** -0.5
     p = rng.standard_normal(dim) * momentum_sd
-    logp0, grad0 = logp_and_grad(q)
     energy0 = _energy(logp0, p, inv_mass)
 
     def energy_after(step_size: float) -> float:
@@ -253,7 +255,7 @@ def _run_chain(logp_and_grad, dim, config: SamplerConfig, chain_index: int, prog
 
     inv_mass = np.ones(dim)
     momentum_sd = np.ones(dim)
-    step = _find_initial_step(logp_and_grad, q, rng, inv_mass)
+    step = _find_initial_step(logp_and_grad, q, logp, grad, rng, inv_mass)
     dual = _DualAveraging(step, config.target_accept)
     update_points = set(_mass_update_points(config.warmup))
     moments = _RunningMoments(dim)

@@ -241,6 +241,27 @@ def posterior(values, names=None) -> PosteriorDraws:
 
 ROW_PAIR = [[[0.5, 1.0]], [[0.7, 2.0]]]
 
+# draws.csv bodies under the header "chain,iteration,x,y" whose iteration
+# column breaks the run 1, 2, ..., n of a chain, and the error text after
+# "<path>: " that names the first bad line
+ITERATION_OUT_OF_TURN = [
+    ("iteration_reversed", "0,2,0.5,1\n0,1,0.6,1\n1,2,0.7,2\n1,1,0.8,2\n",
+     "line 2: iteration 2 of chain 0, expected 1"),
+    ("iteration_swapped",
+     "0,1,0.5,1\n0,3,0.6,1\n0,2,0.7,1\n1,1,0.8,2\n1,2,0.9,2\n1,3,1.0,2\n",
+     "line 3: iteration 3 of chain 0, expected 2"),
+    ("iteration_repeated", "0,1,0.5,1\n1,1,0.7,2\n0,1,0.6,1\n1,2,0.8,2\n",
+     "line 4: iteration 1 of chain 0, expected 2"),
+    ("iteration_missing", "0,1,0.5,1\n0,3,0.6,1\n1,1,0.7,2\n1,2,0.8,2\n",
+     "line 3: iteration 3 of chain 0, expected 2"),
+    ("iteration_zero_based", "0,0,0.5,1\n1,0,0.7,2\n",
+     "line 2: iteration 0 of chain 0, expected 1"),
+    ("iteration_float", "0,1,0.5,1\n1,1.0,0.7,2\n",
+     "line 3: invalid literal for int() with base 10: '1.0'"),
+    ("iteration_x", "0,x,0.5,1\n1,x,0.7,2\n",
+     "line 2: invalid literal for int() with base 10: 'x'"),
+]
+
 # draws.csv bodies under the header "chain,iteration,x,y": the array, or the
 # error text after "<path>: ", that read_draws_csv gives, and whether the
 # bulk parse reads the body (False: the row loop reads it)
@@ -250,7 +271,7 @@ DRAWS_BODIES = [
      "line 3: invalid literal for int() with base 10: '   '", False),
     ("hash_line", "# note\n0,1,0.5,1\n1,1,0.7,2\n",
      "line 2: invalid literal for int() with base 10: '# note'", False),
-    ("quoted_fields", '"0","1","0.5",1\n1,"a,b",0.7,"2"\n', ROW_PAIR, False),
+    ("quoted_fields", '"0","1","0.5",1\n1,"1",0.7,"2"\n', ROW_PAIR, False),
     ("chain_float", "0,1,0.5,1\n1.0,1,0.7,2\n",
      "line 3: invalid literal for int() with base 10: '1.0'", False),
     ("chain_exponent", "0,1,0.5,1\n1e0,1,0.7,2\n",
@@ -270,7 +291,10 @@ DRAWS_BODIES = [
     ("one_chain", "0,1,0.5,1\n0,2,0.7,2\n", "diagnostics need at least 2 chains", True),
     ("header_only", "", "diagnostics need at least 2 chains", False),
     ("iteration_text", "1,b,0.5,1\n0,a,0.7,2\n1,c,0.9,3\n0,d,1.1,4\n",
+     "line 2: invalid literal for int() with base 10: 'b'", False),
+    ("chains_interleaved", "1,1,0.5,1\n0,1,0.7,2\n1,2,0.9,3\n0,2,1.1,4\n",
      [[[0.7, 2.0], [1.1, 4.0]], [[0.5, 1.0], [0.9, 3.0]]], True),
+    *[(*case, False) for case in ITERATION_OUT_OF_TURN],
     ("cr_rows", "0,1,0.5,1\r1,1,0.7,2\r", ROW_PAIR, True),
     # str.splitlines ends a line at \x0c, \x1c and \u2028; a CSV file does not
     ("formfeed_in_row", "0,1,0.5,1\x0c1,1,0.7,2\n",
@@ -341,6 +365,20 @@ class TestDrawsCsv:
             outputs.append((code, capsys.readouterr().out))
         assert outputs[0][0] != EXIT_ERROR
         assert outputs[1] == outputs[0]
+
+    def test_diagnose_refuses_reversed_rows(self, tmp_path, capsys):
+        # the body reversed, as tac reverses it: each chain's draws would
+        # read backwards, which moves the autocorrelations and so the ESS
+        path = tmp_path / "draws.csv"
+        write_draws_csv(posterior(np.random.default_rng(2).standard_normal((2, 50, 3))), path)
+        head, *body = path.read_text().splitlines(keepends=True)
+        path.write_text(head + "".join(body[::-1]))
+        assert main(["diagnose", "--draws", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload == {"error": "IngestError",
+                           "message": f"{path}: line 2: iteration 50 of chain 1, expected 1"}
 
     def test_chain_order_of_rows_does_not_matter(self, tmp_path, monkeypatch):
         values = np.random.default_rng(4).standard_normal((4, 60, 3))
@@ -436,6 +474,14 @@ class TestPipeInput:
         assert len(calls) == 1
         assert names == ["p0", "p1", "p2"]
         assert draws.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("body, expected", [case[1:] for case in ITERATION_OUT_OF_TURN],
+                             ids=[case[0] for case in ITERATION_OUT_OF_TURN])
+    def test_draws_iterations_out_of_turn(self, tmp_path, body, expected):
+        data = ("chain,iteration,x,y\n" + body).encode()
+        with pytest.raises(IngestError) as err:
+            _read_through_pipe(tmp_path, data, read_draws_csv)
+        assert str(err.value) == f"{tmp_path / 'pipe'}: {expected}"
 
     def test_non_utf8_survey_names_no_offset(self, tmp_path):
         # the offset would need a second read of the pipe

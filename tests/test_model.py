@@ -35,6 +35,15 @@ from curdur.reporting import (
 from tests.conftest import fd_grad, make_mixed_dataset
 
 BASIS = build_basis(BasisConfig())
+FIT_POSITIONS = Path(__file__).parent / "data" / "kernel_fit_positions.npz"
+
+
+def _saved_survey(saved) -> ReportedDataset:
+    """The survey whose report classes and counts ``saved`` holds."""
+    records = []
+    for z, unit, count in zip(saved["z"], saved["unit"], saved["count"]):
+        records += [ReportedDuration(z=int(z), unit=Unit(int(unit)))] * int(count)
+    return ReportedDataset.from_records(records)
 
 
 @pytest.fixture
@@ -553,11 +562,8 @@ class TestSafeRegion:
         # p=0.03, 1000 reports, survey seed 7, 2 chains, fit seed 1), with the
         # log density and gradient an earlier, independently written kernel
         # gave there
-        saved = np.load(Path(__file__).parent / "data" / "kernel_fit_positions.npz")
-        records = []
-        for z, unit, count in zip(saved["z"], saved["unit"], saved["count"]):
-            records += [ReportedDuration(z=int(z), unit=Unit(int(unit)))] * int(count)
-        density = PosteriorDensity(ReportedDataset.from_records(records), BASIS)
+        saved = np.load(FIT_POSITIONS)
+        density = PosteriorDensity(_saved_survey(saved), BASIS)
         for eta, ref_logp, ref_grad in zip(saved["eta"], saved["logp"], saved["grad"]):
             logp, grad = density.noncentered_logp_and_grad(eta)
             assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))

@@ -1,5 +1,7 @@
 """Reporting intervals, report probabilities, and histogram spreading."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from curdur.reporting import (
     ReportedDuration,
     Unit,
     day_interval,
+    observation_matrix,
     reported_prob,
     spread_mass,
 )
@@ -151,6 +154,59 @@ class TestReportedProb:
         assert np.all(covered[721:] == 0)
         assert covered[0] == 0
         assert abs(total - phi[1:721].sum()) < 1e-12
+
+
+def _reports(*pairs):
+    return ReportedDataset.from_records(
+        [ReportedDuration(z=z, unit=unit) for z, unit in pairs])
+
+
+# day, heap-day, week, month and year reports: month 23 is the last whole
+# month, and week 104 and month 24 run past the last day and are clamped
+EVERY_KIND = _reports((3, Unit.DAY), (7, Unit.DAY), (30, Unit.DAY), (729, Unit.DAY),
+                      (0, Unit.WEEK), (52, Unit.WEEK), (104, Unit.WEEK),
+                      (0, Unit.MONTH), (23, Unit.MONTH), (24, Unit.MONTH),
+                      (1, Unit.YEAR))
+CUSTOM_HEAP = HeapSet(days=(10, 45), halfwidth=3)
+
+
+class TestObservationMatrix:
+    @pytest.mark.parametrize("dataset, heap", [
+        (EVERY_KIND, None),
+        (_reports((7, Unit.DAY), (10, Unit.DAY), (45, Unit.DAY), (48, Unit.DAY),
+                  (104, Unit.WEEK)), CUSTOM_HEAP),
+    ], ids=["default_heap", "custom_heap"])
+    def test_rows_give_report_probabilities(self, rng, dataset, heap):
+        intervals = [day_interval(record, heap) for record in dataset.counts]
+        widths = np.array([hi - lo + 1 for lo, hi in intervals])
+        for _ in range(20):
+            phi = random_monotone_simplex(rng)
+            probs = observation_matrix(dataset, heap) @ phi
+            # within 4 ulp of the correctly rounded sum over each interval
+            exact = np.array([math.fsum(phi[lo : hi + 1]) for lo, hi in intervals])
+            assert (np.abs(probs - exact) <= 4 * np.spacing(exact)).all()
+            # reported_prob sums term by term, with an error of up to
+            # (width - 1) ulp: 16 ulp were seen on the 396 days of a year
+            expected = np.array([reported_prob(phi, r, heap) for r in dataset.counts])
+            assert (np.abs(probs - expected) <= (widths + 3) * np.spacing(expected)).all()
+
+    def test_rows_cover_each_interval_in_counts_order(self, rng):
+        from tests.conftest import make_mixed_dataset
+
+        data = make_mixed_dataset(rng, n=200)
+        for dataset, heap in [(data, None), (EVERY_KIND, CUSTOM_HEAP)]:
+            matrix = observation_matrix(dataset, heap)
+            assert matrix.shape == (len(dataset.counts), NUM_DAYS)
+            assert set(np.unique(matrix)) <= {0.0, 1.0}
+            for row, record in zip(matrix, dataset.counts):
+                lo, hi = day_interval(record, heap)
+                assert np.array_equal(np.flatnonzero(row), np.arange(lo, hi + 1))
+                assert row.sum() == hi - lo + 1
+
+    def test_empty_dataset(self):
+        empty = ReportedDataset.from_records([])
+        assert observation_matrix(empty).shape == (0, NUM_DAYS)
+        assert np.array_equal(spread_mass(empty), np.zeros(NUM_DAYS))
 
 
 class TestSpreadMass:

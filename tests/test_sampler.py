@@ -143,7 +143,8 @@ class TestInitialStep:
         rng = np.random.default_rng(4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            step = _find_initial_step(steep_wall, np.zeros(10), rng, np.ones(10))
+            start = np.zeros(10)
+            step = _find_initial_step(steep_wall, start, *steep_wall(start), rng, np.ones(10))
         assert 0.0 < step < 1.0
 
 
