@@ -5,7 +5,7 @@ time-since-last-sex survey reports and derives the time-between-sex
 distribution through the renewal (current-duration) identity.
 """
 
-from .basis import BasisConfig, SplineBasis, build_basis, evaluate_gamma
+from .basis import BasisConfig, SplineBasis, build_basis
 from .diagnostics import (
     DiagnosticsReport,
     compute_diagnostics,
@@ -35,7 +35,6 @@ from .model import (
     ModelParams,
     PosteriorDensity,
     TslsDistribution,
-    alpha_from_delta,
     log_prior,
     phi_from_params,
 )

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError
 from .window import NUM_DAYS
 
 
@@ -44,6 +44,12 @@ class BasisConfig:
             )
         if self.degree < 1:
             raise ConfigurationError(f"degree must be >= 1, got {self.degree}")
+        # more columns than support days are linearly dependent: no data
+        # could identify their coefficients
+        if self.num_basis > NUM_DAYS:
+            raise ConfigurationError(
+                f"num_segments + degree must be <= {NUM_DAYS}, got {self.num_basis}"
+            )
 
     @property
     def num_basis(self) -> int:
@@ -120,17 +126,3 @@ def build_basis(config: BasisConfig) -> SplineBasis:
     values = np.minimum.accumulate(values, axis=0)
     values[-1, :] = 0.0
     return SplineBasis(values=values, knots=breaks)
-
-
-def evaluate_gamma(basis: SplineBasis, alpha: np.ndarray) -> np.ndarray:
-    """Combine basis columns with positive coefficients.
-
-    Returns the vector gamma of length support_days + 1; non-increasing
-    for any nonnegative alpha, with gamma at the boundary equal to zero.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (basis.num_basis,):
-        raise DimensionError(
-            f"alpha has shape {alpha.shape}, expected ({basis.num_basis},)"
-        )
-    return basis.values @ alpha

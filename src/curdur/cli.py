@@ -2,7 +2,7 @@
 
 Input CSV has header ``z,unit`` with unit tokens day/week/month/year
 (case-insensitive) or the integer codes 1-4.  Reports beyond the
-two-year window (see ``_EXCLUSION_MIN``) are excluded and counted;
+two-year window (see ``reporting.EXCLUSION_MIN``) are excluded and counted;
 malformed rows abort ingestion with their line numbers.
 
 Exit codes: 0 success, 1 error, usage errors included (machine-readable
@@ -30,6 +30,7 @@ from .errors import ConfigurationError, CurdurError, IngestError
 from .estimates import summarize
 from .reporting import (
     DEFAULT_HEAP,
+    EXCLUSION_MIN,
     HeapSet,
     ReportedDataset,
     ReportedDuration,
@@ -53,10 +54,6 @@ _UNIT_TOKENS = {
     "3": Unit.MONTH,
     "4": Unit.YEAR,
 }
-
-# first value excluded: days and weeks wholly past day 729, and months and
-# years of two years or more (24 months, days 721-750, starts in the window)
-_EXCLUSION_MIN = {Unit.DAY: 730, Unit.WEEK: 105, Unit.MONTH: 24, Unit.YEAR: 2}
 
 # draws.csv rows formatted per write
 _WRITE_BLOCK = 256
@@ -115,7 +112,7 @@ def _classify_row(row: list) -> tuple:
             "a 0-year report is not representable "
             "(expected z = 1 within the two-year window)"
         )
-    if z >= _EXCLUSION_MIN[unit]:
+    if z >= EXCLUSION_MIN[unit]:
         return _EXCLUDED, unit
     return _RECORD, ReportedDuration(z=z, unit=unit)
 

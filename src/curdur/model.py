@@ -120,20 +120,6 @@ def _rescaled_alpha(sums: np.ndarray) -> np.ndarray:
     return np.exp(sums, out=sums)
 
 
-def alpha_from_delta(delta: np.ndarray) -> np.ndarray:
-    """Positive spline coefficients from the unconstrained increments.
-
-    alpha_k = exp(delta_k + delta_{k+1} + ... + delta_K).  Sums are clamped
-    to +/- 700 before exponentiation.
-    """
-    delta = np.asarray(delta, dtype=float)
-    if delta.ndim != 1:
-        raise DimensionError(f"delta must be a vector, got shape {delta.shape}")
-    if not np.isfinite(delta).all():
-        raise ValueError("delta must be finite")
-    return np.exp(_clamped_sums(delta)[0])
-
-
 def phi_from_params(params: ModelParams, basis: SplineBasis) -> TslsDistribution:
     """Map unconstrained parameters to the monotone day-probability simplex."""
     return TslsDistribution(phi=phi_matrix(params.to_vector()[None, :], basis)[0])
@@ -369,6 +355,10 @@ def to_noncentered(theta: np.ndarray) -> np.ndarray:
 
 
 def to_centered(eta: np.ndarray) -> np.ndarray:
-    """Map scale-free coordinates back to (delta, log_sigma)."""
+    """Map scale-free coordinates back to (delta, log_sigma).
+
+    Takes one position or a stack of them, such as a (chains, draws, K + 1)
+    array: each row along the last axis is mapped on its own.
+    """
     eta = np.asarray(eta, dtype=float)
-    return np.concatenate([eta[:-1] * _safe_exp(eta[-1]), eta[-1:]])
+    return np.concatenate([eta[..., :-1] * np.exp(eta[..., -1:]), eta[..., -1:]], axis=-1)

@@ -42,6 +42,8 @@ class HeapSet:
     def __post_init__(self):
         days = tuple(sorted(int(d) for d in self.days))
         object.__setattr__(self, "days", days)
+        if len(set(days)) != len(days):
+            raise ConfigurationError(f"heap days must be distinct, got {days}")
         if self.halfwidth < 0:
             raise ConfigurationError(f"halfwidth must be >= 0, got {self.halfwidth}")
         if any(d < self.halfwidth for d in days):
@@ -99,6 +101,11 @@ class ReportedDataset:
 
     def __len__(self) -> int:
         return len(self.records)
+
+
+# first value excluded: days and weeks wholly past day 729, and months and
+# years of two years or more (24 months, days 721-750, starts in the window)
+EXCLUSION_MIN = {Unit.DAY: 730, Unit.WEEK: 105, Unit.MONTH: 24, Unit.YEAR: 2}
 
 
 def day_interval(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SamplingError
-from .model import PosteriorDensity, to_noncentered
+from .model import PosteriorDensity, to_centered, to_noncentered
 
 # step size times leapfrog steps each iteration aims for; longer
 # trajectories cost more gradient evaluations but decorrelate draws faster
@@ -398,5 +398,5 @@ def sample(
         param_names=names,
         init_fn=init_fn,
     )
-    result.draws[:, :, :-1] *= np.exp(result.draws[:, :, -1:])
+    result.draws = to_centered(result.draws)
     return result

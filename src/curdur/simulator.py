@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .reporting import (
     DEFAULT_HEAP,
+    EXCLUSION_MIN,
     HeapSet,
     ReportedDataset,
     ReportedDuration,
@@ -26,8 +27,6 @@ from .reporting import (
     day_interval,
 )
 from .window import LAST_DAY, NUM_DAYS
-
-MONTH_ENCODABLE_MAX = 720  # last day a month report can carry without clamping
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,7 @@ def _encode(channel: str, y: int, heap: HeapSet) -> ReportedDuration:
     if channel == "week":
         return ReportedDuration(z=y // 7, unit=Unit.WEEK)
     if channel == "month":
-        if 1 <= y <= MONTH_ENCODABLE_MAX:
+        if 1 <= y <= 30 * EXCLUSION_MIN[Unit.MONTH]:
             return ReportedDuration(z=(y - 1) // 30, unit=Unit.MONTH)
         if y >= YEAR_INTERVAL_START:
             return ReportedDuration(z=1, unit=Unit.YEAR)
@@ -234,8 +233,7 @@ def simulate_survey(
     behavior: ReportingBehavior | None = None,
     n: int = 0,
     seed=0,
-    return_exact: bool = False,
-):
+) -> ReportedDataset:
     """Generate a synthetic survey dataset; deterministic per seed."""
     behavior = behavior if behavior is not None else ReportingBehavior()
     try:
@@ -252,7 +250,4 @@ def simulate_survey(
         if channels is None:
             channels = days[y] = _DayChannels(y, behavior)
         records.append(channels.report(u))
-    dataset = ReportedDataset.from_records(records)
-    if return_exact:
-        return dataset, exact
-    return dataset
+    return ReportedDataset.from_records(records)

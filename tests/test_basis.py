@@ -1,4 +1,4 @@
-"""Basis construction and evaluation against an independent spline oracle."""
+"""Basis construction against an independent spline oracle."""
 
 from dataclasses import asdict
 
@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from curdur.basis import BasisConfig, build_basis, evaluate_gamma
-from curdur.errors import ConfigurationError, DimensionError
+from curdur.basis import BasisConfig, build_basis
+from curdur.errors import ConfigurationError
 from curdur.window import NUM_DAYS
 
 
@@ -36,6 +36,12 @@ class TestBasisConfig:
             BasisConfig(num_segments=0)
         with pytest.raises(ConfigurationError):
             BasisConfig(degree=0)
+        # more columns than the 730 support days: 727 + 3 is the largest basis
+        assert BasisConfig(num_segments=727, degree=3).num_basis == NUM_DAYS
+        with pytest.raises(ConfigurationError):
+            BasisConfig(num_segments=728, degree=3)
+        with pytest.raises(ConfigurationError):
+            BasisConfig(num_segments=1, degree=NUM_DAYS)
 
     def test_window_is_fixed(self):
         # the survey window is a constant of the method, not a setting
@@ -100,42 +106,3 @@ class TestBuildBasis:
     def test_knots_evenly_spaced(self):
         basis = build_basis(BasisConfig(num_segments=10))
         assert np.allclose(np.diff(basis.knots), 73.0)
-
-
-class TestEvaluateGamma:
-    def test_all_ones_matches_row_sums(self):
-        basis = build_basis(BasisConfig())
-        gamma = evaluate_gamma(basis, np.ones(13))
-        assert np.allclose(gamma, basis.values.sum(axis=1), atol=1e-14, rtol=0.0)
-
-    def test_all_ones_at_day_zero_equals_k(self):
-        basis = build_basis(BasisConfig())
-        assert evaluate_gamma(basis, np.ones(13))[0] == 13.0
-
-    def test_single_bump_is_one_column(self):
-        basis = build_basis(BasisConfig())
-        bumped = np.ones(13)
-        bumped[0] = 2.0
-        diff = evaluate_gamma(basis, bumped) - evaluate_gamma(basis, np.ones(13))
-        assert np.allclose(diff, basis.values[:, 0], atol=1e-12)
-
-    def test_linearity(self, rng):
-        basis = build_basis(BasisConfig())
-        a = rng.uniform(0.1, 3.0, 13)
-        b = rng.uniform(0.1, 3.0, 13)
-        combined = evaluate_gamma(basis, a + b)
-        separate = evaluate_gamma(basis, a) + evaluate_gamma(basis, b)
-        assert np.allclose(combined, separate, atol=1e-12)
-
-    def test_monotone_for_positive_alpha(self, rng):
-        basis = build_basis(BasisConfig())
-        for _ in range(50):
-            alpha = rng.uniform(1e-3, 10.0, 13)
-            gamma = evaluate_gamma(basis, alpha)
-            assert np.all(np.diff(gamma) <= 1e-12 * gamma[0])
-            assert gamma[-1] == 0.0
-
-    def test_length_mismatch(self):
-        basis = build_basis(BasisConfig())
-        with pytest.raises(DimensionError):
-            evaluate_gamma(basis, np.ones(12))

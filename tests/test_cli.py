@@ -668,6 +668,10 @@ class TestCommands:
             # refused by _parse_levels before sampling: summarize would
             # raise a ValueError after it
             (["fit", "--levels", "0.8,0.95,0.80"], "ConfigurationError"),
+            (["fit", "--heap-days", "7,7"], "ConfigurationError"),
+            # more basis columns than the 730 support days
+            (["fit", "--knots", "100000"], "ConfigurationError"),
+            (["fit", "--degree", "100000"], "ConfigurationError"),
         ],
     )
     def test_bad_arguments_give_error_json(self, tmp_path, capsys, argv, error):
@@ -785,9 +789,17 @@ class TestCommands:
             (["fit", "--input", "missing.csv", "--outdir", "newfit"], "IngestError"),
             (["simulate", "--truth", "geometric:p=0.1", "--n", "10", "--seed", "-3",
               "--outdir", "newsim"], "ConfigurationError"),
+            # refused before ingest, so the missing input is never read
+            (["fit", "--input", "missing.csv", "--outdir", "newfit", "--heap-days", "7,7"],
+             "ConfigurationError"),
+            (["fit", "--input", "missing.csv", "--outdir", "newfit", "--knots", "100000"],
+             "ConfigurationError"),
+            (["fit", "--input", "missing.csv", "--outdir", "newfit", "--degree", "100000"],
+             "ConfigurationError"),
         ],
         ids=["simulate-bad-truth", "simulate-negative-n", "fit-missing-input",
-             "simulate-negative-seed"],
+             "simulate-negative-seed", "fit-repeated-heap-day", "fit-too-many-knots",
+             "fit-too-high-degree"],
     )
     def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, monkeypatch,
                                                  argv, error):

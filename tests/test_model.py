@@ -19,7 +19,6 @@ from curdur.model import (
     _clamped_sums,
     PosteriorDensity,
     TslsDistribution,
-    alpha_from_delta,
     grad_log_prior,
     log_prior,
     phi_from_params,
@@ -68,27 +67,46 @@ def random_params(rng, k=13):
 
 
 class TestAlphaFromDelta:
+    """alpha_k = exp(delta_k + ... + delta_K), read through phi_matrix:
+    phi is proportional to ``values[:-1] @ alpha``."""
+
+    @staticmethod
+    def _phi(delta, basis):
+        return phi_matrix(np.append(delta, 0.0)[None, :], basis)[0]
+
+    @staticmethod
+    def _expected(alpha, basis):
+        gamma = basis.values[:-1] @ alpha
+        return gamma / gamma.sum()
+
     def test_zero_delta_gives_unit_alpha(self):
-        assert np.all(alpha_from_delta(np.zeros(13)) == 1.0)
+        phi = self._phi(np.zeros(13), BASIS)
+        assert np.allclose(phi, self._expected(np.ones(13), BASIS), rtol=1e-14, atol=0.0)
 
     def test_last_delta_scales_all(self):
-        delta = np.zeros(5)
+        # a common scale of alpha cancels in phi, to the last bit
+        delta = np.zeros(13)
         delta[-1] = math.log(2.0)
-        assert np.allclose(alpha_from_delta(delta), 2.0, atol=1e-15)
+        assert np.array_equal(self._phi(delta, BASIS), self._phi(np.zeros(13), BASIS))
 
     def test_hand_computed_reverse_sums(self):
-        alpha = alpha_from_delta(np.array([1.0, -1.0, 0.0]))
-        assert np.allclose(alpha, [1.0, math.exp(-1.0), 1.0], atol=1e-15)
+        basis = build_basis(BasisConfig(num_segments=2, degree=1))
+        phi = self._phi(np.array([1.0, -1.0, 0.0]), basis)
+        alpha = np.array([1.0, math.exp(-1.0), 1.0])
+        assert np.allclose(phi, self._expected(alpha, basis), rtol=1e-14, atol=0.0)
 
     def test_clamp_counts_and_stays_finite(self, clips):
-        alpha = alpha_from_delta(np.full(3, 400.0))
-        assert np.all(np.isfinite(alpha))
-        assert alpha.max() == math.exp(LOG_CLAMP)
+        # the reverse sums 1200, 800, 400 clamp to 700, 700, 400
+        basis = build_basis(BasisConfig(num_segments=2, degree=1))
+        phi = self._phi(np.full(3, 400.0), basis)
+        assert np.all(np.isfinite(phi)) and abs(phi.sum() - 1.0) < 1e-12
+        alpha = np.exp(np.array([LOG_CLAMP, LOG_CLAMP, 400.0]) - LOG_CLAMP)
+        assert np.allclose(phi, self._expected(alpha, basis), rtol=1e-14, atol=0.0)
         assert sum(clips) > 0
 
-    def test_rejects_matrix(self):
+    def test_rejects_wrong_delta_count(self):
         with pytest.raises(DimensionError):
-            alpha_from_delta(np.zeros((2, 3)))
+            phi_matrix(np.zeros((2, 13)), BASIS)
 
 
 class TestPhiFromParams:
@@ -277,6 +295,14 @@ class TestGradient:
             )
             back = to_centered(to_noncentered(theta))
             assert np.allclose(back, theta, rtol=1e-14, atol=0.0)
+        # a stack of draws maps row by row, bit for bit as the product
+        # draws[..., :-1] * exp(draws[..., -1:]) in place
+        stacked = rng.normal(size=(3, 50, 14))
+        inline = stacked.copy()
+        inline[:, :, :-1] *= np.exp(inline[:, :, -1:])
+        back = to_centered(stacked)
+        assert back.shape == stacked.shape
+        assert np.array_equal(back, inline)
 
     def test_noncentered_gradient_finite_differences(self, rng):
         data = make_mixed_dataset(rng, n=30)

@@ -32,6 +32,10 @@ class TestTypes:
             HeapSet(days=(1, 7, 14), halfwidth=2)
         HeapSet(days=(2, 7), halfwidth=2)
 
+    def test_heap_days_must_be_distinct(self):
+        with pytest.raises(ConfigurationError, match="distinct"):
+            HeapSet(days=(7, 14, 7))
+
     def test_year_reports_must_be_one(self):
         with pytest.raises(ValueError):
             ReportedDuration(z=2, unit=Unit.YEAR)
@@ -244,7 +248,7 @@ heaps = st.builds(
     lambda halfwidth, offsets: HeapSet(days=tuple(halfwidth + d for d in offsets),
                                        halfwidth=halfwidth),
     st.integers(0, 5),
-    st.lists(st.integers(0, 760), max_size=8),
+    st.lists(st.integers(0, 760), max_size=8, unique=True),
 )
 
 reports = st.one_of(

@@ -106,9 +106,12 @@ class TestApplyReporting:
         rec = apply_reporting(400, self._force("year"), rng)
         assert rec.z == 1 and rec.unit == Unit.YEAR
 
-    def test_month_beyond_720_falls_back_to_year(self, rng):
-        rec = apply_reporting(725, self._force("month"), rng)
-        assert rec.unit == Unit.YEAR
+    @pytest.mark.parametrize("day, z, unit", [(720, 23, Unit.MONTH), (721, 1, Unit.YEAR)],
+                             ids=["day-720-month-23", "day-721-year"])
+    def test_month_beyond_720_falls_back_to_year(self, rng, day, z, unit):
+        # month 23 holds days 691-720; month 24 is excluded, so 721 is a year
+        rec = apply_reporting(day, self._force("month"), rng)
+        assert (rec.z, rec.unit) == (z, unit)
 
     def test_month_cannot_encode_day_zero(self, rng):
         with pytest.raises(ConfigurationError):
@@ -136,9 +139,9 @@ class TestSimulateSurvey:
         # exact-day reports recover y as a singleton, except on heap values
         # where the observation model reads the report as heaped
         behavior = ReportingBehavior(rule=lambda y: (("day_exact", 1.0),))
-        ds, exact = simulate_survey(
-            truncated_geometric(0.1), behavior, n=500, seed=4, return_exact=True
-        )
+        truth = truncated_geometric(0.1)
+        ds = simulate_survey(truth, behavior, n=500, seed=4)
+        exact = sample_tsls_exact(truth, 500, np.random.default_rng(4))
         for record, y in zip(ds.records, exact):
             assert record.z == y and record.unit == Unit.DAY
             lo, hi = day_interval(record)
@@ -156,7 +159,8 @@ class TestSimulateSurvey:
         # truth-compatibility of the observation model, checked exhaustively
         truth = mixture([(truncated_geometric(0.02), 0.7), (uniform_gap(300, 600), 0.3)])
         behavior = ReportingBehavior()
-        ds, exact = simulate_survey(truth, behavior, n=4000, seed=5, return_exact=True)
+        ds = simulate_survey(truth, behavior, n=4000, seed=5)
+        exact = sample_tsls_exact(truth, 4000, np.random.default_rng(5))
         for record, y in zip(ds.records, exact):
             lo, hi = day_interval(record, behavior.heap)
             assert lo <= y <= hi
@@ -183,9 +187,9 @@ class TestSimulateSurvey:
         behavior = ReportingBehavior(
             rule=lambda y: (("day_heaped", 1.0),), heap=heap
         )
-        ds, exact = simulate_survey(
-            uniform_gap(5, 25), behavior, n=300, seed=8, return_exact=True
-        )
+        truth = uniform_gap(5, 25)
+        ds = simulate_survey(truth, behavior, n=300, seed=8)
+        exact = sample_tsls_exact(truth, 300, np.random.default_rng(8))
         for record, y in zip(ds.records, exact):
             lo, hi = day_interval(record, heap)
             assert lo <= y <= hi
