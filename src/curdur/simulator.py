@@ -5,7 +5,9 @@ length-biased sampling (a gap of class g, spanning g + 1 days, is selected
 with probability proportional to its length; the observation point falls
 uniformly inside), then pushes each exact day through a configurable
 reporting rule to produce the heaped, multi-unit records a real survey
-would contain.
+would contain.  The rule becomes one checked table of reports per
+distinct day, and each record is one uniform's pick from its day's table.
+The default rule is not coarsened at random (see README).
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ class ReportingBehavior:
 
     ``simulate_survey`` calls ``rule`` once per distinct exact day and
     reuses the answer for every record of that day, so ``rule`` must be a
-    pure function of the day.
+    pure function of the day.  Every channel it lists for a day, whatever
+    its probability, must give a report whose interval holds the day.
     """
 
     rule: Callable[[int], Sequence[tuple[str, float]]] = default_unit_rule
@@ -119,12 +122,12 @@ class ReportingBehavior:
 
 
 def _nearest_heap_day(y: int, heap: HeapSet) -> int | None:
-    best = None
-    for h in heap.days:
-        if abs(y - h) <= heap.halfwidth:
-            if best is None or abs(y - h) < abs(y - best):
-                best = h
-    return best
+    # the days are sorted, so a tie goes to the lower day
+    return min(
+        (h for h in heap.days if abs(y - h) <= heap.halfwidth),
+        key=lambda h: abs(y - h),
+        default=None,
+    )
 
 
 def _encode(channel: str, y: int, heap: HeapSet) -> ReportedDuration:
@@ -165,67 +168,52 @@ def sample_tsls_exact(truth: TrueTbs, n: int, seed) -> np.ndarray:
     return rng.integers(0, gaps + 1)
 
 
-class _DayChannels:
-    """The reporting rule's channels for one exact day.
+def _day_reports(y: int, behavior: ReportingBehavior) -> list[tuple[ReportedDuration, float]]:
+    """The reports the rule gives exact day ``y``, in the rule's order.
 
-    The rule runs, and its probabilities are checked, when the object is
-    built.  A channel is encoded, and its interval checked against the
-    day, the first time a uniform picks it; later picks return the same
-    record object.
+    Each report comes with the running sum of the probabilities up to it:
+    column ``y`` of the reporting matrix, in the rule's order.  Every
+    channel is checked here, so a faulty rule is refused whatever the seed.
     """
-
-    __slots__ = ("y", "heap", "cumulative", "records")
-
-    def __init__(self, y: int, behavior: ReportingBehavior):
-        if not 0 <= y <= LAST_DAY:
-            raise ConfigurationError(f"exact day {y} outside [0, {LAST_DAY}]")
-        pairs = tuple(behavior.rule(y))
-        probs = np.array([p for _, p in pairs], dtype=float)
-        if np.any(probs < 0.0) or not abs(float(probs.sum()) - 1.0) <= 1e-9:
-            raise ConfigurationError(
-                f"channel probabilities for day {y} must be non-negative and sum to 1"
-            )
-        self.y, self.heap = y, behavior.heap
-        self.cumulative = []  # (channel, running probability sum)
-        acc = 0.0
-        for name, p in pairs:
-            acc += p
-            self.cumulative.append((name, acc))
-        self.records = {}
-
-    def report(self, u: float) -> ReportedDuration:
-        """The record of the first channel whose running sum exceeds u.
-
-        When none does (the sum may fall short of 1 by rounding), the loop
-        ends on the last channel, which is then the one reported.
-        """
-        for channel, acc in self.cumulative:
-            if u < acc:
-                break
-        record = self.records.get(channel)
-        if record is None:
-            record = self.records[channel] = self._checked_record(channel)
-        return record
-
-    def _checked_record(self, channel: str) -> ReportedDuration:
-        y = self.y
-        record = _encode(channel, y, self.heap)
-        lo, hi = day_interval(record, self.heap)
+    if not 0 <= y <= LAST_DAY:
+        raise ConfigurationError(f"exact day {y} outside [0, {LAST_DAY}]")
+    pairs = tuple(behavior.rule(y))
+    probs = np.array([p for _, p in pairs], dtype=float)
+    if np.any(probs < 0.0) or not abs(float(probs.sum()) - 1.0) <= 1e-9:
+        raise ConfigurationError(
+            f"channel probabilities for day {y} must be non-negative and sum to 1"
+        )
+    reports, acc = [], 0.0
+    for channel, p in pairs:
+        record = _encode(channel, y, behavior.heap)
+        lo, hi = day_interval(record, behavior.heap)
         if not lo <= y <= hi:
             raise ConfigurationError(
                 f"channel {channel!r} produced {record} whose interval [{lo}, {hi}] "
                 f"does not contain day {y}"
             )
-        return record
+        acc += p
+        reports.append((record, acc))
+    return reports
+
+
+def _pick(reports: list[tuple[ReportedDuration, float]], u: float) -> ReportedDuration:
+    """The first report whose running sum exceeds u, or the last one (the
+    sum may fall short of 1 by rounding)."""
+    for record, acc in reports:
+        if u < acc:
+            break
+    return record
 
 
 def apply_reporting(y: int, behavior: ReportingBehavior, rng) -> ReportedDuration:
-    """Convert one exact duration into a survey record.
+    """Convert one exact duration into a survey record with one uniform.
 
-    Raises a configuration error if the rule proposes a channel whose day
-    interval cannot contain the exact value.
+    Raises a configuration error if the rule's probabilities for the day
+    are invalid or any channel it lists, picked or not, gives a report
+    whose day interval cannot contain the exact value.
     """
-    return _DayChannels(int(y), behavior).report(rng.random())
+    return _pick(_day_reports(int(y), behavior), rng.random())
 
 
 def simulate_survey(
@@ -243,11 +231,7 @@ def simulate_survey(
     exact = sample_tsls_exact(truth, n, rng)
     # the same stream as one rng.random() per record, as apply_reporting draws
     uniforms = rng.random(len(exact)).tolist()
-    days: dict[int, _DayChannels] = {}
-    records = []
-    for y, u in zip(exact.tolist(), uniforms):
-        channels = days.get(y)
-        if channels is None:
-            channels = days[y] = _DayChannels(y, behavior)
-        records.append(channels.report(u))
-    return ReportedDataset.from_records(records)
+    days = exact.tolist()
+    # one table per distinct day, built (and checked) in order of first appearance
+    tables = {y: _day_reports(y, behavior) for y in dict.fromkeys(days)}
+    return ReportedDataset.from_records([_pick(tables[y], u) for y, u in zip(days, uniforms)])

@@ -1,13 +1,19 @@
 """Ground-truth sampling and synthetic reporting."""
 
+import hashlib
+from collections import defaultdict
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from curdur.cli import write_dataset
 from curdur.errors import ConfigurationError
-from curdur.reporting import HeapSet, Unit, day_interval
+from curdur.reporting import HeapSet, ReportedDuration, Unit, day_interval
 from curdur.simulator import (
     ReportingBehavior,
     TrueTbs,
+    _day_reports,
     apply_reporting,
     mixture,
     point_mass,
@@ -253,3 +259,98 @@ class TestSimulateMatchesPerRecord:
             simulate_survey(truth, behavior, n=500, seed=4)
         assert str(batched.value) == str(per_record.value)
         assert f"day {bad_day}" in str(batched.value)
+
+
+def month_on_day_zero(y):
+    """Valid on every day but 0, where a rarely picked month report cannot hold it."""
+    if y == 0:
+        return (("day_exact", 0.999), ("month", 0.001))
+    return (("day_exact", 1.0),)
+
+
+class TestRuleCheckedWhateverTheSeed:
+    """Every channel the rule lists for a drawn day is checked, picked or not."""
+
+    TRUTH = uniform_gap(0, 5)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_survey_refused(self, seed):
+        assert 0 in sample_tsls_exact(self.TRUTH, 100, np.random.default_rng(seed))
+        behavior = ReportingBehavior(rule=month_on_day_zero)
+        with pytest.raises(ConfigurationError, match=r"day 0\b"):
+            simulate_survey(self.TRUTH, behavior, n=100, seed=seed)
+
+    @pytest.mark.parametrize("u", [0.0, 0.5, 0.9989, 0.9995, 0.999999])
+    def test_apply_reporting_refused(self, u):
+        behavior = ReportingBehavior(rule=month_on_day_zero)
+        with pytest.raises(ConfigurationError, match=r"day 0\b"):
+            apply_reporting(0, behavior, SimpleNamespace(random=lambda: u))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_first_faulty_day_drawn_is_named(self, seed):
+        def rule(y):
+            if y == 9:
+                return (("week", 0.5),)
+            return month_on_day_zero(y)
+
+        truth = uniform_gap(0, 30)
+        exact = sample_tsls_exact(truth, 200, np.random.default_rng(seed))
+        first = next(int(y) for y in exact if y in (0, 9))
+        with pytest.raises(ConfigurationError, match=rf"day {first}\b"):
+            simulate_survey(truth, ReportingBehavior(rule=rule), n=200, seed=seed)
+
+
+def reporting_matrix(behavior):
+    """P(report | exact day) over days 0-729, a column per day, from the rule's tables."""
+    columns = defaultdict(lambda: np.zeros(730))
+    for y in range(730):
+        below = 0.0
+        for record, acc in _day_reports(y, behavior):
+            columns[record][y] += acc - below
+            below = acc
+    return dict(columns)
+
+
+class TestDefaultRuleNotCoarsenedAtRandom:
+    """The default rule's reports, read against the intervals the fitter assumes."""
+
+    R = reporting_matrix(ReportingBehavior())
+
+    def test_support_inside_interval(self):
+        assert len(self.R) == 211
+        for record, column in self.R.items():
+            lo, hi = day_interval(record)
+            support = np.flatnonzero(column)
+            assert lo <= support[0] and support[-1] <= hi, record
+
+    def test_classes_not_constant_over_their_interval(self):
+        # coarsening at random needs P(report | day) constant over the
+        # report's interval; these are the classes where it is not
+        varying = {}
+        for record, column in self.R.items():
+            lo, hi = day_interval(record)
+            values = set(np.round(column[lo : min(hi, 729) + 1], 12).tolist())
+            if len(values) > 1:
+                varying[record] = values
+        assert varying == {
+            ReportedDuration(z=7, unit=Unit.DAY): {0.0, 0.5},
+            ReportedDuration(z=28, unit=Unit.DAY): {0.0, 0.2, 0.5},
+            ReportedDuration(z=30, unit=Unit.DAY): {0.0, 0.2},
+            ReportedDuration(z=26, unit=Unit.WEEK): {0.0, 0.4},
+            ReportedDuration(z=0, unit=Unit.MONTH): {0.0, 0.4},
+            ReportedDuration(z=6, unit=Unit.MONTH): {0.4, 1.0},
+            ReportedDuration(z=11, unit=Unit.MONTH): {0.7, 1.0},
+            ReportedDuration(z=1, unit=Unit.YEAR): {0.3, 1.0},
+        }
+
+
+@pytest.mark.parametrize("p, n, digest", [
+    # the survey the benchmark's fit workload reads
+    (0.03, 1000, "c8064bd75d50fe012e4908dc1c89943fb97a82b7379338ab2f1b822a95645368"),
+    # acceptance criterion 5's survey
+    (0.1, 5000, "c127703421d33d8f4805546370e75abd72321c4e0150929044afa114b89e5482"),
+], ids=["fit-workload", "criterion-5"])
+def test_simulate_stream_pinned(tmp_path, p, n, digest):
+    """The written survey's bytes, independent of how the records are drawn."""
+    write_dataset(simulate_survey(truncated_geometric(p), n=n, seed=7), tmp_path / "data.csv")
+    assert hashlib.sha256((tmp_path / "data.csv").read_bytes()).hexdigest() == digest
