@@ -25,30 +25,27 @@ class BasisConfig:
 
     num_segments
         Number of equal-width knot segments on [0, support_days].
-    degree
-        Polynomial degree of the underlying B-splines.
 
-    ``support_days`` is the survey window, a constant of the method and not
-    a setting: support points are days 0 .. support_days - 1, and the basis
-    grid extends one day further, to the boundary pinned at zero.
+    ``support_days`` (the survey window) and ``degree`` (cubic B-splines)
+    are constants of the method, not settings: support points are days
+    0 .. support_days - 1, and the basis grid extends one day further, to
+    the boundary pinned at zero.
     """
 
     support_days: ClassVar[int] = NUM_DAYS
+    degree: ClassVar[int] = 3
     num_segments: int = 10
-    degree: int = 3
 
     def __post_init__(self):
         if self.num_segments < 1:
             raise ConfigurationError(
                 f"num_segments must be >= 1, got {self.num_segments}"
             )
-        if self.degree < 1:
-            raise ConfigurationError(f"degree must be >= 1, got {self.degree}")
         # more columns than support days are linearly dependent: no data
         # could identify their coefficients
         if self.num_basis > NUM_DAYS:
             raise ConfigurationError(
-                f"num_segments + degree must be <= {NUM_DAYS}, got {self.num_basis}"
+                f"num_segments + {self.degree} must be <= {NUM_DAYS}, got {self.num_basis}"
             )
 
     @property

@@ -389,7 +389,7 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
 
 def _write_json(payload: dict, path) -> None:
     with _replacing(path) as (tmp,), open(tmp, "w") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(payload, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
 
@@ -484,7 +484,7 @@ def parse_truth(spec: str) -> simulator.TrueTbs:
 
 
 def _cmd_fit(args) -> int:
-    basis_config = BasisConfig(num_segments=args.knots, degree=args.degree)
+    basis_config = BasisConfig(num_segments=args.knots)
     sampler_config = SamplerConfig(chains=args.chains, iterations_per_chain=args.iters,
                                    warmup=args.warmup, seed=args.seed)
     if sampler_config.kept_iterations < MIN_DRAWS_PER_CHAIN:
@@ -515,7 +515,8 @@ def _cmd_fit(args) -> int:
     estimates_payload = summary.to_dict()
     estimates_payload["dataset"] = ingest_report.to_dict()
     estimates_payload["config"] = {
-        "basis": asdict(basis_config),
+        # asdict leaves out the degree, a class constant; the file keeps it
+        "basis": {"num_segments": basis_config.num_segments, "degree": basis_config.degree},
         "sampler": asdict(sampler_config),
         "heap": asdict(heap),
     }
@@ -574,8 +575,7 @@ def _cmd_diagnose(args) -> int:
             f"parameter {names[param]} is {draws[chain, iteration, param]}"
         )
     report = compute_diagnostics(draws, names=names)
-    json.dump(report.to_dict(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     return EXIT_OK if report.passed else EXIT_FLAGGED
 
 
@@ -600,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--input", required=True, help="survey CSV with header z,unit")
     fit.add_argument("--outdir", required=True, help="output directory")
     fit.add_argument("--knots", type=int, default=10, help="number of knot segments")
-    fit.add_argument("--degree", type=int, default=3, help="spline degree")
     fit.add_argument("--chains", type=int, default=4)
     fit.add_argument("--iters", type=int, default=2000, help="iterations per chain")
     fit.add_argument("--warmup", type=int, default=1000)

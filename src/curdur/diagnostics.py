@@ -11,6 +11,7 @@ positive sequence.  No scipy is used: the normal scores come from
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -158,9 +159,10 @@ def _ess_core(z: np.ndarray) -> float:
         t += 2
 
     tau = -1.0 + 2.0 * float(rho[:max_t].sum()) + float(rho[max_t + 1 : max_t + 2].sum())
-    if not np.isfinite(tau) or tau <= 0.0:
-        return float("nan")
-    return n_chain * n_draw / tau
+    # antithetic chains can sum to tau <= 0: as in Stan and ArviZ (Vehtari
+    # et al. 2021), tau is floored at 1 / log10(S), capping ESS at S log10(S)
+    size = n_chain * n_draw
+    return size / max(tau, 1.0 / math.log10(size))
 
 
 def ess_bulk(draws) -> float:
@@ -207,17 +209,20 @@ class DiagnosticsReport:
         return not self.flags
 
     def to_dict(self) -> dict:
+        # JSON has no infinity: an infinite R-hat, from split chains each
+        # holding one value but not all the same one, is null
+        rhat = [r if math.isfinite(r) else None for r in self.rhat.tolist()]
         return {
             "parameters": [
                 {
                     "name": name,
-                    "rhat": float(self.rhat[i]),
+                    "rhat": rhat[i],
                     "ess_bulk": float(self.ess_bulk[i]),
                     "ess_tail": float(self.ess_tail[i]),
                 }
                 for i, name in enumerate(self.parameters)
             ],
-            "max_rhat": float(np.max(self.rhat)),
+            "max_rhat": None if None in rhat else max(rhat),
             "min_ess_bulk": float(np.min(self.ess_bulk)),
             "min_ess_tail": float(np.min(self.ess_tail)),
             "rhat_threshold": RHAT_THRESHOLD,

@@ -367,23 +367,21 @@ def sample(
     data,
     basis,
     heap=None,
-    prior_only: bool = False,
     progress=None,
 ) -> PosteriorDraws:
     """Sample the posterior over (delta_1 .. delta_K, log_sigma).
 
-    ``prior_only`` switches to an empty likelihood (the dataset may then be
-    empty or None).  Warm-up draws are discarded; the result holds
-    iterations_per_chain - warmup draws per chain.
+    Warm-up draws are discarded; the result holds iterations_per_chain -
+    warmup draws per chain.  To sample the prior, run ``sample_density``
+    on ``PosteriorDensity(None, basis).noncentered_logp_and_grad``.
 
     Chains start from (delta, log_sigma) uniform on [-1, 1] per coordinate
     and run in scale-free coordinates internally; the returned draws are
     always (delta_1 .. delta_K, log_sigma).
     """
-    if not prior_only and (data is None or len(data) == 0):
-        raise SamplingError("dataset is empty; nothing to fit (use prior_only to "
-                            "sample the prior)")
-    density = PosteriorDensity(None if prior_only else data, basis, heap=heap)
+    if data is None or len(data) == 0:
+        raise SamplingError("dataset is empty; nothing to fit")
+    density = PosteriorDensity(data, basis, heap=heap)
     k = basis.num_basis
     names = [f"delta_{i + 1}" for i in range(k)] + ["log_sigma"]
 

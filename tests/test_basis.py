@@ -34,25 +34,25 @@ class TestBasisConfig:
     def test_rejects_degenerate_configs(self):
         with pytest.raises(ConfigurationError):
             BasisConfig(num_segments=0)
-        with pytest.raises(ConfigurationError):
-            BasisConfig(degree=0)
         # more columns than the 730 support days: 727 + 3 is the largest basis
-        assert BasisConfig(num_segments=727, degree=3).num_basis == NUM_DAYS
+        assert BasisConfig(num_segments=727).num_basis == NUM_DAYS
         with pytest.raises(ConfigurationError):
-            BasisConfig(num_segments=728, degree=3)
-        with pytest.raises(ConfigurationError):
-            BasisConfig(num_segments=1, degree=NUM_DAYS)
+            BasisConfig(num_segments=728)
 
     def test_window_is_fixed(self):
-        # the survey window is a constant of the method, not a setting
+        # the survey window and the cubic degree are constants of the
+        # method, not settings
         assert BasisConfig().support_days == NUM_DAYS
-        assert asdict(BasisConfig()) == {"num_segments": 10, "degree": 3}
+        assert BasisConfig().degree == 3
+        assert asdict(BasisConfig()) == {"num_segments": 10}
         with pytest.raises(TypeError):
             BasisConfig(support_days=NUM_DAYS)
+        with pytest.raises(TypeError):
+            BasisConfig(degree=3)
 
     def test_num_basis(self):
-        assert BasisConfig(num_segments=10, degree=3).num_basis == 13
-        assert BasisConfig(num_segments=7, degree=2).num_basis == 9
+        assert BasisConfig(num_segments=10).num_basis == 13
+        assert BasisConfig(num_segments=7).num_basis == 10
 
 
 class TestBuildBasis:
@@ -63,7 +63,7 @@ class TestBuildBasis:
 
     def test_default_shape_and_monotone_columns(self):
         # exhaustive scan over every day of the default 13-column basis
-        basis = build_basis(BasisConfig(num_segments=10, degree=3))
+        basis = build_basis(BasisConfig(num_segments=10))
         assert basis.values.shape == (731, 13)
         assert np.all(np.diff(basis.values, axis=0) <= 0.0)
 
@@ -76,9 +76,9 @@ class TestBuildBasis:
         "config",
         [
             BasisConfig(),
-            BasisConfig(num_segments=30, degree=3),
-            BasisConfig(num_segments=2, degree=2),
-            BasisConfig(num_segments=4, degree=1),
+            BasisConfig(num_segments=30),
+            BasisConfig(num_segments=3),
+            BasisConfig(num_segments=4),
         ],
     )
     def test_matches_scipy_oracle(self, config):
@@ -86,10 +86,11 @@ class TestBuildBasis:
         oracle = scipy_reflected_basis(config)
         assert np.allclose(basis.values, oracle, atol=1e-12, rtol=0.0)
 
-    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
-    @pytest.mark.parametrize("num_segments", [1, 2, 7, 10, 30, 60])
-    def test_layouts(self, num_segments, degree):
-        config = BasisConfig(num_segments=num_segments, degree=degree)
+    # each id ends in the spline degree
+    @pytest.mark.parametrize("num_segments", [1, 2, 7, 10, 30, 60],
+                             ids=lambda n: f"{n}-{BasisConfig.degree}")
+    def test_layouts(self, num_segments):
+        config = BasisConfig(num_segments=num_segments)
         values = build_basis(config).values
         assert values.shape == (NUM_DAYS + 1, config.num_basis)
         assert np.all(np.diff(values, axis=0) <= 0.0)
@@ -99,7 +100,7 @@ class TestBuildBasis:
         assert np.allclose(values, oracle, atol=1e-12, rtol=0.0)
 
     def test_small_config_monotone(self):
-        basis = build_basis(BasisConfig(num_segments=2, degree=2))
+        basis = build_basis(BasisConfig(num_segments=1))
         assert basis.values.shape == (731, 4)
         assert np.all(np.diff(basis.values, axis=0) <= 0.0)
 

@@ -44,6 +44,15 @@ def write_csv(path, rows, header="z,unit"):
     return path
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text):
+    """``json.loads`` refusing NaN, Infinity and -Infinity, as strict parsers do."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 class TestIngest:
     def test_tokens_and_codes(self, tmp_path):
         path = write_csv(
@@ -671,6 +680,7 @@ class TestCommands:
             (["fit", "--heap-days", "7,7"], "ConfigurationError"),
             # more basis columns than the 730 support days
             (["fit", "--knots", "100000"], "ConfigurationError"),
+            # the spline degree is a constant: --degree is an unknown option
             (["fit", "--degree", "100000"], "ConfigurationError"),
         ],
     )
@@ -760,6 +770,43 @@ class TestCommands:
         assert payload == {"error": "IngestError",
                            "message": f"{path}: chain 1, draw 31: parameter y is {value}"}
 
+    def test_antithetic_chains_give_finite_ess(self, tmp_path, capsys):
+        # delta_6 and delta_7 of this fit are strongly antithetic (split-chain
+        # lag-1 autocorrelations -0.47 and -0.85): their Geyer sums are not
+        # positive, and the floor on tau caps their ESS at S log10(S)
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--truth", "geometric:p=0.03", "--n", "1000", "--seed", "7",
+                     "--outdir", str(sim)]) == EXIT_OK
+        assert main(["fit", "--input", str(sim / "data.csv"), "--outdir", str(fit),
+                     "--chains", "2", "--iters", "300", "--warmup", "150",
+                     "--seed", "0"]) == EXIT_FLAGGED
+        strict_json((fit / "estimates.json").read_text())
+        diagnostics = strict_json((fit / "diagnostics.json").read_text())
+        capsys.readouterr()
+        assert main(["diagnose", "--draws", str(fit / "draws.csv")]) == EXIT_FLAGGED
+        assert strict_json(capsys.readouterr().out) == {
+            key: value for key, value in diagnostics.items()
+            if key not in ("divergences", "accept_rate", "step_size")}
+        ess = {p["name"]: p["ess_bulk"] for p in diagnostics["parameters"]}
+        cap = 300 * math.log10(300)
+        assert ess["delta_6"] == ess["delta_7"] == pytest.approx(cap, rel=1e-15)
+        assert all(0.0 < value <= cap for value in ess.values())
+        assert diagnostics["flags"]
+        assert all(flag.split(":")[0] in ess for flag in diagnostics["flags"])
+
+    def test_chainwise_constant_draws_give_null_rhat(self, tmp_path, capsys):
+        # each chain holds its own value: no within-chain variance, so R-hat
+        # is infinite, which JSON writes as null
+        rows = [f"{chain},{it},{chain - 1.0}" for chain in (1, 2) for it in range(1, 11)]
+        path = write_csv(tmp_path / "draws.csv", rows, header="chain,iteration,x")
+        assert main(["diagnose", "--draws", str(path)]) == EXIT_FLAGGED
+        payload = strict_json(capsys.readouterr().out)
+        assert payload["parameters"][0]["name"] == "x"
+        assert payload["parameters"][0]["rhat"] is None
+        assert payload["max_rhat"] is None
+        assert payload["flags"][0] == "x: rhat inf > 1.01"
+        assert payload["passed"] is False
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -799,7 +846,7 @@ class TestCommands:
         ],
         ids=["simulate-bad-truth", "simulate-negative-n", "fit-missing-input",
              "simulate-negative-seed", "fit-repeated-heap-day", "fit-too-many-knots",
-             "fit-too-high-degree"],
+             "fit-unknown-degree-option"],
     )
     def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, monkeypatch,
                                                  argv, error):

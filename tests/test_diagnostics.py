@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 from scipy.special import ndtri
 from scipy.stats import rankdata
@@ -253,6 +255,19 @@ class TestEssCore:
         ]
         for z in series:
             assert _ess_core(z) == parent_ess_core(z)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rho=st.floats(-0.99, 0.99), n_chains=st.integers(2, 8),
+           n_draws=st.integers(4, 400), seed=st.integers(0, 2**32 - 1))
+    def test_finite_and_at_most_the_cap(self, rho, n_chains, n_draws, seed):
+        # strongly antithetic chains sum to tau <= 0, which the floor of
+        # 1 / log10(S) on tau turns into the cap S log10(S) on the ESS
+        x = ar1_chains(np.random.default_rng(seed), n_chains, n_draws, rho)
+        size = n_chains * n_draws
+        ess = _ess_core(x)
+        assert math.isfinite(ess)
+        # the cap is reached as size / (1 / log10(size)), which may round up
+        assert 0.0 < ess <= size * math.log10(size) * (1.0 + 1e-15)
 
 
 class TestOddLengthIndicator:

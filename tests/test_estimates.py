@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curdur.basis import BasisConfig, build_basis
+from curdur.basis import BasisConfig, SplineBasis, build_basis
 from curdur.errors import DegenerateDistributionError
 from curdur.estimates import (
     TbsDistribution,
@@ -277,17 +277,19 @@ class TestSummarize:
                 assert np.array_equal(value, reference)
 
     @pytest.mark.parametrize(
-        "num_draws, segments, degree",
+        "num_draws, segments, extra",
         # each id ends in the length of the day grid
-        [pytest.param(n, seg, deg, id=f"{n}-{seg}-{deg}-{NUM_DAYS}")
-         for n in (1, 2, 513, 2000) for seg in (2, 10, 30, 60) for deg in (1, 2, 3)],
+        [pytest.param(n, seg, extra, id=f"{n}-{seg}-{extra}-{NUM_DAYS}")
+         for n in (1, 2, 513, 2000) for seg in (2, 10, 30, 60) for extra in (1, 2, 3)],
     )
-    def test_day_blocks_equal_numpy_quantile(self, num_draws, segments, degree):
+    def test_day_blocks_equal_numpy_quantile(self, num_draws, segments, extra):
         # summarize walks the days in blocks: its first block, a partial last
         # block, the day carried between blocks and a one-draw posterior
-        # must all give the quantiles of the whole row-major transforms
-        basis = build_basis(BasisConfig(num_segments=segments, degree=degree))
-        rng = np.random.default_rng(num_draws * 1000 + segments * 10 + degree)
+        # must all give the quantiles of the whole row-major transforms;
+        # the basis is the first segments + extra columns of the cubic one
+        cubic = build_basis(BasisConfig(num_segments=segments))
+        basis = SplineBasis(values=cubic.values[:, :segments + extra], knots=cubic.knots)
+        rng = np.random.default_rng(num_draws * 1000 + segments * 10 + extra)
         rows = np.column_stack([rng.uniform(-0.5, 0.5, (num_draws, basis.num_basis)),
                                 rng.uniform(-0.3, 0.3, (num_draws, 1))])
         levels = (0.5, 0.8, 0.95)

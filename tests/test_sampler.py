@@ -8,7 +8,7 @@ import pytest
 
 from curdur.basis import BasisConfig, build_basis
 from curdur.errors import ConfigurationError, SamplingError
-from curdur.model import phi_matrix
+from curdur.model import PosteriorDensity, phi_matrix, to_centered, to_noncentered
 from curdur.reporting import ReportedDataset
 from curdur.sampler import (
     PosteriorDraws,
@@ -162,8 +162,15 @@ class TestModelSampling:
         config = SamplerConfig(
             chains=4, iterations_per_chain=6000, warmup=2000, seed=5
         )
-        res = sample(config, None, BASIS, prior_only=True)
-        sds = res.flat()[:, :-1].std(axis=0)
+        # an empty likelihood, with the starts and coordinates of sample
+        density = PosteriorDensity(None, BASIS)
+
+        def init_fn(rng):
+            return to_noncentered(rng.uniform(-1.0, 1.0, density.num_params))
+
+        res = sample_density(config, density.noncentered_logp_and_grad,
+                             density.num_params, init_fn=init_fn)
+        sds = to_centered(res.flat())[:, :-1].std(axis=0)
         assert np.max(np.abs(sds - oracle_sd)) / oracle_sd < 0.05
 
     def test_posterior_run_shape_and_determinism(self):
