@@ -274,7 +274,7 @@ class PosteriorDensity:
             grad += d_delta
         return logp, grad
 
-    def _log_likelihood(self, v: np.ndarray, scale: float, guarded: bool) -> tuple:
+    def _log_likelihood(self, v: np.ndarray, scale: float, guarded: bool, logp=True) -> tuple:
         """Log probability of every report and its gradient in delta.
 
         delta = scale * v[:-1]; the gradient has the K + 1 entries of v, the
@@ -283,6 +283,7 @@ class PosteriorDensity:
         underflows to zero gives -inf, which the sampler treats as
         divergent.  Unguarded calls need every |sum| <= _SAFE_SUM and
         ``_safe_rows``, which keep every step finite and exception-free.
+        With ``logp`` False the log probability is None, not computed.
         """
         sums = self._upper.dot(v)
         sums *= scale
@@ -293,14 +294,15 @@ class PosteriorDensity:
         else:
             alpha = np.exp(sums)
         mass = self._rows.dot(alpha)
-        loglik = float(self._weights.dot(np.log(mass)))
+        loglik = float(self._weights.dot(np.log(mass))) if logp else None
         d_sums = self._rows_t.dot(self._weights / mass)
         d_sums *= alpha
         if unclamped is not None:
             d_sums *= unclamped
         return loglik, self._upper_t.dot(d_sums)
 
-    def noncentered_logp_and_grad(self, eta: np.ndarray) -> tuple[float, np.ndarray]:
+    def noncentered_logp_and_grad(self, eta: np.ndarray,
+                                  logp: bool = True) -> tuple[float | None, np.ndarray]:
         """Log density and gradient in scale-free coordinates.
 
         eta = (z, log_sigma) with z = delta / sigma.  In these coordinates
@@ -310,6 +312,12 @@ class PosteriorDensity:
         prior is const - |z|^2/2 - sigma^2/2 + log_sigma; with L the
         likelihood gradient in delta, the gradient is (-z + sigma L,
         1 - sigma^2 + z . sigma L).
+
+        With ``logp`` False, as on the sampler's interior leapfrog steps, a
+        position in the exception-free region gives (None, gradient): None
+        stands for a finite log density, not computed, and the gradient is
+        the full call's, bit for bit.  Elsewhere, and with no data, the
+        result is the full (log density, gradient).
         """
         eta = np.asarray(eta, dtype=float)
         z = eta.tolist()
@@ -322,7 +330,7 @@ class PosteriorDensity:
             sigma = math.exp(log_sigma)
             delta_norm = sigma * z_norm
             if len(z) * delta_norm * delta_norm <= _SAFE_SUM * _SAFE_SUM:
-                return self._noncentered(eta, z_norm * z_norm, log_sigma, sigma, False)
+                return self._noncentered(eta, z_norm * z_norm, log_sigma, sigma, False, logp)
         sigma = _safe_exp(log_sigma)
         z_sq = z_norm * z_norm
         # finite only when z, log_sigma and sigma^2 are and |delta|^2 =
@@ -332,20 +340,21 @@ class PosteriorDensity:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return self._noncentered(eta, z_sq, log_sigma, sigma, True)
 
-    def _noncentered(self, eta, z_sq, log_sigma, sigma, guarded):
-        """The kernel body on both paths; ``guarded`` as in ``_log_likelihood``."""
+    def _noncentered(self, eta, z_sq, log_sigma, sigma, guarded, logp=True):
+        """The kernel body on both paths; the flags as in ``_log_likelihood``."""
         sigma_sq = sigma * sigma
-        logp = self._prior_const - 0.5 * (z_sq + sigma_sq) + log_sigma
         if self._rows is None:
-            grad = -eta
+            loglik, grad = 0.0, -eta
             grad[-1] = 1.0 - sigma_sq
-            return logp, grad
-        loglik, grad = self._log_likelihood(eta, sigma, guarded)
-        grad *= sigma
-        z_dz = float(eta.dot(grad))
-        grad -= eta
-        grad[-1] = 1.0 - sigma_sq + z_dz
-        return logp + loglik, grad
+        else:
+            loglik, grad = self._log_likelihood(eta, sigma, guarded, logp)
+            grad *= sigma
+            z_dz = float(eta.dot(grad))
+            grad -= eta
+            grad[-1] = 1.0 - sigma_sq + z_dz
+        if loglik is None:
+            return None, grad
+        return self._prior_const - 0.5 * (z_sq + sigma_sq) + log_sigma + loglik, grad
 
 
 def to_noncentered(theta: np.ndarray) -> np.ndarray:

@@ -93,26 +93,31 @@ class PosteriorDraws:
         return self.draws.reshape(-1, self.num_params)
 
 
-def _leapfrog(logp_and_grad, q, p, grad, step_size, num_steps, inv_mass):
+def _leapfrog(logp_and_grad, q, p, grad, step_size, num_steps, inv_mass, gradient=None):
     """Leapfrog trajectory of ``num_steps`` >= 1 steps from (q, p).
 
     ``grad`` is the gradient at q.  Returns (q, p, logp, grad, diverged)
     at the end of the trajectory; it stops early, with ``diverged`` set,
     at the first position whose log density or gradient is not finite,
-    leaving p as it was before that position's kick.
+    leaving p as it was before that position's kick.  HMC reads the log
+    density only at the end, so the interior steps call ``gradient``
+    (default ``logp_and_grad``), which may return None for the log
+    density: None stands for a finite log density and gradient.  Every
+    other result is checked, so the divergence rule is the same.
     """
+    gradient = gradient or logp_and_grad
     drift = step_size * inv_mass
     p = p + 0.5 * step_size * grad
     for step in range(num_steps):
         q = q + drift * p
-        logp, grad = logp_and_grad(q)
+        last = step == num_steps - 1
+        logp, grad = logp_and_grad(q) if last else gradient(q)
         # a finite sum means a finite gradient; Python floats sum without
         # numpy's overflow warnings, and only a non-finite sum is rechecked
-        if not (math.isfinite(logp) and (math.isfinite(sum(grad.tolist()))
-                                         or np.isfinite(grad).all())):
+        if logp is not None and not (math.isfinite(logp) and (
+                math.isfinite(sum(grad.tolist())) or np.isfinite(grad).all())):
             return q, p, logp, grad, True
-        factor = step_size if step < num_steps - 1 else 0.5 * step_size
-        p = p + factor * grad
+        p = p + (0.5 * step_size if last else step_size) * grad
     return q, p, logp, grad, False
 
 
@@ -244,7 +249,7 @@ def _find_initial_step(logp_and_grad, q, logp0, grad0, rng, inv_mass) -> float:
 
 
 def _run_chain(logp_and_grad, dim, config: SamplerConfig, chain_index: int, progress,
-               init_fn=None):
+               init_fn=None, gradient=None):
     rng = np.random.default_rng([config.seed, chain_index])
     q = rng.uniform(-1.0, 1.0, dim) if init_fn is None else init_fn(rng)
     logp, grad = logp_and_grad(q)
@@ -275,7 +280,7 @@ def _run_chain(logp_and_grad, dim, config: SamplerConfig, chain_index: int, prog
         p = rng.standard_normal(dim) * momentum_sd
         energy0 = _energy(logp, p, inv_mass)
         q_new, p_new, logp_new, grad_new, diverged = _leapfrog(
-            logp_and_grad, q, p, grad, step_size, num_steps, inv_mass
+            logp_and_grad, q, p, grad, step_size, num_steps, inv_mass, gradient
         )
         if not diverged:
             delta_energy = _energy(logp_new, p_new, inv_mass) - energy0
@@ -324,17 +329,23 @@ def sample_density(
 ) -> PosteriorDraws:
     """Run HMC chains against an arbitrary log density with gradient.
 
-    ``logp_and_grad`` maps a parameter vector to (log density, gradient).
-    ``init_fn(rng)``, when given, supplies each chain's starting point
-    (default: uniform on [-1, 1] per coordinate).  Chains run one after
-    another in the calling thread; the result is deterministic given the
-    config seed.
+    ``logp_and_grad`` maps a parameter vector to (log density, gradient);
+    every leapfrog step, interior ones too, takes both.  ``init_fn(rng)``,
+    when given, supplies each chain's starting point (default: uniform on
+    [-1, 1] per coordinate).  Chains run one after another in the calling
+    thread; the result is deterministic given the config seed.
     """
+    return _sample_chains(config, logp_and_grad, None, dim, progress, param_names, init_fn)
+
+
+def _sample_chains(config, logp_and_grad, gradient, dim, progress, param_names, init_fn):
+    """``sample_density``, with ``gradient`` for the interior leapfrog steps."""
     if param_names is None:
         param_names = [f"param_{i}" for i in range(dim)]
     chain_ids = list(range(config.chains))
     results = [
-        _run_chain(logp_and_grad, dim, config, c, progress, init_fn) for c in chain_ids
+        _run_chain(logp_and_grad, dim, config, c, progress, init_fn, gradient)
+        for c in chain_ids
     ]
 
     draws = np.stack([r["draws"] for r in results])
@@ -388,13 +399,9 @@ def sample(
     def init_fn(rng):
         return to_noncentered(rng.uniform(-1.0, 1.0, density.num_params))
 
-    result = sample_density(
-        config,
-        density.noncentered_logp_and_grad,
-        density.num_params,
-        progress=progress,
-        param_names=names,
-        init_fn=init_fn,
-    )
+    # interior leapfrog steps take the kernel's gradient only
+    kernel = density.noncentered_logp_and_grad
+    result = _sample_chains(config, kernel, lambda eta: kernel(eta, False),
+                            density.num_params, progress, names, init_fn)
     result.draws = to_centered(result.draws)
     return result

@@ -596,3 +596,40 @@ class TestSafeRegion:
             logp, grad = density.noncentered_logp_and_grad(eta)
             assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
             assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+
+
+class TestGradientOnlyCall:
+    """``noncentered_logp_and_grad(eta, False)``: the gradient alone where it is safe."""
+
+    def test_fit_positions_skip_the_log_density(self):
+        saved = np.load(FIT_POSITIONS)
+        density = PosteriorDensity(_saved_survey(saved), BASIS)
+        for eta in saved["eta"]:
+            _, full_grad = density.noncentered_logp_and_grad(eta)
+            logp, grad = density.noncentered_logp_and_grad(eta, False)
+            assert logp is None
+            assert np.array_equal(grad, full_grad)
+
+    @pytest.mark.parametrize("case", sorted(_safe_region_edges(np.random.default_rng(11))))
+    @pytest.mark.parametrize("prior_only", [False, True])
+    def test_full_call_outside_the_region_and_without_data(self, case, prior_only):
+        eta, inside = _safe_region_edges(np.random.default_rng(11))[case]
+        data = make_mixed_dataset(np.random.default_rng(5), n=60)
+        density = PosteriorDensity(None if prior_only else data, BASIS)
+        full_logp, full_grad = density.noncentered_logp_and_grad(eta)
+        logp, grad = density.noncentered_logp_and_grad(eta, False)
+        assert np.array_equal(grad, full_grad)
+        if inside and not prior_only:
+            assert logp is None
+        else:
+            assert type(logp) is float and logp == full_logp
+
+    @pytest.mark.parametrize("prior_only", [False, True])
+    def test_non_finite_position_gives_the_full_call(self, prior_only):
+        data = make_mixed_dataset(np.random.default_rng(5), n=20)
+        density = PosteriorDensity(None if prior_only else data, BASIS)
+        eta = np.full(14, 0.3)
+        eta[3] = math.nan
+        logp, grad = density.noncentered_logp_and_grad(eta, False)
+        assert logp == -math.inf
+        assert np.array_equal(grad, np.zeros(14))

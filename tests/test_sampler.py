@@ -113,6 +113,43 @@ class TestDivergenceRule:
             assert grad is not None and not np.isfinite(grad).all()
 
 
+class TestGradientOnlySteps:
+    def test_sample_matches_full_calls_at_every_step(self, monkeypatch):
+        # sample() asks the kernel for the gradient alone on interior steps;
+        # sample_density takes the full call at every step.  The runs must
+        # agree bit for bit, with the same number of kernel calls
+        data = simulate_survey(truncated_geometric(0.15), n=100, seed=2)
+        config = SamplerConfig(chains=2, iterations_per_chain=100, warmup=50, seed=7)
+        kernel = PosteriorDensity.noncentered_logp_and_grad
+        calls = []
+
+        def spy(self, eta, logp=True):
+            result = kernel(self, eta, logp)
+            calls.append((logp, result[0] is None))
+            return result
+
+        monkeypatch.setattr(PosteriorDensity, "noncentered_logp_and_grad", spy)
+        fast = sample(config, data, BASIS)
+        fast_calls = list(calls)
+        calls.clear()
+        density = PosteriorDensity(data, BASIS)
+
+        def init_fn(rng):
+            return to_noncentered(rng.uniform(-1.0, 1.0, density.num_params))
+
+        full = sample_density(config, density.noncentered_logp_and_grad,
+                              density.num_params, init_fn=init_fn)
+        assert np.array_equal(fast.draws, to_centered(full.draws))
+        assert np.array_equal(fast.accept_stats, full.accept_stats)
+        assert np.array_equal(fast.step_sizes, full.step_sizes)
+        assert np.array_equal(fast.divergence_count, full.divergence_count)
+        assert len(fast_calls) == len(calls)
+        assert set(calls) == {(True, False)}
+        # interior steps got no log density inside the exception-free
+        # region and the full, checked result on the guarded path
+        assert (False, True) in fast_calls and (False, False) in fast_calls
+
+
 class TestGaussianTarget:
     def test_moments_and_divergences(self):
         config = SamplerConfig(chains=4, iterations_per_chain=2000, warmup=1000, seed=3)
