@@ -35,7 +35,6 @@ from .model import (
     ModelParams,
     PosteriorDensity,
     TslsDistribution,
-    log_prior,
     phi_from_params,
 )
 from .reporting import (

@@ -174,40 +174,6 @@ def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
     return phi
 
 
-def log_prior(params: ModelParams) -> float:
-    """Log prior over (delta, log_sigma), constants included.
-
-    delta_j given sigma is centered normal with scale sigma; sigma is
-    standard half-normal.  The log_sigma term is the Jacobian of sampling
-    sigma on the log scale.  Total over all finite parameters: extreme
-    log_sigma values yield -inf rather than an overflow error.
-    """
-    k = params.delta.size
-    log_sigma = params.log_sigma
-    with np.errstate(over="ignore"):
-        delta_sq = float(params.delta @ params.delta)
-    precision = _safe_exp(-2.0 * log_sigma)
-    quad = 0.0 if delta_sq == 0.0 else delta_sq * precision
-    delta_part = -k * _HALF_LOG_2PI - k * log_sigma - 0.5 * quad
-    sigma_sq = _safe_exp(2.0 * log_sigma)
-    sigma_part = math.log(2.0) - _HALF_LOG_2PI - 0.5 * sigma_sq
-    return delta_part + sigma_part + log_sigma
-
-
-def grad_log_prior(params: ModelParams) -> np.ndarray:
-    """Gradient of the log prior with respect to (delta, log_sigma)."""
-    k = params.delta.size
-    log_sigma = params.log_sigma
-    precision = _safe_exp(-2.0 * log_sigma)
-    with np.errstate(over="ignore"):
-        delta_sq = float(params.delta @ params.delta)
-    with np.errstate(invalid="ignore"):
-        d_delta = -params.delta * precision
-    quad = 0.0 if delta_sq == 0.0 else delta_sq * precision
-    d_log_sigma = -k + quad - _safe_exp(2.0 * log_sigma) + 1.0
-    return np.concatenate([d_delta, [d_log_sigma]])
-
-
 class PosteriorDensity:
     """Log posterior and exact gradient for one dataset and basis.
 
@@ -254,53 +220,6 @@ class PosteriorDensity:
         # non-centered: k standard normals and a standard half-normal
         self._prior_const = math.log(2.0) - (k + 1) * _HALF_LOG_2PI
 
-    def logp_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Log posterior and gradient at a raw parameter vector.
-
-        Total over all inputs: a non-finite position reports -inf so the
-        sampler can flag the trajectory as divergent.  The reference the
-        sampler's ``noncentered_logp_and_grad`` is tested against.
-        """
-        theta = np.asarray(theta, dtype=float)
-        if not np.isfinite(theta).all():
-            return -math.inf, np.zeros_like(theta)
-        params = ModelParams.from_vector(theta)
-        logp = log_prior(params)
-        grad = grad_log_prior(params)
-        if self._rows is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                loglik, d_delta = self._log_likelihood(theta, 1.0, guarded=True)
-            logp += loglik
-            grad += d_delta
-        return logp, grad
-
-    def _log_likelihood(self, v: np.ndarray, scale: float, guarded: bool, logp=True) -> tuple:
-        """Log probability of every report and its gradient in delta.
-
-        delta = scale * v[:-1]; the gradient has the K + 1 entries of v, the
-        last one zero.  ``guarded`` clamps and rescales the sums, and the
-        caller then holds an ``np.errstate``: an interval whose mass
-        underflows to zero gives -inf, which the sampler treats as
-        divergent.  Unguarded calls need every |sum| <= _SAFE_SUM and
-        ``_safe_rows``, which keep every step finite and exception-free.
-        With ``logp`` False the log probability is None, not computed.
-        """
-        sums = self._upper.dot(v)
-        sums *= scale
-        unclamped = None
-        if guarded:
-            sums, unclamped = _clamp(sums)
-            alpha = _rescaled_alpha(sums)
-        else:
-            alpha = np.exp(sums)
-        mass = self._rows.dot(alpha)
-        loglik = float(self._weights.dot(np.log(mass))) if logp else None
-        d_sums = self._rows_t.dot(self._weights / mass)
-        d_sums *= alpha
-        if unclamped is not None:
-            d_sums *= unclamped
-        return loglik, self._upper_t.dot(d_sums)
-
     def noncentered_logp_and_grad(self, eta: np.ndarray,
                                   logp: bool = True) -> tuple[float | None, np.ndarray]:
         """Log density and gradient in scale-free coordinates.
@@ -341,13 +260,36 @@ class PosteriorDensity:
             return self._noncentered(eta, z_sq, log_sigma, sigma, True)
 
     def _noncentered(self, eta, z_sq, log_sigma, sigma, guarded, logp=True):
-        """The kernel body on both paths; the flags as in ``_log_likelihood``."""
+        """The kernel body on both paths.
+
+        The likelihood's coefficient sums are the reverse sums of delta =
+        sigma z.  ``guarded`` clamps and rescales them, and the caller then
+        holds an ``np.errstate``: an interval whose mass underflows to zero
+        gives -inf, which the sampler treats as divergent.  Unguarded calls
+        need every |sum| <= _SAFE_SUM and ``_safe_rows``, which keep every
+        step finite and exception-free.  With ``logp`` False the log density
+        is None, not computed.
+        """
         sigma_sq = sigma * sigma
         if self._rows is None:
             loglik, grad = 0.0, -eta
             grad[-1] = 1.0 - sigma_sq
         else:
-            loglik, grad = self._log_likelihood(eta, sigma, guarded, logp)
+            sums = self._upper.dot(eta)
+            sums *= sigma
+            unclamped = None
+            if guarded:
+                sums, unclamped = _clamp(sums)
+                alpha = _rescaled_alpha(sums)
+            else:
+                alpha = np.exp(sums)
+            mass = self._rows.dot(alpha)
+            loglik = float(self._weights.dot(np.log(mass))) if logp else None
+            d_sums = self._rows_t.dot(self._weights / mass)
+            d_sums *= alpha
+            if unclamped is not None:
+                d_sums *= unclamped
+            grad = self._upper_t.dot(d_sums)
             grad *= sigma
             z_dz = float(eta.dot(grad))
             grad -= eta
@@ -356,11 +298,36 @@ class PosteriorDensity:
             return None, grad
         return self._prior_const - 0.5 * (z_sq + sigma_sq) + log_sigma + loglik, grad
 
+    def logp_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """Log posterior and gradient at (delta, log_sigma).
+
+        The kernel's Jacobian view: at eta = (z, log_sigma), z = delta /
+        sigma, the log density is the kernel's minus K log_sigma, the delta
+        gradient is grad_z / sigma and the log_sigma gradient is grad_ls -
+        z . grad_z - K.  Total over all inputs: a non-finite position, or one
+        whose delta / sigma is not finite, gives (-inf, zeros).
+        """
+        eta = to_noncentered(theta)
+        logp, grad = self.noncentered_logp_and_grad(eta)
+        if logp == -math.inf:
+            return logp, np.zeros_like(eta)
+        k = eta.size - 1
+        log_sigma = float(eta[-1])
+        grad[-1] -= float(eta[:-1].dot(grad[:-1])) + k
+        grad[:-1] /= math.exp(log_sigma)
+        return logp - k * log_sigma, grad
+
 
 def to_noncentered(theta: np.ndarray) -> np.ndarray:
-    """Map (delta, log_sigma) to the sampler's scale-free coordinates."""
+    """Map (delta, log_sigma) to the sampler's scale-free coordinates.
+
+    Where delta / sigma is not finite, as at a non-finite theta or where
+    1 / sigma overflows (log_sigma < -709), so is z, without a warning: a
+    zero delta then gives NaN.
+    """
     theta = np.asarray(theta, dtype=float)
-    return np.concatenate([theta[:-1] * _safe_exp(-theta[-1]), theta[-1:]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([theta[:-1] * _safe_exp(-theta[-1]), theta[-1:]])
 
 
 def to_centered(eta: np.ndarray) -> np.ndarray:

@@ -19,10 +19,10 @@ from curdur.model import (
     _clamped_sums,
     PosteriorDensity,
     TslsDistribution,
-    grad_log_prior,
-    log_prior,
     phi_from_params,
     phi_matrix,
+    to_centered,
+    to_noncentered,
 )
 from curdur.reporting import (
     ReportedDataset,
@@ -37,6 +37,24 @@ BASIS = build_basis(BasisConfig())
 # a small basis for hand-computed transforms: the first three columns
 THREE_COLUMNS = SplineBasis(values=BASIS.values[:, :3], knots=BASIS.knots)
 FIT_POSITIONS = Path(__file__).parent / "data" / "kernel_fit_positions.npz"
+PRIOR = PosteriorDensity(None, BASIS)
+
+
+def _scipy_log_prior(params: ModelParams) -> float:
+    """The log prior over (delta, log_sigma) from scipy's densities."""
+    sigma = math.exp(params.log_sigma)
+    return (
+        stats.norm.logpdf(params.delta, loc=0.0, scale=sigma).sum()
+        + stats.halfnorm.logpdf(sigma)
+        + params.log_sigma
+    )
+
+
+def _prior_gradient(params: ModelParams) -> np.ndarray:
+    """The log prior's gradient in (delta, log_sigma), in closed form."""
+    delta = params.delta
+    sigma_sq = math.exp(2.0 * params.log_sigma)
+    return np.append(-delta / sigma_sq, 1.0 - delta.size + delta @ delta / sigma_sq - sigma_sq)
 
 
 def _saved_survey(saved) -> ReportedDataset:
@@ -188,12 +206,12 @@ class TestLogPrior:
         expected = k * (-0.5 * math.log(2 * math.pi)) + (
             math.log(2.0) - 0.5 * math.log(2 * math.pi) - 0.5
         )
-        assert abs(log_prior(params) - expected) < 1e-12
+        assert abs(PRIOR.logp_and_grad(params.to_vector())[0] - expected) < 1e-12
 
     def test_doubling_sigma_shifts_delta_part(self):
         k = 13
-        at_one = log_prior(ModelParams(delta=np.zeros(k), log_sigma=0.0))
-        at_two = log_prior(ModelParams(delta=np.zeros(k), log_sigma=math.log(2.0)))
+        at_one = PRIOR.logp_and_grad(np.append(np.zeros(k), 0.0))[0]
+        at_two = PRIOR.logp_and_grad(np.append(np.zeros(k), math.log(2.0)))[0]
         # isolate the delta scale term: remove half-normal and Jacobian parts
         half_normal = lambda s: math.log(2.0) - 0.5 * math.log(2 * math.pi) - 0.5 * s * s
         delta_part_one = at_one - half_normal(1.0) - 0.0
@@ -203,13 +221,8 @@ class TestLogPrior:
     def test_matches_scipy_density_sum(self, rng):
         for _ in range(20):
             params = random_params(rng)
-            sigma = math.exp(params.log_sigma)
-            expected = (
-                stats.norm.logpdf(params.delta, loc=0.0, scale=sigma).sum()
-                + stats.halfnorm.logpdf(sigma)
-                + params.log_sigma
-            )
-            assert abs(log_prior(params) - expected) < 1e-12
+            logp = PRIOR.logp_and_grad(params.to_vector())[0]
+            assert abs(logp - _scipy_log_prior(params)) < 1e-12
 
 
 class TestLogPosterior:
@@ -217,13 +230,14 @@ class TestLogPosterior:
         data = ReportedDataset.from_records([])
         params = random_params(rng)
         logp = PosteriorDensity(data, BASIS).logp_and_grad(params.to_vector())[0]
-        assert logp == log_prior(params)
+        assert logp == PRIOR.logp_and_grad(params.to_vector())[0]
+        assert abs(logp - _scipy_log_prior(params)) < 1e-12
 
     def test_single_day_zero_record(self, rng):
         data = ReportedDataset.from_records([ReportedDuration(z=0, unit=Unit.DAY)])
         params = random_params(rng)
         phi = phi_from_params(params, BASIS).phi
-        expected = log_prior(params) + math.log(phi[0])
+        expected = _scipy_log_prior(params) + math.log(phi[0])
         logp = PosteriorDensity(data, BASIS).logp_and_grad(params.to_vector())[0]
         assert abs(logp - expected) < 1e-10
 
@@ -233,7 +247,7 @@ class TestLogPosterior:
         for _ in range(5):
             params = random_params(rng)
             phi = phi_from_params(params, BASIS).phi
-            expected = log_prior(params)
+            expected = _scipy_log_prior(params)
             for record in data.records:
                 lo, hi = day_interval(record)
                 p = 0.0
@@ -259,14 +273,15 @@ class TestLogPosterior:
 
 
 class TestGradient:
-    def test_prior_gradient_finite_differences(self):
-        params = ModelParams(delta=np.zeros(13), log_sigma=0.0)
-        analytic = grad_log_prior(params)
-        assert np.allclose(analytic[:-1], 0.0, atol=1e-12)
-        numeric = fd_grad(
-            lambda v: log_prior(ModelParams.from_vector(v)), params.to_vector()
-        )
-        assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-6)
+    def test_prior_gradient_finite_differences(self, rng):
+        origin = ModelParams(delta=np.zeros(13), log_sigma=0.0)
+        assert np.allclose(PRIOR.logp_and_grad(origin.to_vector())[1][:-1], 0.0, atol=1e-12)
+        for params in [origin] + [random_params(rng) for _ in range(4)]:
+            theta = params.to_vector()
+            analytic = PRIOR.logp_and_grad(theta)[1]
+            numeric = fd_grad(lambda v: _scipy_log_prior(ModelParams.from_vector(v)), theta)
+            assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-6)
+            assert np.allclose(analytic, _prior_gradient(params), rtol=1e-12, atol=1e-12)
 
     def test_posterior_gradient_finite_differences(self, rng):
         data = make_mixed_dataset(rng, n=40)
@@ -282,15 +297,13 @@ class TestGradient:
         data = make_mixed_dataset(rng, n=25)
         doubled = ReportedDataset.from_records(data.records + data.records)
         params = random_params(rng)
-        g_prior = grad_log_prior(params)
+        g_prior = _prior_gradient(params)
         theta = params.to_vector()
         g_single = PosteriorDensity(data, BASIS).logp_and_grad(theta)[1] - g_prior
         g_double = PosteriorDensity(doubled, BASIS).logp_and_grad(theta)[1] - g_prior
         assert np.allclose(g_double, 2.0 * g_single, rtol=1e-12, atol=1e-12)
 
     def test_coordinate_transforms_invert(self, rng):
-        from curdur.model import to_centered, to_noncentered
-
         for _ in range(20):
             theta = np.concatenate(
                 [rng.uniform(-3.0, 3.0, 13), [rng.uniform(-2.0, 2.0)]]
@@ -305,6 +318,17 @@ class TestGradient:
         back = to_centered(stacked)
         assert back.shape == stacked.shape
         assert np.array_equal(back, inline)
+
+    def test_to_noncentered_past_the_scale_range(self):
+        # 1 / sigma overflows below log_sigma = -709: z = delta / sigma is
+        # NaN at a zero delta and infinite elsewhere, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eta = to_noncentered(np.array([0.0, 2.0, -1e-300, -800.0]))
+            overflow = to_noncentered(np.array([1e10, -700.0]))
+        assert np.isnan(eta[0])
+        assert eta[1:].tolist() == [math.inf, -math.inf, -800.0]
+        assert overflow.tolist() == [math.inf, -700.0]
 
     def test_noncentered_gradient_finite_differences(self, rng):
         data = make_mixed_dataset(rng, n=30)
@@ -321,28 +345,49 @@ class TestGradient:
             assert rel.max() < 1e-5
 
 
-def _chain_rule_reference(density, eta):
-    """Non-centered density from the centered reference by the chain rule.
+def _reference(data, eta):
+    """The non-centered log density and gradient, written out per record.
 
-    With delta = sigma z and the log Jacobian k log_sigma:
-    logp = logp_c + k log_sigma, d/dz = sigma g_delta and
-    d/dlog_sigma = g_log_sigma + delta . g_delta + k.
+    Shares no code with the kernel.  With delta = sigma z, each record's
+    probability is gamma = basis @ alpha summed over its day interval, over
+    gamma's total, where alpha exponentiates the reverse sums of delta as
+    ``_clip_path`` clips them.  The prior is scipy's: z standard normal,
+    sigma standard half-normal, and log_sigma for the log scale.  With L the
+    likelihood's gradient in delta, the chain rule through delta = sigma z
+    gives (-z + sigma L, 1 - sigma^2 + delta . L).
+
+    Returns (logp, grad, size): ``size`` bounds, per entry, the terms
+    summed into the gradient, to scale the comparison's tolerance.
     """
-    k = eta.size - 1
-    log_sigma = eta[-1]
-    delta = eta[:-1] * math.exp(log_sigma)
-    logp_c, g = density.logp_and_grad(np.concatenate([delta, [log_sigma]]))
-    grad = np.concatenate(
-        [math.exp(log_sigma) * g[:-1], [g[-1] + float(delta @ g[:-1]) + k]]
-    )
-    return logp_c + k * log_sigma, grad
+    z, log_sigma = eta[:-1], float(eta[-1])
+    sigma = math.exp(log_sigma)
+    delta = z * sigma
+    logp = stats.norm.logpdf(z).sum() + stats.halfnorm.logpdf(sigma) + log_sigma
+    d_sums = np.zeros_like(delta)
+    if data is not None:
+        sums, unclipped = _clip_path(delta)
+        alpha = np.exp(sums - sums.max())
+        support = BASIS.values[:-1]
+        total = support.sum(axis=0) * alpha
+        for record in data.records:
+            lo, hi = day_interval(record)
+            mass = support[lo : hi + 1].sum(axis=0) * alpha
+            logp += math.log(mass.sum() / total.sum())
+            d_sums += mass / mass.sum() - total / total.sum()
+        d_sums *= unclipped
+    # the k-th sum holds delta_j for every j >= k
+    lik = np.cumsum(d_sums)
+    grad = np.append(-z + sigma * lik, 1.0 - sigma**2 + float(delta @ lik))
+    size = np.append(np.abs(z) + sigma * np.abs(lik).max(),
+                     1.0 + sigma**2 + float(np.abs(delta) @ np.abs(lik)))
+    return logp, grad, size
 
 
 class TestNoncenteredKernel:
     @pytest.mark.parametrize("case", ["data", "data_clamp_region", "prior_only"])
-    def test_matches_centered_reference(self, rng, clips, case):
-        data = make_mixed_dataset(rng, n=60)
-        density = PosteriorDensity(None if case == "prior_only" else data, BASIS)
+    def test_matches_reference(self, rng, clips, case):
+        data = None if case == "prior_only" else make_mixed_dataset(rng, n=60)
+        density = PosteriorDensity(data, BASIS)
         for _ in range(40):
             z = rng.uniform(-3.0, 3.0, 13)
             log_sigma = rng.uniform(-2.0, 2.0)
@@ -356,7 +401,7 @@ class TestNoncenteredKernel:
             clips.clear()
             logp, grad = density.noncentered_logp_and_grad(eta)
             clamped = sum(clips)
-            ref_logp, ref_grad = _chain_rule_reference(density, eta)
+            ref_logp, ref_grad, _ = _reference(data, eta)
             assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
             assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
             assert np.isfinite(logp) and np.isfinite(grad).all()
@@ -428,16 +473,15 @@ class TestClampFastPath:
         sums, _ = _clamped_sums(delta)
         assert np.array_equal(sums, expected)
         assert sum(clips) == np.count_nonzero(~mask)
-        # log_sigma = 0 makes delta = z exactly, so the kernel and the
-        # centered reference clip the same sums
-        density = PosteriorDensity(make_mixed_dataset(rng, n=60), BASIS)
+        # log_sigma = 0 makes delta = z exactly, so the kernel clips the
+        # sums the clip path clips
+        data = make_mixed_dataset(rng, n=60)
+        density = PosteriorDensity(data, BASIS)
         eta = np.append(delta, 0.0)
         clips.clear()
         logp, grad = density.noncentered_logp_and_grad(eta)
-        clipped = sum(clips)
-        clips.clear()
-        ref_logp, ref_grad = _chain_rule_reference(density, eta)
-        assert clipped == sum(clips)
+        assert sum(clips) == np.count_nonzero(~mask)
+        ref_logp, ref_grad, _ = _reference(data, eta)
         assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
         assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
 
@@ -458,19 +502,37 @@ class TestClampFastPath:
         # log_sigma = 0 makes delta = z exactly
         eta = np.append(delta, 0.0)
         logp, grad = density.noncentered_logp_and_grad(eta)
-        ref_logp, ref_grad = _chain_rule_reference(density, eta)
+        ref_logp, ref_grad, _ = _reference(data, eta)
         assert np.isfinite(logp) and np.isfinite(grad).all()
         assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
         assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
         # the centered value against the likelihood summed from phi
         params = ModelParams(delta=delta, log_sigma=0.0)
         phi = phi_from_params(params, BASIS).phi
-        expected = log_prior(params)
+        expected = _scipy_log_prior(params)
         for record in data.records:
             lo, hi = day_interval(record)
             expected += math.log(phi[lo : hi + 1].sum())
         centered = density.logp_and_grad(params.to_vector())[0]
         assert abs(centered - expected) <= 1e-10 * abs(expected)
+
+    def test_every_sum_clamped_gives_the_flat_likelihood(self, rng):
+        # every reverse sum clamps to +LOG_CLAMP, so alpha is uniform, as at
+        # delta = 0, and no sum moves.  On 60 segments e^LOG_CLAMP times the
+        # normaliser's column totals overflows a double: only the rescale
+        # keeps the masses finite
+        basis = build_basis(BasisConfig(num_segments=60))
+        data = make_mixed_dataset(rng, n=60)
+        z = np.zeros(basis.num_basis)
+        z[-1] = 750.0
+        logp, grad = PosteriorDensity(data, basis).noncentered_logp_and_grad(np.append(z, 0.0))
+        phi = phi_matrix(np.zeros((1, basis.num_basis + 1)), basis)[0]
+        expected = stats.norm.logpdf(z).sum() + stats.halfnorm.logpdf(1.0)
+        for record in data.records:
+            lo, hi = day_interval(record)
+            expected += math.log(phi[lo : hi + 1].sum())
+        assert abs(logp - expected) <= 1e-10 * abs(expected)
+        assert np.array_equal(grad, np.append(-z, 0.0))
 
 
 def _last_float_below(predicate, lo, hi):
@@ -529,40 +591,14 @@ def _safe_region_edges(rng):
     return edges
 
 
-def _split_reference(density, eta):
-    """The chain-rule transform of the centered reference, prior and likelihood apart.
-
-    Returns (logp, grad, size): the log density is the centered value plus
-    the log Jacobian k log_sigma.  On the centered prior the chain rule
-    gives (-z, 1 - sigma^2) in closed form; evaluated in floating point, as
-    in ``_chain_rule_reference``, it would cancel terms of size
-    |delta|^2 / sigma^2, which swamp the likelihood at extreme scales.  The
-    centered likelihood does not depend on log_sigma, so its gradient L in
-    delta comes from the centered reference at a log_sigma where the
-    prior's gradient in delta is negligible.  ``size`` bounds, per entry,
-    the terms summed into it, to scale the comparison's tolerance.
-    """
-    k = eta.size - 1
-    z, log_sigma = eta[:-1], float(eta[-1])
-    sigma = math.exp(log_sigma)
-    delta = z * sigma
-    logp_c, _ = density.logp_and_grad(np.append(delta, log_sigma))
-    wide = ModelParams(delta=delta, log_sigma=0.5 * math.log1p(delta @ delta) + 10.0)
-    _, g = density.logp_and_grad(wide.to_vector())
-    lik = g[:-1] - grad_log_prior(wide)[:-1]
-    grad = np.append(-z + sigma * lik, 1.0 - sigma**2 + float(delta @ lik))
-    size = np.append(np.abs(z) + sigma * np.abs(lik).max(),
-                     1.0 + sigma**2 + float(np.abs(delta) @ np.abs(lik)))
-    return logp_c + k * log_sigma, grad, size
-
-
 class TestSafeRegion:
     """The kernel's exception-free fast path and the guarded path at its edges."""
 
     @pytest.mark.parametrize("case", sorted(_safe_region_edges(np.random.default_rng(11))))
     def test_edges_match_reference_without_warnings(self, monkeypatch, clips, case):
         eta, inside = _safe_region_edges(np.random.default_rng(11))[case]
-        density = PosteriorDensity(make_mixed_dataset(np.random.default_rng(5), n=60), BASIS)
+        data = make_mixed_dataset(np.random.default_rng(5), n=60)
+        density = PosteriorDensity(data, BASIS)
         errstates = []
         errstate = np.errstate
 
@@ -580,7 +616,7 @@ class TestSafeRegion:
         assert len(errstates) == (0 if inside else 1)
         if case.endswith("clamp"):
             assert clipped > 0
-        ref_logp, ref_grad, size = _split_reference(density, eta)
+        ref_logp, ref_grad, size = _reference(data, eta)
         assert np.isfinite(logp) and np.isfinite(grad).all()
         assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
         assert (np.abs(grad - ref_grad) <= 1e-10 * (1.0 + size)).all()
@@ -631,5 +667,41 @@ class TestGradientOnlyCall:
         eta = np.full(14, 0.3)
         eta[3] = math.nan
         logp, grad = density.noncentered_logp_and_grad(eta, False)
+        assert logp == -math.inf
+        assert np.array_equal(grad, np.zeros(14))
+
+
+class TestCenteredView:
+    """``logp_and_grad``: the kernel through the Jacobian of eta = (delta / sigma, log_sigma)."""
+
+    def test_fit_positions_match_recorded_values(self):
+        # the recorded kernel values, transformed: the log density minus
+        # K log_sigma, grad_z / sigma and grad_ls - z . grad_z - K
+        saved = np.load(FIT_POSITIONS)
+        density = PosteriorDensity(_saved_survey(saved), BASIS)
+        for eta, ref_logp, ref_grad in zip(saved["eta"], saved["logp"], saved["grad"]):
+            z, log_sigma = eta[:-1], float(eta[-1])
+            expected_logp = ref_logp - z.size * log_sigma
+            expected_grad = np.append(ref_grad[:-1] / math.exp(log_sigma),
+                                      ref_grad[-1] - z @ ref_grad[:-1] - z.size)
+            logp, grad = density.logp_and_grad(to_centered(eta))
+            assert abs(logp - expected_logp) <= 1e-13 * max(1.0, abs(expected_logp))
+            assert (np.abs(grad - expected_grad)
+                    <= 1e-11 * np.maximum(1.0, np.abs(expected_grad))).all()
+
+    @pytest.mark.parametrize(
+        "delta, log_sigma",
+        [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.3, math.nan),
+         (0.3, math.inf), (0.3, -math.inf), (0.3, 800.0),
+         # 1 / sigma overflows, and every z = delta / sigma is NaN
+         (0.0, -800.0)],
+    )
+    @pytest.mark.parametrize("prior_only", [False, True])
+    def test_total_without_warnings(self, delta, log_sigma, prior_only):
+        data = make_mixed_dataset(np.random.default_rng(5), n=20)
+        density = PosteriorDensity(None if prior_only else data, BASIS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logp, grad = density.logp_and_grad(np.append(np.full(13, delta), log_sigma))
         assert logp == -math.inf
         assert np.array_equal(grad, np.zeros(14))
