@@ -47,7 +47,7 @@ from .reporting import (
     reported_prob,
     spread_mass,
 )
-from .sampler import PosteriorDraws, SamplerConfig, leapfrog, sample, sample_density
+from .sampler import PosteriorDraws, SamplerConfig, sample, sample_density
 from .simulator import (
     ReportingBehavior,
     TrueTbs,

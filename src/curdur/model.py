@@ -334,7 +334,10 @@ def to_centered(eta: np.ndarray) -> np.ndarray:
     """Map scale-free coordinates back to (delta, log_sigma).
 
     Takes one position or a stack of them, such as a (chains, draws, K + 1)
-    array: each row along the last axis is mapped on its own.
+    array: each row along the last axis is mapped on its own.  Where sigma
+    overflows, delta is infinite, or NaN at a zero z, without a warning.
     """
     eta = np.asarray(eta, dtype=float)
-    return np.concatenate([eta[..., :-1] * np.exp(eta[..., -1:]), eta[..., -1:]], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.concatenate([eta[..., :-1] * np.exp(eta[..., -1:]), eta[..., -1:]],
+                              axis=-1)

@@ -93,25 +93,25 @@ class PosteriorDraws:
         return self.draws.reshape(-1, self.num_params)
 
 
-def _leapfrog(logp_and_grad, q, p, grad, step_size, num_steps, inv_mass, gradient=None):
+def _leapfrog(kernel, q, p, grad, step_size, num_steps, inv_mass):
     """Leapfrog trajectory of ``num_steps`` >= 1 steps from (q, p).
 
     ``grad`` is the gradient at q.  Returns (q, p, logp, grad, diverged)
     at the end of the trajectory; it stops early, with ``diverged`` set,
     at the first position whose log density or gradient is not finite,
-    leaving p as it was before that position's kick.  HMC reads the log
-    density only at the end, so the interior steps call ``gradient``
-    (default ``logp_and_grad``), which may return None for the log
-    density: None stands for a finite log density and gradient.  Every
-    other result is checked, so the divergence rule is the same.
+    leaving p as it was before that position's kick.  Each position is
+    one ``kernel(q, logp)`` call.  HMC reads the log density only at the
+    end, so ``logp`` is True on the last step alone; elsewhere the kernel
+    may return None for the log density, which stands for a finite log
+    density and gradient.  Every other result is checked, so the
+    divergence rule is the same.
     """
-    gradient = gradient or logp_and_grad
     drift = step_size * inv_mass
     p = p + 0.5 * step_size * grad
     for step in range(num_steps):
         q = q + drift * p
         last = step == num_steps - 1
-        logp, grad = logp_and_grad(q) if last else gradient(q)
+        logp, grad = kernel(q, last)
         # a finite sum means a finite gradient; Python floats sum without
         # numpy's overflow warnings, and only a non-finite sum is rechecked
         if logp is not None and not (math.isfinite(logp) and (
@@ -119,24 +119,6 @@ def _leapfrog(logp_and_grad, q, p, grad, step_size, num_steps, inv_mass, gradien
             return q, p, logp, grad, True
         p = p + (0.5 * step_size if last else step_size) * grad
     return q, p, logp, grad, False
-
-
-def leapfrog(position, momentum, step_size, num_steps, gradient_fn, inv_mass=None):
-    """Symplectic leapfrog integrator.
-
-    Returns the end-of-trajectory (position, momentum).  Zero steps is the
-    identity; applying the result with negated momentum retraces the
-    trajectory back to the start.  ``inv_mass`` is the diagonal of the
-    inverse mass matrix (defaults to identity).
-    """
-    q = np.array(position, dtype=float)
-    p = np.array(momentum, dtype=float)
-    if num_steps == 0:
-        return q, p
-    scale = 1.0 if inv_mass is None else inv_mass
-    q, p, _, _, _ = _leapfrog(lambda x: (0.0, gradient_fn(x)), q, p, gradient_fn(q),
-                              float(step_size), num_steps, scale)
-    return q, p
 
 
 class _DualAveraging:
@@ -220,7 +202,7 @@ def _energy(logp: float, p: np.ndarray, inv_mass: np.ndarray) -> float:
     return energy if math.isfinite(energy) else math.inf
 
 
-def _find_initial_step(logp_and_grad, q, logp0, grad0, rng, inv_mass) -> float:
+def _find_initial_step(kernel, q, logp0, grad0, rng, inv_mass) -> float:
     """Double or halve the step until the one-step acceptance crosses 1/2.
 
     ``logp0`` and ``grad0`` are the log density and its gradient at q.
@@ -232,8 +214,7 @@ def _find_initial_step(logp_and_grad, q, logp0, grad0, rng, inv_mass) -> float:
     energy0 = _energy(logp0, p, inv_mass)
 
     def energy_after(step_size: float) -> float:
-        _, p1, logp1, _, diverged = _leapfrog(logp_and_grad, q, p, grad0, step_size, 1,
-                                              inv_mass)
+        _, p1, logp1, _, diverged = _leapfrog(kernel, q, p, grad0, step_size, 1, inv_mass)
         return math.inf if diverged else _energy(logp1, p1, inv_mass)
 
     log_ratio = energy0 - energy_after(step)
@@ -248,11 +229,11 @@ def _find_initial_step(logp_and_grad, q, logp0, grad0, rng, inv_mass) -> float:
     return step
 
 
-def _run_chain(logp_and_grad, dim, config: SamplerConfig, chain_index: int, progress,
-               init_fn=None, gradient=None):
+def _run_chain(kernel, start, config: SamplerConfig, chain_index: int, progress):
     rng = np.random.default_rng([config.seed, chain_index])
-    q = rng.uniform(-1.0, 1.0, dim) if init_fn is None else init_fn(rng)
-    logp, grad = logp_and_grad(q)
+    q = start(rng)
+    dim = q.size
+    logp, grad = kernel(q, True)
     if not (math.isfinite(logp) and np.all(np.isfinite(grad))):
         raise SamplingError(
             f"chain {chain_index}: posterior is not finite at the initial point"
@@ -260,7 +241,7 @@ def _run_chain(logp_and_grad, dim, config: SamplerConfig, chain_index: int, prog
 
     inv_mass = np.ones(dim)
     momentum_sd = np.ones(dim)
-    step = _find_initial_step(logp_and_grad, q, logp, grad, rng, inv_mass)
+    step = _find_initial_step(kernel, q, logp, grad, rng, inv_mass)
     dual = _DualAveraging(step, config.target_accept)
     update_points = set(_mass_update_points(config.warmup))
     moments = _RunningMoments(dim)
@@ -280,7 +261,7 @@ def _run_chain(logp_and_grad, dim, config: SamplerConfig, chain_index: int, prog
         p = rng.standard_normal(dim) * momentum_sd
         energy0 = _energy(logp, p, inv_mass)
         q_new, p_new, logp_new, grad_new, diverged = _leapfrog(
-            logp_and_grad, q, p, grad, step_size, num_steps, inv_mass, gradient
+            kernel, q, p, grad, step_size, num_steps, inv_mass
         )
         if not diverged:
             delta_energy = _energy(logp_new, p_new, inv_mass) - energy0
@@ -319,34 +300,26 @@ def _run_chain(logp_and_grad, dim, config: SamplerConfig, chain_index: int, prog
     }
 
 
-def sample_density(
-    config: SamplerConfig,
-    logp_and_grad,
-    dim: int,
-    progress=None,
-    param_names=None,
-    init_fn=None,
-) -> PosteriorDraws:
+def sample_density(config: SamplerConfig, logp_and_grad, dim: int) -> PosteriorDraws:
     """Run HMC chains against an arbitrary log density with gradient.
 
-    ``logp_and_grad`` maps a parameter vector to (log density, gradient);
-    every leapfrog step, interior ones too, takes both.  ``init_fn(rng)``,
-    when given, supplies each chain's starting point (default: uniform on
-    [-1, 1] per coordinate).  Chains run one after another in the calling
+    ``logp_and_grad`` maps a parameter vector to (log density, gradient),
+    and every leapfrog step takes both.  Each chain starts uniform on
+    [-1, 1] per coordinate.  Chains run one after another in the calling
     thread; the result is deterministic given the config seed.
     """
-    return _sample_chains(config, logp_and_grad, None, dim, progress, param_names, init_fn)
+    return _sample_chains(config, lambda q, logp: logp_and_grad(q),
+                          lambda rng: rng.uniform(-1.0, 1.0, dim),
+                          [f"param_{i}" for i in range(dim)])
 
 
-def _sample_chains(config, logp_and_grad, gradient, dim, progress, param_names, init_fn):
-    """``sample_density``, with ``gradient`` for the interior leapfrog steps."""
-    if param_names is None:
-        param_names = [f"param_{i}" for i in range(dim)]
+def _sample_chains(config, kernel, start, param_names, progress=None):
+    """HMC chains against ``kernel(q, logp)``, as ``_leapfrog`` calls it.
+
+    ``start(rng)`` draws each chain's first position from its own RNG.
+    """
     chain_ids = list(range(config.chains))
-    results = [
-        _run_chain(logp_and_grad, dim, config, c, progress, init_fn, gradient)
-        for c in chain_ids
-    ]
+    results = [_run_chain(kernel, start, config, c, progress) for c in chain_ids]
 
     draws = np.stack([r["draws"] for r in results])
     accept = np.array([r["accept_mean"] for r in results])
@@ -369,7 +342,7 @@ def _sample_chains(config, logp_and_grad, gradient, dim, progress, param_names, 
         accept_stats=accept,
         divergence_count=divergences,
         step_sizes=steps,
-        param_names=list(param_names),
+        param_names=param_names,
     )
 
 
@@ -396,12 +369,10 @@ def sample(
     k = basis.num_basis
     names = [f"delta_{i + 1}" for i in range(k)] + ["log_sigma"]
 
-    def init_fn(rng):
+    def start(rng):
         return to_noncentered(rng.uniform(-1.0, 1.0, density.num_params))
 
-    # interior leapfrog steps take the kernel's gradient only
-    kernel = density.noncentered_logp_and_grad
-    result = _sample_chains(config, kernel, lambda eta: kernel(eta, False),
-                            density.num_params, progress, names, init_fn)
+    result = _sample_chains(config, density.noncentered_logp_and_grad, start, names,
+                            progress)
     result.draws = to_centered(result.draws)
     return result

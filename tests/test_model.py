@@ -330,6 +330,28 @@ class TestGradient:
         assert eta[1:].tolist() == [math.inf, -math.inf, -800.0]
         assert overflow.tolist() == [math.inf, -700.0]
 
+    def test_to_centered_past_the_scale_range(self):
+        # sigma overflows above log_sigma = 709: delta = sigma z is NaN at a
+        # zero z and infinite elsewhere, and sigma underflows to 0 at -800,
+        # with no warning on one position or on a stack of them
+        k = BASIS.num_basis
+        z = np.arange(k) - 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = to_centered(np.array([0.0, 2.0, -1e-300, 710.0]))
+            small = to_centered(np.array([0.0, 2.0, -1e-300, -800.0]))
+            stack = np.array([[np.append(z, ls) for ls in (710.0, -800.0, 0.5)]] * 2)
+            mapped = to_centered(stack)
+        assert np.isnan(big[0])
+        assert big[1:].tolist() == [math.inf, -math.inf, 710.0]
+        assert small.tolist() == [0.0, 0.0, 0.0, -800.0]
+        assert mapped.shape == (2, 3, k + 1)
+        overflow = np.append(np.where(z == 0.0, math.nan, np.copysign(math.inf, z)), 710.0)
+        for rows in mapped:
+            assert np.array_equal(rows[0], overflow, equal_nan=True)
+            assert rows[1].tolist() == [0.0] * k + [-800.0]
+            assert np.array_equal(rows[2], np.append(z * np.exp(0.5), 0.5))
+
     def test_noncentered_gradient_finite_differences(self, rng):
         data = make_mixed_dataset(rng, n=30)
         density = PosteriorDensity(data, BASIS)

@@ -15,7 +15,7 @@ from curdur.sampler import (
     SamplerConfig,
     _find_initial_step,
     _leapfrog,
-    leapfrog,
+    _sample_chains,
     sample,
     sample_density,
 )
@@ -26,6 +26,24 @@ BASIS = build_basis(BasisConfig())
 
 def gaussian_logp_grad(q):
     return -0.5 * float(q @ q), -q
+
+
+def gaussian_trajectory(q, p, step_size, num_steps, inv_mass=1.0):
+    """End (position, momentum) of a leapfrog trajectory on a standard normal."""
+    q1, p1, _, _, diverged = _leapfrog(lambda x, logp: (0.0, -x), q, p, -q, step_size,
+                                       num_steps, inv_mass)
+    assert not diverged
+    return q1, p1
+
+
+def sample_start(density):
+    """The start ``sample`` gives each chain: (delta, log_sigma) uniform on [-1, 1]."""
+    return lambda rng: to_noncentered(rng.uniform(-1.0, 1.0, density.num_params))
+
+
+def full_calls(density):
+    """The kernel, asked for the log density at every step."""
+    return lambda q, logp: density.noncentered_logp_and_grad(q)
 
 
 class TestSamplerConfig:
@@ -40,19 +58,11 @@ class TestSamplerConfig:
 
 
 class TestLeapfrog:
-    def test_zero_steps_is_identity(self):
-        q = np.array([1.0, -2.0])
-        p = np.array([0.3, 0.7])
-        q2, p2 = leapfrog(q, p, 0.1, 0, lambda x: -x)
-        assert np.array_equal(q2, q)
-        assert np.array_equal(p2, p)
-
     def test_reversibility(self, rng):
-        grad = lambda x: -x
         q = rng.standard_normal(5)
         p = rng.standard_normal(5)
-        q1, p1 = leapfrog(q, p, 0.05, 40, grad)
-        q0, p0 = leapfrog(q1, -p1, 0.05, 40, grad)
+        q1, p1 = gaussian_trajectory(q, p, 0.05, 40)
+        q0, p0 = gaussian_trajectory(q1, -p1, 0.05, 40)
         assert np.max(np.abs(q0 - q)) < 1e-10
         assert np.max(np.abs(-p0 - p)) < 1e-10
 
@@ -65,7 +75,7 @@ class TestLeapfrog:
         errors = []
         for eps in steps:
             n = int(round(1.0 / eps))
-            q1, p1 = leapfrog(q, p, eps, n, lambda x: -x)
+            q1, p1 = gaussian_trajectory(q, p, eps, n)
             h1 = 0.5 * float(q1 @ q1) + 0.5 * float(p1 @ p1)
             errors.append(abs(h1 - h0))
         slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
@@ -75,8 +85,8 @@ class TestLeapfrog:
         inv_mass = np.array([4.0, 0.25])
         q = rng.standard_normal(2)
         p = rng.standard_normal(2)
-        q1, p1 = leapfrog(q, p, 0.01, 100, lambda x: -x, inv_mass=inv_mass)
-        q0, p0 = leapfrog(q1, -p1, 0.01, 100, lambda x: -x, inv_mass=inv_mass)
+        q1, p1 = gaussian_trajectory(q, p, 0.01, 100, inv_mass)
+        q0, p0 = gaussian_trajectory(q1, -p1, 0.01, 100, inv_mass)
         assert np.max(np.abs(q0 - q)) < 1e-10
 
 
@@ -97,7 +107,7 @@ class TestDivergenceRule:
         # the gradient turns to ``bad`` at the third position
         calls = []
 
-        def target(q):
+        def target(q, logp):
             calls.append(q)
             grad = -q if bad is None or len(calls) < 3 else bad.copy()
             return 0.0, grad
@@ -116,8 +126,8 @@ class TestDivergenceRule:
 class TestGradientOnlySteps:
     def test_sample_matches_full_calls_at_every_step(self, monkeypatch):
         # sample() asks the kernel for the gradient alone on interior steps;
-        # sample_density takes the full call at every step.  The runs must
-        # agree bit for bit, with the same number of kernel calls
+        # a kernel that takes the full call at every step must give the
+        # same run bit for bit, with the same number of kernel calls
         data = simulate_survey(truncated_geometric(0.15), n=100, seed=2)
         config = SamplerConfig(chains=2, iterations_per_chain=100, warmup=50, seed=7)
         kernel = PosteriorDensity.noncentered_logp_and_grad
@@ -133,12 +143,8 @@ class TestGradientOnlySteps:
         fast_calls = list(calls)
         calls.clear()
         density = PosteriorDensity(data, BASIS)
-
-        def init_fn(rng):
-            return to_noncentered(rng.uniform(-1.0, 1.0, density.num_params))
-
-        full = sample_density(config, density.noncentered_logp_and_grad,
-                              density.num_params, init_fn=init_fn)
+        full = _sample_chains(config, full_calls(density), sample_start(density),
+                              fast.param_names)
         assert np.array_equal(fast.draws, to_centered(full.draws))
         assert np.array_equal(fast.accept_stats, full.accept_stats)
         assert np.array_equal(fast.step_sizes, full.step_sizes)
@@ -173,7 +179,7 @@ class TestInitialStep:
         # standard normal inside the unit box, a cliff of huge gradient
         # outside it: the kinetic energy after the first trial step
         # overflows, which must count as an infinite energy, not a warning
-        def steep_wall(q):
+        def steep_wall(q, logp):
             grad = np.where(np.abs(q) > 1.0, -1e200 * np.sign(q), -q)
             return -0.5 * float(q @ q), grad
 
@@ -181,7 +187,8 @@ class TestInitialStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             start = np.zeros(10)
-            step = _find_initial_step(steep_wall, start, *steep_wall(start), rng, np.ones(10))
+            step = _find_initial_step(steep_wall, start, *steep_wall(start, True), rng,
+                                      np.ones(10))
         assert 0.0 < step < 1.0
 
 
@@ -201,12 +208,8 @@ class TestModelSampling:
         )
         # an empty likelihood, with the starts and coordinates of sample
         density = PosteriorDensity(None, BASIS)
-
-        def init_fn(rng):
-            return to_noncentered(rng.uniform(-1.0, 1.0, density.num_params))
-
-        res = sample_density(config, density.noncentered_logp_and_grad,
-                             density.num_params, init_fn=init_fn)
+        res = _sample_chains(config, full_calls(density), sample_start(density),
+                             [f"param_{i}" for i in range(density.num_params)])
         sds = to_centered(res.flat())[:, :-1].std(axis=0)
         assert np.max(np.abs(sds - oracle_sd)) / oracle_sd < 0.05
 
