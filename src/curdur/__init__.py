@@ -50,7 +50,6 @@ from .reporting import (
 from .sampler import PosteriorDraws, SamplerConfig, sample, sample_density
 from .simulator import (
     ReportingBehavior,
-    TrueTbs,
     apply_reporting,
     mixture,
     point_mass,

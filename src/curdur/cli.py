@@ -27,7 +27,7 @@ from . import simulator
 from .basis import BasisConfig, build_basis
 from .diagnostics import MIN_DRAWS_PER_CHAIN, DiagnosticsReport, compute_diagnostics
 from .errors import ConfigurationError, CurdurError, IngestError
-from .estimates import summarize
+from .estimates import TbsDistribution, _checked_levels, summarize
 from .reporting import (
     DEFAULT_HEAP,
     EXCLUSION_MIN,
@@ -207,7 +207,7 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
     report.total_rows = report.retained + report.excluded
     if not records:
         raise IngestError(f"{path}: no usable records after exclusions")
-    return ReportedDataset.from_records(records), report
+    return ReportedDataset(records), report
 
 
 @contextlib.contextmanager
@@ -415,14 +415,10 @@ def _heap_from_args(args) -> HeapSet:
 
 def _parse_levels(text: str) -> tuple[float, ...]:
     try:
-        levels = tuple(float(part) for part in text.split(","))
+        levels = [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigurationError(f"bad credible levels {text!r}") from exc
-    if not levels or any(not 0.0 < lvl < 1.0 for lvl in levels):
-        raise ConfigurationError(f"credible levels must lie in (0, 1), got {text!r}")
-    if len(set(levels)) != len(levels):
-        raise ConfigurationError(f"credible levels must be distinct, got {text!r}")
-    return levels
+    return _checked_levels(levels)
 
 
 _TRUTH_FAMILIES = {
@@ -432,7 +428,7 @@ _TRUTH_FAMILIES = {
 }
 
 
-def _truth_component(chunk: str) -> tuple[simulator.TrueTbs, float]:
+def _truth_component(chunk: str) -> tuple[TbsDistribution, float]:
     weight = 1.0
     if "@" in chunk:
         chunk, weight_text = chunk.rsplit("@", 1)
@@ -464,7 +460,7 @@ def _truth_component(chunk: str) -> tuple[simulator.TrueTbs, float]:
     return make(**{k: cast(kwargs[k]) for k, cast in arg_types.items()}), weight
 
 
-def parse_truth(spec: str) -> simulator.TrueTbs:
+def parse_truth(spec: str) -> TbsDistribution:
     """Parse a gap-truth expression.
 
     Grammar: one or more components joined by '+', each

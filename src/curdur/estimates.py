@@ -15,25 +15,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SplineBasis
-from .errors import DegenerateDistributionError
+from .errors import ConfigurationError, DegenerateDistributionError
 from .model import _DAY_BLOCK, TslsDistribution, _phi_blocks
 
 
 @dataclass(frozen=True)
 class TbsDistribution:
-    """Gap-time probability vector over x = 0 .. 729."""
+    """Gap-time probability vector over x = 0 .. 729, summing to 1 within 1e-9."""
 
     f_x: np.ndarray
 
     def __post_init__(self):
         f_x = np.asarray(self.f_x, dtype=float)
         object.__setattr__(self, "f_x", f_x)
-        # written so that NaN fails both checks
-        if not np.all(f_x >= 0.0):
-            raise ValueError("gap-time probabilities must be non-negative")
         total = float(f_x.sum())
-        if not abs(total - 1.0) <= 1e-10:
-            raise ValueError(f"gap-time probabilities must sum to 1, got {total!r}")
+        # written so that NaN fails
+        if not (np.all(f_x >= 0.0) and abs(total - 1.0) <= 1e-9):
+            raise ConfigurationError(f"gap-time pmf must be a simplex, got sum {total!r}")
 
 
 def _phi_vector(phi) -> np.ndarray:
@@ -181,6 +179,17 @@ def _linear_quantile(ordered: np.ndarray, p: float):
     return a + d * t if t < 0.5 else b - d * (1.0 - t)
 
 
+def _checked_levels(levels) -> tuple[float, ...]:
+    """``levels`` as floats, each in (0, 1), with no repeats: each level
+    keys one band, so a repeat would give fewer bands than levels."""
+    levels = tuple(float(level) for level in levels)
+    if any(not 0.0 < level < 1.0 for level in levels):
+        raise ConfigurationError(f"credible levels must lie in (0, 1), got {levels}")
+    if len(set(levels)) != len(levels):
+        raise ConfigurationError(f"credible levels must be distinct, got {levels}")
+    return levels
+
+
 def _band_in_place(x: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
     """Median and bands of ``x``, whose draws lie along its last axis.
 
@@ -190,12 +199,8 @@ def _band_in_place(x: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
     """
     probs = [0.5]
     for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"credible level must be in (0, 1), got {level}")
         tail = 0.5 * (1.0 - level)
         probs += [tail, 1.0 - tail]
-    if len(set(levels)) != len(levels):
-        raise ValueError(f"credible levels must be distinct, got {levels}")
     x.sort(axis=-1)
     n = x.shape[-1]
     if n == 0:
@@ -222,7 +227,7 @@ def quantile_band(samples: np.ndarray, levels: tuple[float, ...]) -> QuantitySum
     Non-finite samples raise ValueError.
     """
     draws_last = np.moveaxis(np.asarray(samples, dtype=float), 0, -1).copy()
-    return _band_in_place(draws_last, levels)
+    return _band_in_place(draws_last, _checked_levels(levels))
 
 
 def _joined(parts: list) -> QuantitySummary:
@@ -248,7 +253,7 @@ def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:
     the survival.  The values are bit-identical to ``np.quantile`` of the
     row-by-row transforms of ``phi_matrix``.
     """
-    levels = tuple(float(lvl) for lvl in levels)
+    levels = _checked_levels(levels)
     flat = draws.draws.reshape(-1, draws.draws.shape[-1])
     if flat.shape[0] == 0:
         raise ValueError("no draws to summarize")

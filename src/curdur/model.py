@@ -178,7 +178,8 @@ class PosteriorDensity:
     """Log posterior and exact gradient for one dataset and basis.
 
     Precomputes the basis columns summed over the days of each distinct
-    report, so each evaluation reduces to small matrix products.
+    report, so each evaluation reduces to small matrix products.  With
+    ``data`` None the density is the prior, the empty survey's posterior.
     Instances are immutable after construction and safe to share across
     chains.
     """
@@ -205,18 +206,17 @@ class PosteriorDensity:
         self._upper = upper
         self._upper_t = np.ascontiguousarray(upper.T)
         # a row per distinct report, then the normaliser's column totals,
-        # weighted by the counts, then minus their total
-        self._rows = None
-        self._safe_rows = True
-        if not (data is None or len(data) == 0):
-            self._rows = np.vstack([observation_matrix(data, heap) @ basis.values[:-1],
-                                    _support_totals(basis)])
-            self._rows_t = np.ascontiguousarray(self._rows.T)
-            self._weights = np.array([*data.counts.values(), -len(data)], dtype=float)
-            # with |sums| <= _SAFE_SUM every mass is at least e^-300 times
-            # its row's largest entry: with that entry >= 1e-100 no mass
-            # underflows and no counts / mass overflows (10 segments: >= 0.0536)
-            self._safe_rows = bool(self._rows.max(axis=1).min() >= 1e-100)
+        # weighted by the counts, then minus their total.  No data is the
+        # empty survey: the normaliser alone, weighted 0, leaves the prior
+        data = data if data is not None else ReportedDataset(())
+        self._rows = np.vstack([observation_matrix(data, heap) @ basis.values[:-1],
+                                _support_totals(basis)])
+        self._rows_t = np.ascontiguousarray(self._rows.T)
+        self._weights = np.array([*data.counts.values(), -len(data)], dtype=float)
+        # with |sums| <= _SAFE_SUM every mass is at least e^-300 times
+        # its row's largest entry: with that entry >= 1e-100 no mass
+        # underflows and no counts / mass overflows (10 segments: >= 0.0536)
+        self._safe_rows = bool(self._rows.max(axis=1).min() >= 1e-100)
         # non-centered: k standard normals and a standard half-normal
         self._prior_const = math.log(2.0) - (k + 1) * _HALF_LOG_2PI
 
@@ -235,8 +235,8 @@ class PosteriorDensity:
         With ``logp`` False, as on the sampler's interior leapfrog steps, a
         position in the exception-free region gives (None, gradient): None
         stands for a finite log density, not computed, and the gradient is
-        the full call's, bit for bit.  Elsewhere, and with no data, the
-        result is the full (log density, gradient).
+        the full call's, bit for bit.  Elsewhere the result is the full
+        (log density, gradient).
         """
         eta = np.asarray(eta, dtype=float)
         z = eta.tolist()
@@ -271,29 +271,25 @@ class PosteriorDensity:
         is None, not computed.
         """
         sigma_sq = sigma * sigma
-        if self._rows is None:
-            loglik, grad = 0.0, -eta
-            grad[-1] = 1.0 - sigma_sq
+        sums = self._upper.dot(eta)
+        sums *= sigma
+        unclamped = None
+        if guarded:
+            sums, unclamped = _clamp(sums)
+            alpha = _rescaled_alpha(sums)
         else:
-            sums = self._upper.dot(eta)
-            sums *= sigma
-            unclamped = None
-            if guarded:
-                sums, unclamped = _clamp(sums)
-                alpha = _rescaled_alpha(sums)
-            else:
-                alpha = np.exp(sums)
-            mass = self._rows.dot(alpha)
-            loglik = float(self._weights.dot(np.log(mass))) if logp else None
-            d_sums = self._rows_t.dot(self._weights / mass)
-            d_sums *= alpha
-            if unclamped is not None:
-                d_sums *= unclamped
-            grad = self._upper_t.dot(d_sums)
-            grad *= sigma
-            z_dz = float(eta.dot(grad))
-            grad -= eta
-            grad[-1] = 1.0 - sigma_sq + z_dz
+            alpha = np.exp(sums)
+        mass = self._rows.dot(alpha)
+        loglik = float(self._weights.dot(np.log(mass))) if logp else None
+        d_sums = self._rows_t.dot(self._weights / mass)
+        d_sums *= alpha
+        if unclamped is not None:
+            d_sums *= unclamped
+        grad = self._upper_t.dot(d_sums)
+        grad *= sigma
+        z_dz = float(eta.dot(grad))
+        grad -= eta
+        grad[-1] = 1.0 - sigma_sq + z_dz
         if loglik is None:
             return None, grad
         return self._prior_const - 0.5 * (z_sq + sigma_sq) + log_sigma + loglik, grad

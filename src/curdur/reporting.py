@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable
 
 import numpy as np
 
@@ -94,10 +93,6 @@ class ReportedDataset:
         object.__setattr__(self, "records", tuple(self.records))
         counts = sorted(Counter(self.records).items(), key=lambda c: (c[0].unit, c[0].z))
         object.__setattr__(self, "counts", dict(counts))
-
-    @classmethod
-    def from_records(cls, records: Iterable[ReportedDuration]) -> "ReportedDataset":
-        return cls(records=tuple(records))
 
     def __len__(self) -> int:
         return len(self.records)

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
+from .estimates import TbsDistribution
 from .reporting import (
     DEFAULT_HEAP,
     EXCLUSION_MIN,
@@ -31,50 +32,34 @@ from .reporting import (
 from .window import LAST_DAY, NUM_DAYS
 
 
-@dataclass(frozen=True)
-class TrueTbs:
-    """User-specified gap-time distribution over x = 0 .. 729."""
-
-    f_x: np.ndarray
-
-    def __post_init__(self):
-        f_x = np.asarray(self.f_x, dtype=float)
-        object.__setattr__(self, "f_x", f_x)
-        if f_x.shape != (NUM_DAYS,):
-            raise ConfigurationError(
-                f"true gap distribution must have length {NUM_DAYS}, got {f_x.shape}"
-            )
-        if np.any(f_x < 0.0) or not abs(float(f_x.sum()) - 1.0) <= 1e-9:
-            raise ConfigurationError("true gap distribution must be a simplex")
-
-
-def truncated_geometric(p: float) -> TrueTbs:
+def truncated_geometric(p: float) -> TbsDistribution:
     """Geometric gap distribution truncated to the window."""
     if not 0.0 < p < 1.0:
         raise ConfigurationError(f"geometric rate must be in (0, 1), got {p}")
     x = np.arange(NUM_DAYS)
     f = p * (1.0 - p) ** x
-    return TrueTbs(f_x=f / f.sum())
+    return TbsDistribution(f_x=f / f.sum())
 
-def point_mass(day: int) -> TrueTbs:
+
+def point_mass(day: int) -> TbsDistribution:
     """All gaps exactly ``day`` day-classes long."""
     if not 0 <= day <= LAST_DAY:
         raise ConfigurationError(f"point mass day must be in [0, {LAST_DAY}]")
     f = np.zeros(NUM_DAYS)
     f[day] = 1.0
-    return TrueTbs(f_x=f)
+    return TbsDistribution(f_x=f)
 
 
-def uniform_gap(lo: int, hi: int) -> TrueTbs:
+def uniform_gap(lo: int, hi: int) -> TbsDistribution:
     """Gaps uniform on the day-classes lo .. hi inclusive."""
     if not 0 <= lo <= hi <= LAST_DAY:
         raise ConfigurationError(f"need 0 <= lo <= hi <= {LAST_DAY}")
     f = np.zeros(NUM_DAYS)
     f[lo : hi + 1] = 1.0 / (hi - lo + 1)
-    return TrueTbs(f_x=f)
+    return TbsDistribution(f_x=f)
 
 
-def mixture(parts: Sequence[tuple[TrueTbs, float]]) -> TrueTbs:
+def mixture(parts: Sequence[tuple[TbsDistribution, float]]) -> TbsDistribution:
     """Weighted mixture of gap distributions."""
     weights = np.array([w for _, w in parts], dtype=float)
     if np.any(weights < 0.0) or not abs(weights.sum() - 1.0) <= 1e-9:
@@ -82,7 +67,7 @@ def mixture(parts: Sequence[tuple[TrueTbs, float]]) -> TrueTbs:
     f = np.zeros(NUM_DAYS)
     for part, w in parts:
         f += w * part.f_x
-    return TrueTbs(f_x=f)
+    return TbsDistribution(f_x=f)
 
 
 def default_unit_rule(y: int) -> Sequence[tuple[str, float]]:
@@ -151,13 +136,18 @@ def _encode(channel: str, y: int, heap: HeapSet) -> ReportedDuration:
     raise ConfigurationError(f"unknown reporting channel {channel!r}")
 
 
-def sample_tsls_exact(truth: TrueTbs, n: int, seed) -> np.ndarray:
+def sample_tsls_exact(truth: TbsDistribution, n: int, seed) -> np.ndarray:
     """Exact durations under stationary sampling from the true gaps.
 
     Selects a gap class g with probability proportional to (g + 1) times
     its frequency, then a uniform day inside it, which reproduces the
     renewal identity for the observed-duration distribution exactly.
+    ``truth`` must cover the day-classes 0 .. 729.
     """
+    if truth.f_x.shape != (NUM_DAYS,):
+        raise ConfigurationError(
+            f"true gap distribution must have length {NUM_DAYS}, got {truth.f_x.shape}"
+        )
     if n < 0:
         raise ConfigurationError(f"survey size must be >= 0, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
@@ -217,7 +207,7 @@ def apply_reporting(y: int, behavior: ReportingBehavior, rng) -> ReportedDuratio
 
 
 def simulate_survey(
-    truth: TrueTbs,
+    truth: TbsDistribution,
     behavior: ReportingBehavior | None = None,
     n: int = 0,
     seed=0,
@@ -234,4 +224,4 @@ def simulate_survey(
     days = exact.tolist()
     # one table per distinct day, built (and checked) in order of first appearance
     tables = {y: _day_reports(y, behavior) for y in dict.fromkeys(days)}
-    return ReportedDataset.from_records([_pick(tables[y], u) for y, u in zip(days, uniforms)])
+    return ReportedDataset([_pick(tables[y], u) for y, u in zip(days, uniforms)])

@@ -43,7 +43,7 @@ def make_mixed_dataset(rng, n=40) -> ReportedDataset:
             records.append(ReportedDuration(z=int(rng.integers(0, 24)), unit=Unit.MONTH))
         else:
             records.append(ReportedDuration(z=1, unit=Unit.YEAR))
-    return ReportedDataset.from_records(records)
+    return ReportedDataset(records)
 
 
 def random_monotone_simplex(rng, size=730) -> np.ndarray:

@@ -843,10 +843,14 @@ class TestCommands:
              "ConfigurationError"),
             (["fit", "--input", "missing.csv", "--outdir", "newfit", "--degree", "100000"],
              "ConfigurationError"),
+            (["fit", "--input", "missing.csv", "--outdir", "newfit", "--levels", "0.8,0.80"],
+             "ConfigurationError"),
+            (["fit", "--input", "missing.csv", "--outdir", "newfit", "--levels", "1.5"],
+             "ConfigurationError"),
         ],
         ids=["simulate-bad-truth", "simulate-negative-n", "fit-missing-input",
              "simulate-negative-seed", "fit-repeated-heap-day", "fit-too-many-knots",
-             "fit-unknown-degree-option"],
+             "fit-unknown-degree-option", "fit-repeated-level", "fit-level-out-of-range"],
     )
     def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, monkeypatch,
                                                  argv, error):
@@ -878,6 +882,24 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "ConfigurationError"
         assert "must keep the 4 draws per chain" in payload["message"]
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("levels", ["0.8,0.95,0.80", "0", "1", "nan", "0.8,"])
+    def test_refused_levels_leave_no_output_directory(self, tmp_path, capsys, monkeypatch,
+                                                      levels):
+        class Sampled(Exception):
+            pass
+
+        def sample(*args, **kwargs):
+            raise Sampled
+
+        monkeypatch.setattr(cli, "sample", sample)
+        data = write_csv(tmp_path / "d.csv", ["5,day"])
+        outdir = tmp_path / "out"
+        argv = ["fit", "--input", str(data), "--outdir", str(outdir), "--levels", levels]
+        assert main(argv) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == (
+            "ConfigurationError")
         assert not outdir.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "fit"])

@@ -62,7 +62,7 @@ def _saved_survey(saved) -> ReportedDataset:
     records = []
     for z, unit, count in zip(saved["z"], saved["unit"], saved["count"]):
         records += [ReportedDuration(z=int(z), unit=Unit(int(unit)))] * int(count)
-    return ReportedDataset.from_records(records)
+    return ReportedDataset(records)
 
 
 @pytest.fixture
@@ -225,16 +225,56 @@ class TestLogPrior:
             assert abs(logp - _scipy_log_prior(params)) < 1e-12
 
 
+    @pytest.mark.parametrize("segments", [1, 10, 60])
+    def test_no_data_is_the_empty_survey(self, monkeypatch, segments):
+        basis = build_basis(BasisConfig(num_segments=segments))
+        k = basis.num_basis
+        densities = [PosteriorDensity(None, basis), PosteriorDensity(ReportedDataset(()), basis)]
+        guarded_calls = []
+        body = PosteriorDensity._noncentered
+
+        def spy(self, eta, z_sq, log_sigma, sigma, guarded, logp=True):
+            guarded_calls.append(guarded)
+            return body(self, eta, z_sq, log_sigma, sigma, guarded, logp)
+
+        monkeypatch.setattr(PosteriorDensity, "_noncentered", spy)
+        rng = np.random.default_rng(segments)
+        # (delta, log_sigma, whether the kernel takes the guarded path)
+        positions = [
+            (rng.uniform(-1.0, 1.0, k), 0.3, False),
+            # K |delta|^2 past 300^2, every reverse sum but the last clamped
+            (np.full(k, 400.0), 1.0, True),
+            # |log_sigma| past 200
+            (rng.uniform(-1.0, 1.0, k), 250.0, True),
+            (rng.uniform(-1.0, 1.0, k) * math.exp(-250.0), -250.0, True),
+        ]
+        for delta, log_sigma, guarded in positions:
+            theta = np.append(delta, log_sigma)
+            guarded_calls.clear()
+            (logp, grad), (empty_logp, empty_grad) = (
+                d.noncentered_logp_and_grad(to_noncentered(theta)) for d in densities)
+            assert guarded_calls == [guarded, guarded]
+            assert logp == empty_logp and grad.tobytes() == empty_grad.tobytes()
+            (logp, grad), (empty_logp, empty_grad) = (d.logp_and_grad(theta) for d in densities)
+            assert logp == empty_logp and grad.tobytes() == empty_grad.tobytes()
+            params = ModelParams(delta=delta, log_sigma=log_sigma)
+            expected = _scipy_log_prior(params)
+            assert abs(logp - expected) <= 1e-12 * max(1.0, abs(expected))
+            expected_grad = _prior_gradient(params)
+            assert (np.abs(grad - expected_grad)
+                    <= 1e-12 * np.maximum(1.0, np.abs(expected_grad))).all()
+
+
 class TestLogPosterior:
     def test_empty_dataset_equals_prior(self, rng):
-        data = ReportedDataset.from_records([])
+        data = ReportedDataset([])
         params = random_params(rng)
         logp = PosteriorDensity(data, BASIS).logp_and_grad(params.to_vector())[0]
         assert logp == PRIOR.logp_and_grad(params.to_vector())[0]
         assert abs(logp - _scipy_log_prior(params)) < 1e-12
 
     def test_single_day_zero_record(self, rng):
-        data = ReportedDataset.from_records([ReportedDuration(z=0, unit=Unit.DAY)])
+        data = ReportedDataset([ReportedDuration(z=0, unit=Unit.DAY)])
         params = random_params(rng)
         phi = phi_from_params(params, BASIS).phi
         expected = _scipy_log_prior(params) + math.log(phi[0])
@@ -263,7 +303,7 @@ class TestLogPosterior:
         # the order of the records
         rng = np.random.default_rng(seed)
         data = make_mixed_dataset(rng, n=30)
-        shuffled = ReportedDataset.from_records(rng.permutation(data.records))
+        shuffled = ReportedDataset(rng.permutation(data.records))
         theta = random_params(rng).to_vector()
         logp, grad = PosteriorDensity(data, BASIS).logp_and_grad(theta)
         back_logp, back_grad = PosteriorDensity(shuffled, BASIS).logp_and_grad(theta)
@@ -295,7 +335,7 @@ class TestGradient:
 
     def test_duplicated_data_doubles_likelihood_gradient(self, rng):
         data = make_mixed_dataset(rng, n=25)
-        doubled = ReportedDataset.from_records(data.records + data.records)
+        doubled = ReportedDataset(data.records + data.records)
         params = random_params(rng)
         g_prior = _prior_gradient(params)
         theta = params.to_vector()
@@ -670,14 +710,14 @@ class TestGradientOnlyCall:
 
     @pytest.mark.parametrize("case", sorted(_safe_region_edges(np.random.default_rng(11))))
     @pytest.mark.parametrize("prior_only", [False, True])
-    def test_full_call_outside_the_region_and_without_data(self, case, prior_only):
+    def test_full_call_outside_the_region(self, case, prior_only):
         eta, inside = _safe_region_edges(np.random.default_rng(11))[case]
         data = make_mixed_dataset(np.random.default_rng(5), n=60)
         density = PosteriorDensity(None if prior_only else data, BASIS)
         full_logp, full_grad = density.noncentered_logp_and_grad(eta)
         logp, grad = density.noncentered_logp_and_grad(eta, False)
         assert np.array_equal(grad, full_grad)
-        if inside and not prior_only:
+        if inside:
             assert logp is None
         else:
             assert type(logp) is float and logp == full_logp

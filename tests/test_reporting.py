@@ -53,7 +53,7 @@ class TestTypes:
             ReportedDuration(z=7, unit=Unit.DAY),
             ReportedDuration(z=1, unit=Unit.WEEK),
         ]
-        ds = ReportedDataset.from_records(records)
+        ds = ReportedDataset(records)
         assert len(ds) == 3
         assert sum(ds.counts.values()) == 3
         assert ds.counts[ReportedDuration(z=7, unit=Unit.DAY)] == 2
@@ -161,7 +161,7 @@ class TestReportedProb:
 
 
 def _reports(*pairs):
-    return ReportedDataset.from_records(
+    return ReportedDataset(
         [ReportedDuration(z=z, unit=unit) for z, unit in pairs])
 
 
@@ -208,26 +208,26 @@ class TestObservationMatrix:
                 assert row.sum() == hi - lo + 1
 
     def test_empty_dataset(self):
-        empty = ReportedDataset.from_records([])
+        empty = ReportedDataset([])
         assert observation_matrix(empty).shape == (0, NUM_DAYS)
         assert np.array_equal(spread_mass(empty), np.zeros(NUM_DAYS))
 
 
 class TestSpreadMass:
     def test_one_week_report(self):
-        ds = ReportedDataset.from_records([ReportedDuration(z=0, unit=Unit.WEEK)])
+        ds = ReportedDataset([ReportedDuration(z=0, unit=Unit.WEEK)])
         w = spread_mass(ds)
         assert np.allclose(w[:7], 1.0 / 7.0)
         assert np.all(w[7:] == 0.0)
 
     def test_singleton_day(self):
-        ds = ReportedDataset.from_records([ReportedDuration(z=3, unit=Unit.DAY)])
+        ds = ReportedDataset([ReportedDuration(z=3, unit=Unit.DAY)])
         w = spread_mass(ds)
         assert w[3] == 1.0
         assert w.sum() == 1.0
 
     def test_two_heaped_records(self):
-        ds = ReportedDataset.from_records(
+        ds = ReportedDataset(
             [ReportedDuration(z=7, unit=Unit.DAY), ReportedDuration(z=7, unit=Unit.DAY)]
         )
         w = spread_mass(ds)

@@ -196,7 +196,7 @@ class TestModelSampling:
     def test_empty_data_rejected(self):
         config = SamplerConfig(chains=2, iterations_per_chain=20, warmup=10)
         with pytest.raises(SamplingError):
-            sample(config, ReportedDataset.from_records([]), BASIS)
+            sample(config, ReportedDataset([]), BASIS)
 
     def test_prior_only_moments(self):
         # oracle: direct Monte Carlo of the prior's marginal over delta

@@ -9,10 +9,10 @@ import pytest
 
 from curdur.cli import write_dataset
 from curdur.errors import ConfigurationError
+from curdur.estimates import TbsDistribution
 from curdur.reporting import HeapSet, ReportedDuration, Unit, day_interval
 from curdur.simulator import (
     ReportingBehavior,
-    TrueTbs,
     _day_reports,
     apply_reporting,
     mixture,
@@ -49,6 +49,15 @@ class TestSampleExact:
         tv = 0.5 * np.abs(emp - renewal_target(truth)).sum()
         assert tv < 0.005
 
+    @pytest.mark.parametrize("length", [1, 729])
+    def test_gap_pmf_of_the_wrong_length_is_refused(self, length):
+        # a point mass at gap 0 of another length than the 730 day-classes
+        truth = TbsDistribution(f_x=np.eye(length)[0])
+        with pytest.raises(ConfigurationError, match="length 730"):
+            sample_tsls_exact(truth, n=2000, seed=1)
+        with pytest.raises(ConfigurationError, match="length 730"):
+            simulate_survey(truth, n=2000, seed=1)
+
     def test_seeded_determinism(self):
         truth = truncated_geometric(0.2)
         a = sample_tsls_exact(truth, n=500, seed=42)
@@ -63,11 +72,15 @@ class TestTruthBuilders:
         with pytest.raises(ConfigurationError):
             mixture([(point_mass(1), float("nan"))])
 
+    def test_mixture_weights_sum_to_one_within_1e_9(self):
+        truth = mixture([(point_mass(1), 0.5), (point_mass(2), 0.5 + 5e-10)])
+        assert truth.f_x[2] == 0.5 + 5e-10
+
     def test_truth_must_be_a_simplex(self):
         with pytest.raises(ConfigurationError):
-            TrueTbs(f_x=np.full(730, 1.0 / 700))
+            TbsDistribution(f_x=np.full(730, 1.0 / 700))
         with pytest.raises(ConfigurationError):
-            TrueTbs(f_x=np.full(730, np.nan))
+            TbsDistribution(f_x=np.full(730, np.nan))
 
     def test_uniform_gap(self):
         t = uniform_gap(3, 6)
