@@ -6,7 +6,8 @@ two-year window (see ``reporting.EXCLUSION_MIN``) are excluded and counted;
 malformed rows abort ingestion with their line numbers.
 
 Exit codes: 0 success, 1 error, usage errors included (machine-readable
-JSON on stderr), 3 fit or diagnose completed but a convergence flag fired.
+JSON on stderr), 3 fit or diagnose completed but a flag fired: a convergence
+flag, or for fit a mean TBS band that starts at the basis's floor.
 Run as ``curdur <command>`` or ``python -m curdur.cli <command>``.
 """
 
@@ -28,6 +29,7 @@ from .basis import BasisConfig, build_basis
 from .diagnostics import MIN_DRAWS_PER_CHAIN, DiagnosticsReport, compute_diagnostics
 from .errors import ConfigurationError, CurdurError, IngestError
 from .estimates import TbsDistribution, _checked_levels, summarize
+from .model import mean_tbs_floor
 from .reporting import (
     DEFAULT_HEAP,
     EXCLUSION_MIN,
@@ -57,6 +59,9 @@ _UNIT_TOKENS = {
 
 # draws.csv rows formatted per write
 _WRITE_BLOCK = 256
+# a fit whose widest mean_tbs_days band starts within this fraction above
+# the basis's floor is flagged: the basis, not the data, may have set it
+_FLOOR_MARGIN = 0.01
 
 
 @dataclass
@@ -507,12 +512,20 @@ def _cmd_fit(args) -> int:
     draws = sample(sampler_config, dataset, basis, heap=heap, progress=progress)
     report = compute_diagnostics(draws.draws, names=draws.param_names)
     summary = summarize(draws, basis, levels=levels)
+    floor = mean_tbs_floor(basis)
+    widest = max(levels)
+    lower = summary.mean_tbs_days.band(widest).lower
+    if lower <= (1.0 + _FLOOR_MARGIN) * floor:
+        report.flags.append(f"basis_floor: mean_tbs_days {widest} band starts at "
+                            f"{lower:.4f}, within {_FLOOR_MARGIN:.0%} of the basis floor "
+                            f"{floor:.4f}")
 
     estimates_payload = summary.to_dict()
     estimates_payload["dataset"] = ingest_report.to_dict()
     estimates_payload["config"] = {
         # asdict leaves out the degree, a class constant; the file keeps it
-        "basis": {"num_segments": basis_config.num_segments, "degree": basis_config.degree},
+        "basis": {"num_segments": basis_config.num_segments, "degree": basis_config.degree,
+                  "mean_tbs_floor_days": floor},
         "sampler": asdict(sampler_config),
         "heap": asdict(heap),
     }
@@ -538,7 +551,7 @@ def _cmd_fit(args) -> int:
             ])
 
     if not report.passed:
-        print(f"convergence flags: {report.flags}", file=sys.stderr)
+        print(f"flags: {report.flags}", file=sys.stderr)
         return EXIT_FLAGGED
     return EXIT_OK
 

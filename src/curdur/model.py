@@ -90,34 +90,22 @@ class TslsDistribution:
             raise ValueError("phi must be non-increasing")
 
 
-def _clamp(sums: np.ndarray) -> tuple:
-    """Clip log-scale coefficient sums to +/- LOG_CLAMP, in place.
+def _coefficients(sums: np.ndarray) -> tuple:
+    """alpha = exp(sums - max) along the last axis, in place, from
+    log-scale coefficient sums clipped to +/- LOG_CLAMP.
 
-    Returns ``sums`` and the mask of entries the clip left alone, or None
-    when every sum lies within the clamp, which skips the clip.
+    Returns alpha and the mask of sums the clip left alone, or None when
+    every sum lies within the clamp, which skips the clip.  The common
+    scale cancels in phi and in every likelihood ratio, so the shift
+    keeps all downstream sums inside double range.
     """
-    if (np.maximum.reduce(sums, axis=None, initial=-LOG_CLAMP) <= LOG_CLAMP
+    unclamped = None
+    if not (np.maximum.reduce(sums, axis=None, initial=-LOG_CLAMP) <= LOG_CLAMP
             and np.minimum.reduce(sums, axis=None, initial=LOG_CLAMP) >= -LOG_CLAMP):
-        return sums, None
-    unclamped = np.abs(sums) <= LOG_CLAMP
-    return np.clip(sums, -LOG_CLAMP, LOG_CLAMP, out=sums), unclamped
-
-
-def _clamped_sums(delta: np.ndarray) -> tuple:
-    """Reverse cumulative sums along the last axis, through ``_clamp``."""
-    sums = np.empty_like(delta)
-    np.add.accumulate(delta[..., ::-1], axis=-1, out=sums[..., ::-1])
-    return _clamp(sums)
-
-
-def _rescaled_alpha(sums: np.ndarray) -> np.ndarray:
-    """exp(sums - max) along the last axis, in place.
-
-    The common scale cancels in phi and in every likelihood ratio, so
-    the shift keeps all downstream sums inside double range.
-    """
+        unclamped = np.abs(sums) <= LOG_CLAMP
+        np.clip(sums, -LOG_CLAMP, LOG_CLAMP, out=sums)
     sums -= np.maximum.reduce(sums, axis=-1, keepdims=True)
-    return np.exp(sums, out=sums)
+    return np.exp(sums, out=sums), unclamped
 
 
 def phi_from_params(params: ModelParams, basis: SplineBasis) -> TslsDistribution:
@@ -132,6 +120,16 @@ def _support_totals(basis: SplineBasis) -> np.ndarray:
     the normaliser of phi and of every report probability.
     """
     return basis.values[:-1].sum(axis=0)
+
+
+def mean_tbs_floor(basis: SplineBasis) -> float:
+    """The least mean TBS, in days, that any coefficients of ``basis`` give.
+
+    Mean TBS is 1 / phi_0, and phi_0 = (alpha @ values[0]) / (alpha @ t),
+    with t = ``_support_totals(basis)``, is a mean of the column ratios
+    values[0, k] / t_k weighted by alpha_k t_k: at most the largest.
+    """
+    return float(1.0 / np.max(basis.values[0] / _support_totals(basis)))
 
 
 def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis, out: np.ndarray):
@@ -153,7 +151,9 @@ def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis, out: np.ndarray):
             f"parameter rows have {deltas.shape[1]} deltas, "
             f"basis has {basis.num_basis} columns"
         )
-    alpha = _rescaled_alpha(_clamped_sums(deltas)[0])
+    sums = np.empty_like(deltas)
+    np.add.accumulate(deltas[:, ::-1], axis=1, out=sums[:, ::-1])
+    alpha = _coefficients(sums)[0]
     alpha /= (alpha @ _support_totals(basis))[:, None]
     support = basis.values[:-1]
     for start in range(0, basis.support_days, _DAY_BLOCK):
@@ -275,8 +275,7 @@ class PosteriorDensity:
         sums *= sigma
         unclamped = None
         if guarded:
-            sums, unclamped = _clamp(sums)
-            alpha = _rescaled_alpha(sums)
+            alpha, unclamped = _coefficients(sums)
         else:
             alpha = np.exp(sums)
         mass = self._rows.dot(alpha)

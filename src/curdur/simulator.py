@@ -65,7 +65,10 @@ def mixture(parts: Sequence[tuple[TbsDistribution, float]]) -> TbsDistribution:
     if np.any(weights < 0.0) or not abs(weights.sum() - 1.0) <= 1e-9:
         raise ConfigurationError("mixture weights must be non-negative and sum to 1")
     f = np.zeros(NUM_DAYS)
-    for part, w in parts:
+    for i, (part, w) in enumerate(parts):
+        if part.f_x.shape != f.shape:
+            raise ConfigurationError(f"mixture part {i} has {part.f_x.size} day-classes "
+                                     f"(shape {part.f_x.shape}), expected {NUM_DAYS}")
         f += w * part.f_x
     return TbsDistribution(f_x=f)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from curdur import cli
+from curdur.basis import BasisConfig, build_basis
 from curdur.cli import (
     EXIT_ERROR,
     EXIT_FLAGGED,
@@ -34,6 +35,7 @@ from curdur.cli import (
 )
 from curdur.diagnostics import compute_diagnostics
 from curdur.errors import ConfigurationError, IngestError
+from curdur.model import mean_tbs_floor
 from curdur.reporting import ReportedDuration, Unit, day_interval
 from curdur.sampler import PosteriorDraws
 from curdur.simulator import simulate_survey, truncated_geometric
@@ -612,7 +614,10 @@ class TestCommands:
         assert estimates["dataset"]["retained"] == 400
         assert estimates["mean_tbs_days"]["median"] > 0
         assert list(estimates["config"]) == ["basis", "sampler", "heap"]
-        assert estimates["config"]["basis"] == {"num_segments": 6, "degree": 3}
+        assert estimates["config"]["basis"] == {
+            "num_segments": 6, "degree": 3,
+            "mean_tbs_floor_days": mean_tbs_floor(build_basis(BasisConfig(num_segments=6))),
+        }
 
         diagnostics = json.loads((fit_dir / "diagnostics.json").read_text())
         assert len(diagnostics["parameters"]) == 10  # 6 + 3 deltas, log_sigma
@@ -640,6 +645,39 @@ class TestCommands:
         payload = json.loads(out)
         assert code in (EXIT_OK, EXIT_FLAGGED)
         assert payload["passed"] is (code == EXIT_OK)
+
+    @staticmethod
+    def _short_fit(tmp_path, truth, n):
+        """simulate (survey seed 7) and a short default-basis fit of it;
+        the exit code, diagnostics.json and estimates.json."""
+        assert main(["simulate", "--truth", truth, "--n", str(n), "--seed", "7",
+                     "--outdir", str(tmp_path / "sim")]) == EXIT_OK
+        code = main(["fit", "--input", str(tmp_path / "sim" / "data.csv"),
+                     "--outdir", str(tmp_path / "fit"), "--chains", "2", "--iters", "300",
+                     "--warmup", "150", "--seed", "1"])
+        return code, *(json.loads((tmp_path / "fit" / name).read_text())
+                       for name in ("diagnostics.json", "estimates.json"))
+
+    def test_fit_at_the_basis_floor_is_flagged(self, tmp_path, capsys):
+        # true mean TBS 3.33 days; the default basis cannot go below 15.10
+        code, diagnostics, estimates = self._short_fit(tmp_path, "geometric:p=0.3", 2000)
+        assert code == EXIT_FLAGGED and diagnostics["passed"] is False
+        floor = estimates["config"]["basis"]["mean_tbs_floor_days"]
+        assert floor == mean_tbs_floor(build_basis(BasisConfig()))
+        assert round(floor, 4) == 15.1046
+        lower = estimates["mean_tbs_days"]["intervals"]["0.95"]["lower"]
+        assert floor <= lower <= 1.01 * floor
+        flagged = [f for f in diagnostics["flags"] if f.startswith("basis_floor:")]
+        assert flagged == [f"basis_floor: mean_tbs_days 0.95 band starts at {lower:.4f}, "
+                           f"within 1% of the basis floor {floor:.4f}"]
+        assert "basis_floor" in capsys.readouterr().err
+
+    def test_fit_above_the_basis_floor_is_not_flagged(self, tmp_path):
+        # the fit benchmark's survey: true mean TBS 33.3 days
+        _, diagnostics, estimates = self._short_fit(tmp_path, "geometric:p=0.03", 1000)
+        floor = estimates["config"]["basis"]["mean_tbs_floor_days"]
+        assert estimates["mean_tbs_days"]["intervals"]["0.95"]["lower"] > 1.01 * floor
+        assert not [f for f in diagnostics["flags"] if "basis_floor" in f]
 
     def test_unknown_unit_gives_error_json(self, tmp_path, capsys):
         bad = write_csv(tmp_path / "bad.csv", ["5,fortnight"])

@@ -16,9 +16,10 @@ from curdur.errors import DimensionError
 from curdur.model import (
     LOG_CLAMP,
     ModelParams,
-    _clamped_sums,
     PosteriorDensity,
     TslsDistribution,
+    _coefficients,
+    mean_tbs_floor,
     phi_from_params,
     phi_matrix,
     to_centered,
@@ -67,16 +68,16 @@ def _saved_survey(saved) -> ReportedDataset:
 
 @pytest.fixture
 def clips(monkeypatch):
-    """The number of sums each ``_clamp`` call clipped, read off its mask."""
+    """The number of sums each ``_coefficients`` call clipped, read off its mask."""
     counts = []
-    clamp = model._clamp
+    coefficients = model._coefficients
 
     def spy(sums):
-        clamped, unclamped = clamp(sums)
+        alpha, unclamped = coefficients(sums)
         counts.append(0 if unclamped is None else np.count_nonzero(~unclamped))
-        return clamped, unclamped
+        return alpha, unclamped
 
-    monkeypatch.setattr(model, "_clamp", spy)
+    monkeypatch.setattr(model, "_coefficients", spy)
     return counts
 
 
@@ -164,7 +165,7 @@ class TestPhiFromParams:
 
     def test_clamp_edge_rows_monotone_simplex(self):
         # rows whose sums sit on or one ulp past the clamp, where
-        # _rescaled_alpha moves the scale
+        # _coefficients moves the scale
         deltas = np.stack(list(_clamp_edge_deltas().values()))
         phi = phi_matrix(np.column_stack([deltas, np.zeros(len(deltas))]), BASIS)
         assert np.all(np.abs(phi.sum(axis=1) - 1.0) < 1e-12)
@@ -178,6 +179,33 @@ class TestPhiFromParams:
         for i in range(5):
             single = phi_from_params(ModelParams.from_vector(rows[i]), BASIS)
             assert np.allclose(matrix[i], single.phi, atol=1e-15)
+
+
+class TestMeanTbsFloor:
+    """mean_tbs_floor: the least 1 / phi_0 any coefficients of a basis give."""
+
+    @pytest.mark.parametrize("segments, floor", [(10, 15.1046), (20, 7.8091), (30, 5.3804)])
+    def test_least_single_column_mean(self, segments, floor):
+        # a lone column as gamma: its total over the support days, in plain
+        # Python sums, over its day-0 value; columns that are 0 at day 0 give
+        # no finite mean
+        basis = build_basis(BasisConfig(num_segments=segments))
+        means = []
+        for k in range(basis.num_basis):
+            column = [float(v) for v in basis.values[:-1, k]]
+            if column[0] > 0.0:
+                means.append(sum(column) / column[0])
+        assert mean_tbs_floor(basis) == pytest.approx(min(means), rel=1e-12)
+        assert round(mean_tbs_floor(basis), 4) == floor
+
+    def test_no_draw_lies_below_and_the_first_column_reaches_it(self, rng):
+        floor = mean_tbs_floor(BASIS)
+        rows = np.column_stack([rng.uniform(-5.0, 5.0, (200, 13)), np.zeros(200)])
+        assert np.all(1.0 / phi_matrix(rows, BASIS)[:, 0] >= floor * (1.0 - 1e-12))
+        # delta_1 = 50 puts e^50 times every other coefficient on column 0
+        top = np.zeros((1, 14))
+        top[0, 0] = 50.0
+        assert 1.0 / phi_matrix(top, BASIS)[0, 0] == pytest.approx(floor, rel=1e-12)
 
 
 class TestTslsDistributionValidation:
@@ -412,8 +440,8 @@ def _reference(data, eta):
 
     Shares no code with the kernel.  With delta = sigma z, each record's
     probability is gamma = basis @ alpha summed over its day interval, over
-    gamma's total, where alpha exponentiates the reverse sums of delta as
-    ``_clip_path`` clips them.  The prior is scipy's: z standard normal,
+    gamma's total, where alpha is ``_clip_path`` of the reverse sums of
+    delta.  The prior is scipy's: z standard normal,
     sigma standard half-normal, and log_sigma for the log scale.  With L the
     likelihood's gradient in delta, the chain rule through delta = sigma z
     gives (-z + sigma L, 1 - sigma^2 + delta . L).
@@ -427,8 +455,7 @@ def _reference(data, eta):
     logp = stats.norm.logpdf(z).sum() + stats.halfnorm.logpdf(sigma) + log_sigma
     d_sums = np.zeros_like(delta)
     if data is not None:
-        sums, unclipped = _clip_path(delta)
-        alpha = np.exp(sums - sums.max())
+        alpha, unclipped = _clip_path(_reverse_sums(delta))
         support = BASIS.values[:-1]
         total = support.sum(axis=0) * alpha
         for record in data.records:
@@ -489,11 +516,31 @@ class TestNoncenteredKernel:
         assert np.array_equal(grad, np.zeros(14))
 
 
-def _clip_path(delta):
-    """The clamp without its fast path: clip every reverse sum, mask the clips."""
-    sums = np.cumsum(delta[..., ::-1], axis=-1)[..., ::-1]
-    clipped = sums.clip(-LOG_CLAMP, LOG_CLAMP)
-    return clipped, clipped == sums
+def _reverse_sums(delta):
+    """delta_k + ... + delta_K for every k, along the last axis."""
+    return np.cumsum(delta[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _clip_path(sums):
+    """The clamp and rescale without the clamp's fast path: clip every sum,
+    shift each row by its largest sum and exponentiate; the mask marks the
+    sums the clip left alone."""
+    clipped = np.clip(sums, -LOG_CLAMP, LOG_CLAMP)
+    return np.exp(clipped - clipped.max(axis=-1, keepdims=True)), clipped == sums
+
+
+def _matches_clip_path(sums):
+    """Check ``_coefficients`` on a copy of ``sums`` against ``_clip_path``:
+    the same alpha, and the same mask, or None where the clip moves no sum.
+    Returns the mask."""
+    expected, mask = _clip_path(sums)
+    alpha, unclamped = _coefficients(sums.copy())
+    assert np.array_equal(alpha, expected)
+    if mask.all():
+        assert unclamped is None
+    else:
+        assert np.array_equal(unclamped, mask)
+    return mask
 
 
 def _clamp_edge_deltas():
@@ -515,46 +562,43 @@ def _clamp_edge_deltas():
 
 class TestClampFastPath:
     @pytest.mark.parametrize("case", sorted(_clamp_edge_deltas()))
-    def test_matches_clip_path(self, clips, case):
-        delta = _clamp_edge_deltas()[case]
-        expected, mask = _clip_path(delta)
-        sums, unclamped = _clamped_sums(delta)
-        assert np.array_equal(sums, expected)
-        assert sum(clips) == np.count_nonzero(~mask)
-        if case.startswith("at"):
-            assert unclamped is None and mask.all()
-        else:
-            assert np.array_equal(unclamped, mask) and sum(clips) > 0
+    def test_matches_clip_path(self, case):
+        mask = _matches_clip_path(_reverse_sums(_clamp_edge_deltas()[case]))
+        assert mask.all() == case.startswith("at")
 
     @pytest.mark.parametrize("scale", [0.5, 0.99, 0.995, 1.0, 1.01])
     def test_norm_bound_never_skips_a_clip(self, rng, clips, scale):
         # equal increments put the first sum at sqrt(K |delta|^2), the
         # Cauchy-Schwarz worst case for the kernel's bound on the sums
         delta = np.full(13, scale * LOG_CLAMP / 13)
-        expected, mask = _clip_path(delta)
-        sums, _ = _clamped_sums(delta)
-        assert np.array_equal(sums, expected)
-        assert sum(clips) == np.count_nonzero(~mask)
+        mask = _matches_clip_path(_reverse_sums(delta))
         # log_sigma = 0 makes delta = z exactly, so the kernel clips the
         # sums the clip path clips
         data = make_mixed_dataset(rng, n=60)
         density = PosteriorDensity(data, BASIS)
         eta = np.append(delta, 0.0)
-        clips.clear()
         logp, grad = density.noncentered_logp_and_grad(eta)
         assert sum(clips) == np.count_nonzero(~mask)
         ref_logp, ref_grad, _ = _reference(data, eta)
         assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
         assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
 
-    def test_matrix_rows_match_clip_path(self, clips):
+    def test_matrix_rows_match_clip_path(self):
+        # the "at" rows alone skip the clip; with the "past" rows in the
+        # stack, the mask has an entry for every sum of every row
         deltas = np.stack(list(_clamp_edge_deltas().values()))
-        for rows in (deltas[:3], deltas):
-            expected, mask = _clip_path(rows)
-            clips.clear()
-            sums, _ = _clamped_sums(rows)
-            assert np.array_equal(sums, expected)
-            assert sum(clips) == np.count_nonzero(~mask)
+        assert _matches_clip_path(_reverse_sums(deltas[:3])).all()
+        mask = _matches_clip_path(_reverse_sums(deltas))
+        assert not mask.all() and mask.shape == deltas.shape
+
+    def test_rows_are_shifted_on_their_own(self):
+        # one row past the clamp, one far inside it: each row's largest
+        # coefficient is 1
+        sums = np.array([[1200.0, 800.0, 400.0], [3.0, 2.0, 1.0]])
+        mask = _matches_clip_path(sums)
+        assert mask.tolist() == [[False, False, True], [True, True, True]]
+        alpha, _ = _coefficients(sums.copy())
+        assert alpha.max(axis=1).tolist() == [1.0, 1.0]
 
     @pytest.mark.parametrize("case", sorted(_clamp_edge_deltas()))
     def test_densities_match_references(self, rng, case):

@@ -76,6 +76,13 @@ class TestTruthBuilders:
         truth = mixture([(point_mass(1), 0.5), (point_mass(2), 0.5 + 5e-10)])
         assert truth.f_x[2] == 0.5 + 5e-10
 
+    @pytest.mark.parametrize("length, weight", [(729, 0.5), (731, 0.5), (1, 0.0)])
+    def test_mixture_refuses_parts_of_another_length(self, length, weight):
+        # a one-day part would broadcast over every day, even at weight 0
+        part = TbsDistribution(f_x=np.eye(length)[0])
+        with pytest.raises(ConfigurationError, match=f"part 0 has {length} day-classes"):
+            mixture([(part, weight), (point_mass(3), 1.0 - weight)])
+
     def test_truth_must_be_a_simplex(self):
         with pytest.raises(ConfigurationError):
             TbsDistribution(f_x=np.full(730, 1.0 / 700))
