@@ -25,9 +25,7 @@ from .errors import (
 from .estimates import (
     EstimateSummary,
     TbsDistribution,
-    expected_tbs,
     summarize,
-    survival_from_tsls,
     tbs_from_tsls,
     tsls_from_tbs,
 )
@@ -37,6 +35,7 @@ from .model import (
     TslsDistribution,
     phi_from_params,
 )
+from .pipeline import FitResult, fit
 from .reporting import (
     DEFAULT_HEAP,
     HeapSet,
@@ -50,7 +49,6 @@ from .reporting import (
 from .sampler import PosteriorDraws, SamplerConfig, sample, sample_density
 from .simulator import (
     ReportingBehavior,
-    apply_reporting,
     mixture,
     point_mass,
     sample_tsls_exact,

@@ -24,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import simulator
+from . import pipeline, simulator
+# build_basis, sample and summarize are bound here for perfbench's tracer alone
 from .basis import BasisConfig, build_basis
-from .diagnostics import MIN_DRAWS_PER_CHAIN, DiagnosticsReport, compute_diagnostics
+from .diagnostics import compute_diagnostics
 from .errors import ConfigurationError, CurdurError, IngestError
 from .estimates import TbsDistribution, _checked_levels, summarize
-from .model import mean_tbs_floor
 from .reporting import (
     DEFAULT_HEAP,
     EXCLUSION_MIN,
@@ -59,9 +59,6 @@ _UNIT_TOKENS = {
 
 # draws.csv rows formatted per write
 _WRITE_BLOCK = 256
-# a fit whose widest mean_tbs_days band starts within this fraction above
-# the basis's floor is flagged: the basis, not the data, may have set it
-_FLOOR_MARGIN = 0.01
 
 
 @dataclass
@@ -488,9 +485,6 @@ def _cmd_fit(args) -> int:
     basis_config = BasisConfig(num_segments=args.knots)
     sampler_config = SamplerConfig(chains=args.chains, iterations_per_chain=args.iters,
                                    warmup=args.warmup, seed=args.seed)
-    if sampler_config.kept_iterations < MIN_DRAWS_PER_CHAIN:
-        raise ConfigurationError(f"--iters - --warmup must keep the {MIN_DRAWS_PER_CHAIN} "
-                                 "draws per chain the diagnostics require")
     heap = _heap_from_args(args)
     levels = _parse_levels(args.levels)
     dataset, ingest_report = ingest(args.input)
@@ -503,29 +497,20 @@ def _cmd_fit(args) -> int:
         file=sys.stderr,
     )
 
-    basis = build_basis(basis_config)
-
     def progress(chain, iteration, total):
         if iteration == total:
             print(f"chain {chain}: {total} iterations done", file=sys.stderr)
 
-    draws = sample(sampler_config, dataset, basis, heap=heap, progress=progress)
-    report = compute_diagnostics(draws.draws, names=draws.param_names)
-    summary = summarize(draws, basis, levels=levels)
-    floor = mean_tbs_floor(basis)
-    widest = max(levels)
-    lower = summary.mean_tbs_days.band(widest).lower
-    if lower <= (1.0 + _FLOOR_MARGIN) * floor:
-        report.flags.append(f"basis_floor: mean_tbs_days {widest} band starts at "
-                            f"{lower:.4f}, within {_FLOOR_MARGIN:.0%} of the basis floor "
-                            f"{floor:.4f}")
+    result = pipeline.fit(dataset, basis_config, sampler_config, heap=heap, levels=levels,
+                          progress=progress)
+    draws, report, summary = result.draws, result.report, result.summary
 
     estimates_payload = summary.to_dict()
     estimates_payload["dataset"] = ingest_report.to_dict()
     estimates_payload["config"] = {
         # asdict leaves out the degree, a class constant; the file keeps it
         "basis": {"num_segments": basis_config.num_segments, "degree": basis_config.degree,
-                  "mean_tbs_floor_days": floor},
+                  "mean_tbs_floor_days": result.floor},
         "sampler": asdict(sampler_config),
         "heap": asdict(heap),
     }

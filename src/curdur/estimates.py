@@ -34,17 +34,6 @@ class TbsDistribution:
             raise ConfigurationError(f"gap-time pmf must be a simplex, got sum {total!r}")
 
 
-def _phi_vector(phi) -> np.ndarray:
-    vec = np.asarray(getattr(phi, "phi", phi), dtype=float)
-    if not np.isfinite(vec).all():
-        raise ValueError("duration probabilities must be finite")
-    if vec[0] <= 0.0:
-        raise DegenerateDistributionError(
-            "duration distribution has no mass at day zero"
-        )
-    return vec
-
-
 def _tbs_rows(phi: np.ndarray, phi_0, out=None) -> np.ndarray:
     """f_x = (phi_x - phi_{x+1}) / phi_0 along axis 0.
 
@@ -67,7 +56,11 @@ def tbs_from_tsls(phi) -> TbsDistribution:
     f_x = (phi_x - phi_{x+1}) / phi_0, with the boundary probability zero;
     non-negative by monotonicity of phi, no clipping involved.
     """
-    phi = np.append(_phi_vector(phi), 0.0)
+    phi = np.append(np.asarray(getattr(phi, "phi", phi), dtype=float), 0.0)
+    if not np.isfinite(phi).all():
+        raise ValueError("duration probabilities must be finite")
+    if phi[0] <= 0.0:
+        raise DegenerateDistributionError("duration distribution has no mass at day zero")
     return TbsDistribution(f_x=_tbs_rows(phi, phi[0]))
 
 
@@ -83,28 +76,6 @@ def tsls_from_tbs(f_x) -> TslsDistribution:
     if total <= 0.0:
         raise DegenerateDistributionError("gap-time distribution has no mass")
     return TslsDistribution(phi=survival / total)
-
-
-def survival_from_tsls(phi) -> np.ndarray:
-    """Gap-time survival curve S(y) = phi_y / phi_0 over y = 0 .. 730.
-
-    S(0) is exactly 1 and the boundary value is exactly 0.
-    """
-    phi = np.append(_phi_vector(phi), 0.0)
-    return _survival_rows(phi, phi[0])
-
-
-def expected_tbs(phi) -> float:
-    """Mean gap length in days (discrete convention): 1 / phi_0.
-
-    Raises ValueError unless it matches the survival-curve sum to 1e-10.
-    """
-    vec = _phi_vector(phi)
-    mean = 1.0 / float(vec[0])
-    survival_sum = float((vec / vec[0]).sum())
-    if not abs(mean - survival_sum) <= 1e-10 * max(1.0, mean):
-        raise ValueError(f"1 / phi_0 = {mean!r} but the survival sum is {survival_sum!r}")
-    return mean
 
 
 @dataclass(frozen=True)
@@ -216,18 +187,6 @@ def _band_in_place(x: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
         for i, level in enumerate(levels)
     }
     return QuantitySummary(median=values[0], bands=bands)
-
-
-def quantile_band(samples: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
-    """Median and central credible bands via linear-interpolation quantiles.
-
-    ``samples`` has draws along axis 0; remaining axes are pointwise.  One
-    contiguous copy puts the draws along the last axis, where they are
-    sorted in place; the values are bit-identical to ``np.quantile``.
-    Non-finite samples raise ValueError.
-    """
-    draws_last = np.moveaxis(np.asarray(samples, dtype=float), 0, -1).copy()
-    return _band_in_place(draws_last, _checked_levels(levels))
 
 
 def _joined(parts: list) -> QuantitySummary:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import MIN_DRAWS_PER_CHAIN
 from .errors import ConfigurationError, SamplingError
 from .model import PosteriorDensity, to_centered, to_noncentered
 
@@ -49,10 +50,11 @@ class SamplerConfig:
             raise ConfigurationError(f"warmup must be >= 0, got {self.warmup}")
         if not 0 <= self.seed < 2**64:
             raise ConfigurationError("seed must fit in an unsigned 64-bit integer")
-        if self.warmup >= self.iterations_per_chain:
+        if self.kept_iterations < MIN_DRAWS_PER_CHAIN:
             raise ConfigurationError(
-                f"warmup ({self.warmup}) must be smaller than iterations_per_chain "
-                f"({self.iterations_per_chain})"
+                f"iterations_per_chain ({self.iterations_per_chain}) - warmup "
+                f"({self.warmup}) must keep the {MIN_DRAWS_PER_CHAIN} draws per chain "
+                "the diagnostics require"
             )
         if not 0.0 < self.target_accept < 1.0:
             raise ConfigurationError(

@@ -199,16 +199,6 @@ def _pick(reports: list[tuple[ReportedDuration, float]], u: float) -> ReportedDu
     return record
 
 
-def apply_reporting(y: int, behavior: ReportingBehavior, rng) -> ReportedDuration:
-    """Convert one exact duration into a survey record with one uniform.
-
-    Raises a configuration error if the rule's probabilities for the day
-    are invalid or any channel it lists, picked or not, gives a report
-    whose day interval cannot contain the exact value.
-    """
-    return _pick(_day_reports(int(y), behavior), rng.random())
-
-
 def simulate_survey(
     truth: TbsDistribution,
     behavior: ReportingBehavior | None = None,
@@ -222,7 +212,6 @@ def simulate_survey(
     except ValueError as exc:  # a negative seed
         raise ConfigurationError(f"bad seed {seed!r}: {exc}") from exc
     exact = sample_tsls_exact(truth, n, rng)
-    # the same stream as one rng.random() per record, as apply_reporting draws
     uniforms = rng.random(len(exact)).tolist()
     days = exact.tolist()
     # one table per distinct day, built (and checked) in order of first appearance

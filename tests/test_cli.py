@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from curdur import cli
+from curdur import cli, pipeline
 from curdur.basis import BasisConfig, build_basis
 from curdur.cli import (
     EXIT_ERROR,
@@ -906,7 +906,7 @@ class TestCommands:
         def sample(*args, **kwargs):
             raise Sampled
 
-        monkeypatch.setattr(cli, "sample", sample)
+        monkeypatch.setattr(pipeline, "sample", sample)
         data = write_csv(tmp_path / "d.csv", ["5,day"])
         outdir = tmp_path / "out"
         argv = ["fit", "--input", str(data), "--outdir", str(outdir), "--chains", "2",
@@ -931,7 +931,7 @@ class TestCommands:
         def sample(*args, **kwargs):
             raise Sampled
 
-        monkeypatch.setattr(cli, "sample", sample)
+        monkeypatch.setattr(pipeline, "sample", sample)
         data = write_csv(tmp_path / "d.csv", ["5,day"])
         outdir = tmp_path / "out"
         argv = ["fit", "--input", str(data), "--outdir", str(outdir), "--levels", levels]

@@ -13,14 +13,13 @@ from curdur.basis import BasisConfig, SplineBasis, build_basis
 from curdur.errors import DegenerateDistributionError
 from curdur.estimates import (
     TbsDistribution,
-    expected_tbs,
-    quantile_band,
+    _band_in_place,
+    _survival_rows,
     summarize,
-    survival_from_tsls,
     tbs_from_tsls,
     tsls_from_tbs,
 )
-from curdur.model import TslsDistribution, phi_matrix
+from curdur.model import ModelParams, TslsDistribution, phi_from_params, phi_matrix
 from curdur.sampler import PosteriorDraws
 from curdur.window import NUM_DAYS
 from tests.conftest import random_monotone_simplex
@@ -94,7 +93,7 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError):
             TbsDistribution(f_x=f_x)
 
-    @pytest.mark.parametrize("transform", [tbs_from_tsls, survival_from_tsls, expected_tbs])
+    @pytest.mark.parametrize("transform", [tbs_from_tsls])
     @pytest.mark.parametrize("position", [0, 1])
     def test_transforms_reject(self, bad, transform, position):
         phi = [0.5, 0.5]
@@ -103,56 +102,84 @@ class TestNonFiniteInput:
             transform(phi)
 
 
+def as_draws(rows, chains=1):
+    """``rows``, one draw of (delta_1 .. delta_K, log_sigma) each, as ``chains`` chains."""
+    rows = np.asarray(rows, dtype=float)
+    return PosteriorDraws(
+        draws=rows.reshape(chains, -1, rows.shape[1]),
+        accept_stats=np.ones(chains),
+        divergence_count=np.zeros(chains, dtype=int),
+        step_sizes=np.full(chains, 0.1),
+        param_names=[f"delta_{i+1}" for i in range(rows.shape[1] - 1)]
+        + ["log_sigma"],
+    )
+
+
+def one_draw_summary(rng):
+    """The summary of a one-draw posterior: each median is that draw's curve."""
+    vec = np.concatenate([rng.uniform(-0.5, 0.5, 13), [0.0]])
+    return summarize(as_draws([vec]), build_basis(BasisConfig()))
+
+
+def survival_of(phi):
+    """S(y) over y = 0 .. 730, the boundary day appended, as summarize makes it."""
+    phi = np.append(np.asarray(getattr(phi, "phi", phi), dtype=float), 0.0)
+    return _survival_rows(phi, phi[0])
+
+
 class TestSurvival:
     def test_starts_at_one_ends_at_zero(self, rng):
-        s = survival_from_tsls(TslsDistribution(phi=random_monotone_simplex(rng)))
+        s = one_draw_summary(rng).tbs_survival.median
         assert s[0] == 1.0
         assert s[-1] == 0.0
         assert s.size == 731
 
     def test_truncated_geometric_ratio(self):
         phi = geometric_phi(0.1)
-        s = survival_from_tsls(phi)
+        s = survival_of(phi)
         for y in (0, 1, 10, 100, 500):
             assert abs(s[y] - 0.9**y) < 1e-12
 
 
 class TestExpectedTbs:
+    """The mean gap is the survival sum, and summarize reads it as 1 / phi_0."""
+
     def test_half_half(self):
         phi = np.zeros(730)
         phi[0] = phi[1] = 0.5
-        assert expected_tbs(TslsDistribution(phi=phi)) == 2.0
+        assert survival_of(TslsDistribution(phi=phi)).sum() == 2.0
 
     def test_uniform(self):
-        assert abs(expected_tbs(UNIFORM) - 730.0) < 1e-9
-
-    def test_unnormalized_phi_raises_value_error(self):
-        # a plain raise, so the check survives python -O
-        with pytest.raises(ValueError):
-            expected_tbs(np.full(730, 2.0 / 730.0))
+        assert abs(survival_of(UNIFORM).sum() - 730.0) < 1e-9
 
     def test_reciprocal_identity(self, rng):
         for _ in range(20):
-            phi = random_monotone_simplex(rng)
-            e = expected_tbs(TslsDistribution(phi=phi))
-            assert abs(e * phi[0] - 1.0) <= 4e-16
+            summary = one_draw_summary(rng)
+            mean = summary.mean_tbs_days.median
+            assert abs(mean * summary.tsls_pmf.median[0] - 1.0) <= 4e-16
+            assert abs(mean - summary.tbs_survival.median.sum()) <= 1e-10 * mean
+
+
+def draws_last(samples):
+    """A contiguous copy of ``samples`` with its draws moved from axis 0 to the last."""
+    return np.moveaxis(np.asarray(samples, dtype=float), 0, -1).copy()
 
 
 class TestQuantileBand:
     def test_single_draw_collapses(self):
-        q = quantile_band(np.array([[3.0, 4.0]]), levels=(0.8,))
+        q = _band_in_place(draws_last(np.array([[3.0, 4.0]])), levels=(0.8,))
         assert np.all(q.median == [3.0, 4.0])
         band = q.band(0.8)
         assert np.all(band.lower == q.median)
         assert np.all(band.upper == q.median)
 
     def test_two_draws_median_is_midpoint(self):
-        q = quantile_band(np.array([[1.0], [2.0]]), levels=(0.5,))
+        q = _band_in_place(draws_last(np.array([[1.0], [2.0]])), levels=(0.5,))
         assert q.median[0] == 1.5
 
     def test_gaussian_quantiles(self, rng):
         draws = rng.standard_normal(4000)
-        q = quantile_band(draws, levels=(0.95,))
+        q = _band_in_place(draws_last(draws), levels=(0.95,))
         band = q.band(0.95)
         assert abs(band.lower + 1.959964) < 0.08
         assert abs(band.upper - 1.959964) < 0.08
@@ -171,7 +198,7 @@ class TestQuantileBand:
             "three_d": rng.standard_normal((250, 3, 4)),
         }[case]
         levels = (0.5, 0.8, 0.9, 0.95, 0.99)
-        q = quantile_band(samples, levels)
+        q = _band_in_place(draws_last(samples), levels)
         tails = [0.5 * (1.0 - level) for level in levels]
         got = [q.median] + [v for lv in levels for v in (q.band(lv).lower, q.band(lv).upper)]
         probs = [0.5] + [p for t in tails for p in (t, 1.0 - t)]
@@ -186,11 +213,11 @@ class TestQuantileBand:
         samples = rng.standard_normal((40, 3))
         samples[17, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            quantile_band(samples, (0.8,))
+            _band_in_place(draws_last(samples), (0.8,))
 
     def test_ordering(self, rng):
         draws = rng.standard_normal((500, 7))
-        q = quantile_band(draws, levels=(0.8, 0.95))
+        q = _band_in_place(draws_last(draws), levels=(0.8, 0.95))
         for level in (0.8, 0.95):
             band = q.band(level)
             assert np.all(band.lower <= q.median)
@@ -198,23 +225,10 @@ class TestQuantileBand:
 
 
 class TestSummarize:
-    def _draws(self, rows, chains=1):
-        rows = np.asarray(rows, dtype=float)
-        return PosteriorDraws(
-            draws=rows.reshape(chains, -1, rows.shape[1]),
-            accept_stats=np.ones(chains),
-            divergence_count=np.zeros(chains, dtype=int),
-            step_sizes=np.full(chains, 0.1),
-            param_names=[f"delta_{i+1}" for i in range(rows.shape[1] - 1)]
-            + ["log_sigma"],
-        )
-
     def test_single_draw(self, rng):
         basis = build_basis(BasisConfig())
         vec = np.concatenate([rng.uniform(-0.5, 0.5, 13), [0.0]])
-        summary = summarize(self._draws([vec]), basis, levels=(0.9,))
-        from curdur.model import ModelParams, phi_from_params
-
+        summary = summarize(as_draws([vec]), basis, levels=(0.9,))
         phi = phi_from_params(ModelParams.from_vector(vec), basis).phi
         assert np.allclose(summary.tsls_pmf.median, phi, atol=1e-14)
         band = summary.tsls_pmf.band(0.9)
@@ -226,7 +240,7 @@ class TestSummarize:
         rows = np.column_stack(
             [rng.uniform(-0.5, 0.5, (50, 13)), rng.uniform(-0.3, 0.3, (50, 1))]
         )
-        summary = summarize(self._draws(rows), basis, levels=(0.8, 0.95))
+        summary = summarize(as_draws(rows), basis, levels=(0.8, 0.95))
         m = summary.mean_tbs_days
         assert isinstance(m.median, float)
         for level in (0.8, 0.95):
@@ -239,7 +253,7 @@ class TestSummarize:
         rows = np.column_stack(
             [rng.uniform(-0.5, 0.5, (10, 13)), rng.uniform(-0.3, 0.3, (10, 1))]
         )
-        payload = summarize(self._draws(rows), basis).to_dict()
+        payload = summarize(as_draws(rows), basis).to_dict()
         text = json.dumps(payload)
         assert "tsls_pmf" in text and "mean_tbs_days" in text
 
@@ -251,7 +265,7 @@ class TestSummarize:
             [rng.uniform(-0.5, 0.5, (10, 13)), rng.uniform(-0.3, 0.3, (10, 1))]
         )
         with pytest.raises(ValueError, match="distinct"):
-            summarize(self._draws(rows), basis, levels=levels)
+            summarize(as_draws(rows), basis, levels=levels)
 
     def test_equals_numpy_quantile_of_row_major_transforms(self, rng):
         basis = build_basis(BasisConfig())
@@ -259,7 +273,7 @@ class TestSummarize:
             [rng.uniform(-0.5, 0.5, (300, 13)), rng.uniform(-0.3, 0.3, (300, 1))]
         )
         levels = (0.5, 0.8, 0.95)
-        summary = summarize(self._draws(rows, chains=3), basis, levels=levels)
+        summary = summarize(as_draws(rows, chains=3), basis, levels=levels)
         # the transforms row by row, one draw per row, as np.quantile takes them
         phi = phi_matrix(rows, basis)
         tbs = np.empty_like(phi)
@@ -293,7 +307,7 @@ class TestSummarize:
         rows = np.column_stack([rng.uniform(-0.5, 0.5, (num_draws, basis.num_basis)),
                                 rng.uniform(-0.3, 0.3, (num_draws, 1))])
         levels = (0.5, 0.8, 0.95)
-        summary = summarize(self._draws(rows), basis, levels=levels)
+        summary = summarize(as_draws(rows), basis, levels=levels)
         phi = phi_matrix(rows, basis)
         with_boundary = np.column_stack([phi, np.zeros(num_draws)])
         tbs = (with_boundary[:, :-1] - with_boundary[:, 1:]) / phi[:, :1]
@@ -312,7 +326,7 @@ class TestSummarize:
         rows = np.column_stack(
             [rng.uniform(-0.5, 0.5, (8000, 13)), rng.uniform(-0.3, 0.3, (8000, 1))]
         )
-        draws = self._draws(rows, chains=4)
+        draws = as_draws(rows, chains=4)
         summarize(draws, basis)
         tracemalloc.start()
         try:
@@ -329,7 +343,7 @@ class TestSummarize:
         rows = np.column_stack(
             [rng.uniform(-0.5, 0.5, (2000, 13)), rng.uniform(-0.3, 0.3, (2000, 1))]
         )
-        draws = self._draws(rows, chains=4)
+        draws = as_draws(rows, chains=4)
         summarize(draws, basis)
         tracemalloc.start()
         try:

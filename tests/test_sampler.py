@@ -56,6 +56,12 @@ class TestSamplerConfig:
             SamplerConfig(target_accept=1.0)
         assert SamplerConfig().kept_iterations == 1000
 
+    def test_too_few_kept_draws_refused(self):
+        # the diagnostics need 4 draws per chain: refused before any sampling
+        with pytest.raises(ConfigurationError, match="must keep the 4 draws per chain"):
+            SamplerConfig(iterations_per_chain=63, warmup=60)
+        assert SamplerConfig(iterations_per_chain=64, warmup=60).kept_iterations == 4
+
 
 class TestLeapfrog:
     def test_reversibility(self, rng):

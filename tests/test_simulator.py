@@ -2,7 +2,6 @@
 
 import hashlib
 from collections import defaultdict
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from curdur.reporting import HeapSet, ReportedDuration, Unit, day_interval
 from curdur.simulator import (
     ReportingBehavior,
     _day_reports,
-    apply_reporting,
+    _pick,
     mixture,
     point_mass,
     sample_tsls_exact,
@@ -100,60 +99,62 @@ class TestTruthBuilders:
 
 
 class TestApplyReporting:
+    """One record: a uniform's pick from the table of its exact day."""
+
     def _force(self, channel):
         return ReportingBehavior(rule=lambda y: ((channel, 1.0),))
 
     def test_week_floor(self, rng):
-        rec = apply_reporting(9, self._force("week"), rng)
+        rec = _pick(_day_reports(9, self._force("week")), rng.random())
         assert rec == rec.__class__(z=1, unit=Unit.WEEK)
 
     def test_month_arithmetic(self, rng):
-        rec = apply_reporting(31, self._force("month"), rng)
+        rec = _pick(_day_reports(31, self._force("month")), rng.random())
         assert rec.z == 1 and rec.unit == Unit.MONTH
 
     def test_heap_snap(self, rng):
-        rec = apply_reporting(6, self._force("day_heaped"), rng)
+        rec = _pick(_day_reports(6, self._force("day_heaped")), rng.random())
         assert rec.z == 7 and rec.unit == Unit.DAY
 
     def test_heap_tie_prefers_lower(self, rng):
         # day 29 is within 2 of both 28 and 30; lower wins deterministically
-        rec = apply_reporting(29, self._force("day_heaped"), rng)
+        rec = _pick(_day_reports(29, self._force("day_heaped")), rng.random())
         assert rec.z == 28
 
     def test_heap_ineligible_falls_back_to_exact(self, rng):
-        rec = apply_reporting(40, self._force("day_heaped"), rng)
+        rec = _pick(_day_reports(40, self._force("day_heaped")), rng.random())
         assert rec.z == 40 and rec.unit == Unit.DAY
 
     def test_year_below_range_falls_back_to_month(self, rng):
-        rec = apply_reporting(200, self._force("year"), rng)
+        rec = _pick(_day_reports(200, self._force("year")), rng.random())
         assert rec.unit == Unit.MONTH
 
     def test_year_in_range(self, rng):
-        rec = apply_reporting(400, self._force("year"), rng)
+        rec = _pick(_day_reports(400, self._force("year")), rng.random())
         assert rec.z == 1 and rec.unit == Unit.YEAR
 
     @pytest.mark.parametrize("day, z, unit", [(720, 23, Unit.MONTH), (721, 1, Unit.YEAR)],
                              ids=["day-720-month-23", "day-721-year"])
     def test_month_beyond_720_falls_back_to_year(self, rng, day, z, unit):
         # month 23 holds days 691-720; month 24 is excluded, so 721 is a year
-        rec = apply_reporting(day, self._force("month"), rng)
+        rec = _pick(_day_reports(day, self._force("month")), rng.random())
         assert (rec.z, rec.unit) == (z, unit)
 
     def test_month_cannot_encode_day_zero(self, rng):
         with pytest.raises(ConfigurationError):
-            apply_reporting(0, self._force("month"), rng)
+            _pick(_day_reports(0, self._force("month")), rng.random())
 
     def test_unknown_channel(self, rng):
         with pytest.raises(ConfigurationError):
-            apply_reporting(10, self._force("fortnight"), rng)
+            _pick(_day_reports(10, self._force("fortnight")), rng.random())
 
     def test_bad_probabilities(self, rng):
         behavior = ReportingBehavior(rule=lambda y: (("week", 0.4),))
         with pytest.raises(ConfigurationError):
-            apply_reporting(10, behavior, rng)
+            _pick(_day_reports(10, behavior), rng.random())
         behavior = ReportingBehavior(rule=lambda y: (("week", float("nan")),))
         with pytest.raises(ConfigurationError):
-            apply_reporting(10, behavior, rng)
+            _pick(_day_reports(10, behavior), rng.random())
 
 
 class TestSimulateSurvey:
@@ -222,10 +223,10 @@ class TestSimulateSurvey:
 
 
 def per_record_survey(truth, behavior, n, seed):
-    """The survey record by record: one apply_reporting per exact day drawn."""
+    """The survey record by record: one uniform's pick per exact day drawn."""
     rng = np.random.default_rng(seed)
     exact = sample_tsls_exact(truth, n, rng)
-    return tuple(apply_reporting(int(y), behavior, rng) for y in exact)
+    return tuple(_pick(_day_reports(int(y), behavior), rng.random()) for y in exact)
 
 
 def three_channel_rule(y):
@@ -304,7 +305,7 @@ class TestRuleCheckedWhateverTheSeed:
     def test_apply_reporting_refused(self, u):
         behavior = ReportingBehavior(rule=month_on_day_zero)
         with pytest.raises(ConfigurationError, match=r"day 0\b"):
-            apply_reporting(0, behavior, SimpleNamespace(random=lambda: u))
+            _pick(_day_reports(0, behavior), u)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_first_faulty_day_drawn_is_named(self, seed):
