@@ -1,9 +1,9 @@
 """Command-line interface: ingest survey CSV, fit, simulate, diagnose.
 
 Input CSV has header ``z,unit`` with unit tokens day/week/month/year
-(case-insensitive) or the integer codes 1-4.  Reports beyond the
-two-year window (see ``reporting.EXCLUSION_MIN``) are excluded and counted;
-malformed rows abort ingestion with their line numbers.
+(case-insensitive) or the integer codes 1-4.  Reports ``ReportedDuration``
+refuses as beyond the two-year window are excluded and counted; malformed
+rows, the pairs it refuses otherwise included, abort with their line numbers.
 
 Exit codes: 0 success, 1 error, usage errors included (machine-readable
 JSON on stderr), 3 fit or diagnose completed but a flag fired: a convergence
@@ -28,11 +28,10 @@ from . import pipeline, simulator
 # build_basis, sample and summarize are bound here for perfbench's tracer alone
 from .basis import BasisConfig, build_basis
 from .diagnostics import compute_diagnostics
-from .errors import ConfigurationError, CurdurError, IngestError
+from .errors import ConfigurationError, CurdurError, IngestError, OutOfWindowError
 from .estimates import TbsDistribution, _checked_levels, summarize
 from .reporting import (
     DEFAULT_HEAP,
-    EXCLUSION_MIN,
     HeapSet,
     ReportedDataset,
     ReportedDuration,
@@ -107,16 +106,12 @@ def _classify_row(row: list) -> tuple:
         z = int(z_text)
     except ValueError:
         return _PROBLEM, f"reported value {z_text!r} is not an integer"
-    if z < 0:
-        return _PROBLEM, f"reported value {z} is negative"
-    if unit == Unit.YEAR and z == 0:
-        return _PROBLEM, (
-            "a 0-year report is not representable "
-            "(expected z = 1 within the two-year window)"
-        )
-    if z >= EXCLUSION_MIN[unit]:
+    try:
+        return _RECORD, ReportedDuration(z=z, unit=unit)
+    except OutOfWindowError:
         return _EXCLUDED, unit
-    return _RECORD, ReportedDuration(z=z, unit=unit)
+    except ValueError as exc:
+        return _PROBLEM, str(exc)
 
 
 @contextlib.contextmanager
@@ -403,8 +398,6 @@ def _make_outdir(outdir: Path) -> None:
 
 
 def _heap_from_args(args) -> HeapSet:
-    if args.heap_days is None and args.heap_halfwidth is None:
-        return DEFAULT_HEAP
     days = DEFAULT_HEAP.days
     if args.heap_days is not None:
         try:
@@ -471,8 +464,6 @@ def parse_truth(spec: str) -> TbsDistribution:
     """
     try:
         parts = [_truth_component(chunk.strip()) for chunk in spec.split("+")]
-        if len(parts) == 1 and parts[0][1] == 1.0:
-            return parts[0][0]
         return simulator.mixture(parts)
     except ConfigurationError:
         raise

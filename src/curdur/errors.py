@@ -14,7 +14,7 @@ class DimensionError(CurdurError, ValueError):
 
 
 class OutOfWindowError(CurdurError, ValueError):
-    """A reported duration lies entirely beyond the two-year observation window."""
+    """A reported duration reaches past the two-year observation window."""
 
 
 class DegenerateDistributionError(CurdurError, ValueError):

@@ -45,10 +45,10 @@ class HeapSet:
             raise ConfigurationError(f"heap days must be distinct, got {days}")
         if self.halfwidth < 0:
             raise ConfigurationError(f"halfwidth must be >= 0, got {self.halfwidth}")
-        if any(d < self.halfwidth for d in days):
+        if any(not self.halfwidth <= d <= LAST_DAY for d in days):
             raise ConfigurationError(
-                f"heap days {days} must all be >= halfwidth {self.halfwidth} "
-                "so heap intervals stay non-negative"
+                f"heap days {days} must all be >= halfwidth {self.halfwidth}, so heap "
+                f"intervals stay non-negative, and <= {LAST_DAY}, the last day reportable"
             )
 
     def __contains__(self, z: int) -> bool:
@@ -58,24 +58,37 @@ class HeapSet:
 DEFAULT_HEAP = HeapSet()
 
 
+# first value excluded: days and weeks wholly past day 729, and months and
+# years of two years or more (24 months, days 721-750, starts in the window)
+EXCLUSION_MIN = {Unit.DAY: 730, Unit.WEEK: 105, Unit.MONTH: 24, Unit.YEAR: 2}
+
+
 @dataclass(frozen=True)
 class ReportedDuration:
-    """One survey response: reported value plus reporting unit."""
+    """One survey response: reported value plus reporting unit.
+
+    The one check of a (z, unit) pair: a negative value or a 0-year report
+    raises ValueError, and one from the unit's ``EXCLUSION_MIN`` on raises
+    OutOfWindowError, so every report built starts inside the window.
+    """
 
     z: int
     unit: Unit
 
     def __post_init__(self):
         z = int(self.z)
+        unit = Unit(self.unit)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "unit", Unit(self.unit))
+        object.__setattr__(self, "unit", unit)
         if z < 0:
-            raise ValueError(f"reported value must be non-negative, got {z}")
-        if self.unit == Unit.YEAR and z != 1:
+            raise ValueError(f"reported value {z} is negative")
+        if unit == Unit.YEAR and z == 0:
             raise ValueError(
-                f"year reports are only representable as z = 1 within the "
-                f"two-year window, got z = {z}"
+                "a 0-year report is not representable "
+                "(expected z = 1 within the two-year window)"
             )
+        if z >= EXCLUSION_MIN[unit]:
+            raise OutOfWindowError(f"{z},{unit.name.lower()} is beyond the two-year window")
 
 
 @dataclass(frozen=True)
@@ -98,11 +111,6 @@ class ReportedDataset:
         return len(self.records)
 
 
-# first value excluded: days and weeks wholly past day 729, and months and
-# years of two years or more (24 months, days 721-750, starts in the window)
-EXCLUSION_MIN = {Unit.DAY: 730, Unit.WEEK: 105, Unit.MONTH: 24, Unit.YEAR: 2}
-
-
 def day_interval(
     record: ReportedDuration, heap: HeapSet | None = None
 ) -> tuple[int, int]:
@@ -110,8 +118,8 @@ def day_interval(
 
     Days are exact unless the value sits on a heap day; weeks, months and
     years map to their fixed ranges.  The upper end is clamped to the last
-    observable day; an interval lying entirely beyond it is an error
-    (ingestion should have excluded the record).
+    observable day; ``ReportedDuration`` refuses every report that would
+    start beyond it, under any heap.
     """
     heap = heap if heap is not None else DEFAULT_HEAP
     z = record.z
@@ -126,11 +134,6 @@ def day_interval(
         lo, hi = 30 * z + 1, 30 * z + 30
     else:
         lo, hi = YEAR_INTERVAL_START, LAST_DAY
-    if lo > LAST_DAY:
-        raise OutOfWindowError(
-            f"report {record} implies days [{lo}, {hi}], entirely beyond "
-            f"day {LAST_DAY}"
-        )
     return lo, min(hi, LAST_DAY)
 
 

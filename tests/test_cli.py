@@ -34,7 +34,7 @@ from curdur.cli import (
     write_draws_csv,
 )
 from curdur.diagnostics import compute_diagnostics
-from curdur.errors import ConfigurationError, IngestError
+from curdur.errors import ConfigurationError, IngestError, OutOfWindowError
 from curdur.model import mean_tbs_floor
 from curdur.reporting import ReportedDuration, Unit, day_interval
 from curdur.sampler import PosteriorDraws
@@ -217,6 +217,38 @@ class TestIngestRepeatedRows:
         assert list(back.counts.items()) == list(dataset.counts.items())
         assert list(back_report.excluded_by_unit) == ["day", "week", "month", "year"]
         assert back_report.to_dict() == report.to_dict()
+
+
+def _is_pair(row):
+    """Whether a CSV row is an integer value and a known unit."""
+    cells = row.split(",")
+    return (len(cells) == 2 and cells[1].strip().lower() in cli._UNIT_TOKENS
+            and cells[0].strip().lstrip("-").isdigit())
+
+
+# the rows of _ROW_KINDS that are (z, unit) pairs, and the last value of each
+# unit inside the window
+@pytest.mark.parametrize("row", [row for row, _ in _ROW_KINDS if _is_pair(row)]
+                         + ["729,day", "104,week", "23,month"])
+def test_ingest_verdict_is_reported_durations(tmp_path, row):
+    z_text, unit_text = row.split(",")
+    unit = cli._UNIT_TOKENS[unit_text.strip().lower()]
+    try:
+        expected = ("record", ReportedDuration(int(z_text), unit))
+    except OutOfWindowError:
+        expected = ("excluded", unit.name.lower())
+    except ValueError as exc:
+        expected = ("problem", str(exc))
+    # a usable row after it, so that an exclusion leaves records to return
+    path = write_csv(tmp_path / "data.csv", [row, "3,day"])
+    try:
+        dataset, report = ingest(path)
+    except IngestError as exc:
+        verdict = ("problem", str(exc).removeprefix(f"{path}: line 2: "))
+    else:
+        verdict = (("record", dataset.records[0]) if report.retained == 2
+                   else ("excluded", *report.excluded_by_unit))
+    assert verdict == expected
 
 
 class TestDatasetRoundTrip:
@@ -885,10 +917,14 @@ class TestCommands:
              "ConfigurationError"),
             (["fit", "--input", "missing.csv", "--outdir", "newfit", "--levels", "1.5"],
              "ConfigurationError"),
+            # a heaped day report past day 729 could never be ingested
+            (["fit", "--input", "missing.csv", "--outdir", "newfit", "--heap-days", "800"],
+             "ConfigurationError"),
         ],
         ids=["simulate-bad-truth", "simulate-negative-n", "fit-missing-input",
              "simulate-negative-seed", "fit-repeated-heap-day", "fit-too-many-knots",
-             "fit-unknown-degree-option", "fit-repeated-level", "fit-level-out-of-range"],
+             "fit-unknown-degree-option", "fit-repeated-level", "fit-level-out-of-range",
+             "fit-heap-day-beyond-window"],
     )
     def test_bad_input_makes_no_output_directory(self, tmp_path, capsys, monkeypatch,
                                                  argv, error):

@@ -36,16 +36,31 @@ class TestTypes:
         with pytest.raises(ConfigurationError, match="distinct"):
             HeapSet(days=(7, 14, 7))
 
+    def test_heap_days_must_be_in_window(self):
+        # a heaped day report past day 729 could never be ingested
+        for days in [(730,), (7, 731)]:
+            with pytest.raises(ConfigurationError, match="<= 729"):
+                HeapSet(days=days)
+        HeapSet(days=(7, LAST_DAY))
+
     def test_year_reports_must_be_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfWindowError):
             ReportedDuration(z=2, unit=Unit.YEAR)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0-year") as err:
             ReportedDuration(z=0, unit=Unit.YEAR)
+        assert not isinstance(err.value, OutOfWindowError)
         ReportedDuration(z=1, unit=Unit.YEAR)
 
     def test_negative_value_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative") as err:
             ReportedDuration(z=-1, unit=Unit.DAY)
+        assert not isinstance(err.value, OutOfWindowError)
+
+    def test_month_straddle_refused(self):
+        # month 24, days 721-750, starts inside the window but means two
+        # years or more: refused like every report ingestion excludes
+        with pytest.raises(OutOfWindowError):
+            ReportedDuration(z=24, unit=Unit.MONTH)
 
     def test_dataset_counts_match_records(self):
         records = [
@@ -86,16 +101,13 @@ class TestDayInterval:
         assert day_interval(ReportedDuration(z=104, unit=Unit.WEEK)) == (728, 729)
 
     def test_out_of_window(self):
+        # refused when built, so no report day_interval sees lies beyond the window
         with pytest.raises(OutOfWindowError):
-            day_interval(ReportedDuration(z=105, unit=Unit.WEEK))
+            ReportedDuration(z=105, unit=Unit.WEEK)
         with pytest.raises(OutOfWindowError):
-            day_interval(ReportedDuration(z=730, unit=Unit.DAY))
+            ReportedDuration(z=730, unit=Unit.DAY)
         with pytest.raises(OutOfWindowError):
-            day_interval(ReportedDuration(z=25, unit=Unit.MONTH))
-
-    def test_month_straddle_clamped(self):
-        # representable directly, though CLI ingestion excludes it
-        assert day_interval(ReportedDuration(z=24, unit=Unit.MONTH)) == (721, 729)
+            ReportedDuration(z=25, unit=Unit.MONTH)
 
     def test_custom_heap(self):
         heap = HeapSet(days=(10,), halfwidth=1)
@@ -165,12 +177,11 @@ def _reports(*pairs):
         [ReportedDuration(z=z, unit=unit) for z, unit in pairs])
 
 
-# day, heap-day, week, month and year reports: month 23 is the last whole
-# month, and week 104 and month 24 run past the last day and are clamped
+# day, heap-day, week, month and year reports: month 23 is the last
+# month, and week 104 runs past the last day and is clamped
 EVERY_KIND = _reports((3, Unit.DAY), (7, Unit.DAY), (30, Unit.DAY), (729, Unit.DAY),
                       (0, Unit.WEEK), (52, Unit.WEEK), (104, Unit.WEEK),
-                      (0, Unit.MONTH), (23, Unit.MONTH), (24, Unit.MONTH),
-                      (1, Unit.YEAR))
+                      (0, Unit.MONTH), (23, Unit.MONTH), (1, Unit.YEAR))
 CUSTOM_HEAP = HeapSet(days=(10, 45), halfwidth=3)
 
 
@@ -244,18 +255,27 @@ class TestSpreadMass:
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
-heaps = st.builds(
-    lambda halfwidth, offsets: HeapSet(days=tuple(halfwidth + d for d in offsets),
-                                       halfwidth=halfwidth),
-    st.integers(0, 5),
-    st.lists(st.integers(0, 760), max_size=8, unique=True),
-)
+# every heap day from the half-width to the last day
+heaps = st.integers(0, 5).flatmap(lambda halfwidth: st.builds(
+    lambda offsets: HeapSet(days=tuple(halfwidth + d for d in offsets), halfwidth=halfwidth),
+    st.lists(st.integers(0, LAST_DAY - halfwidth), max_size=8, unique=True),
+))
+
+
+def _built(z, unit):
+    """The pair (z, unit) and its report, or None where ReportedDuration
+    refuses the pair as beyond the window."""
+    try:
+        return (z, unit), ReportedDuration(z=z, unit=unit)
+    except OutOfWindowError:
+        return (z, unit), None
+
 
 reports = st.one_of(
-    st.builds(ReportedDuration, z=st.integers(0, 800), unit=st.just(Unit.DAY)),
-    st.builds(ReportedDuration, z=st.integers(0, 120), unit=st.just(Unit.WEEK)),
-    st.builds(ReportedDuration, z=st.integers(0, 30), unit=st.just(Unit.MONTH)),
-    st.just(ReportedDuration(z=1, unit=Unit.YEAR)),
+    st.builds(_built, st.integers(0, 800), st.just(Unit.DAY)),
+    st.builds(_built, st.integers(0, 120), st.just(Unit.WEEK)),
+    st.builds(_built, st.integers(0, 30), st.just(Unit.MONTH)),
+    st.builds(_built, st.integers(1, 3), st.just(Unit.YEAR)),
 )
 
 
@@ -280,13 +300,14 @@ def _reports_meaning(y, heap):
 class TestDayIntervalProperties:
     @PROPERTY
     @given(reports, heaps)
-    def test_stays_within_window(self, record, heap):
-        try:
-            lo, hi = day_interval(record, heap)
-        except OutOfWindowError:
-            # only a report that no day of the window can give is refused
-            assert all(record not in _reports_meaning(y, heap) for y in range(NUM_DAYS))
+    def test_stays_within_window(self, report, heap):
+        pair, record = report
+        if record is None:
+            # only a pair that no day of the window can give is refused
+            assert all(pair != (r.z, r.unit) for y in range(NUM_DAYS)
+                       for r in _reports_meaning(y, heap))
             return
+        lo, hi = day_interval(record, heap)
         assert 0 <= lo <= hi <= LAST_DAY
 
     @PROPERTY
