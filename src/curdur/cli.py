@@ -1,7 +1,8 @@
 """Command-line interface: ingest survey CSV, fit, simulate, diagnose.
 
 Input CSV has header ``z,unit`` with unit tokens day/week/month/year
-(case-insensitive) or the integer codes 1-4.  Reports ``ReportedDuration``
+(case-insensitive) or the integer codes 1-4, and a value ``z`` of ASCII
+digits with an optional sign.  Reports ``ReportedDuration``
 refuses as beyond the two-year window are excluded and counted; malformed
 rows, the pairs it refuses otherwise included, abort with their line numbers.
 
@@ -18,6 +19,7 @@ import contextlib
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -45,16 +47,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FLAGGED = 3
 
-_UNIT_TOKENS = {
-    "day": Unit.DAY,
-    "week": Unit.WEEK,
-    "month": Unit.MONTH,
-    "year": Unit.YEAR,
-    "1": Unit.DAY,
-    "2": Unit.WEEK,
-    "3": Unit.MONTH,
-    "4": Unit.YEAR,
-}
+# each unit's lower-case name and its code; str(unit) spells the member on 3.10
+_UNIT_TOKENS = {token: unit for unit in Unit for token in (unit.name.lower(), str(unit.value))}
+
+# a survey value: ASCII digits with an optional sign, no "_" or other digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 # draws.csv rows formatted per write
 _WRITE_BLOCK = 256
@@ -102,12 +99,10 @@ def _classify_row(row: list) -> tuple:
     unit = _UNIT_TOKENS.get(unit_text)
     if unit is None:
         return _PROBLEM, f"unknown unit {row[1].strip()!r}"
-    try:
-        z = int(z_text)
-    except ValueError:
+    if not _INTEGER.fullmatch(z_text):
         return _PROBLEM, f"reported value {z_text!r} is not an integer"
     try:
-        return _RECORD, ReportedDuration(z=z, unit=unit)
+        return _RECORD, ReportedDuration(z=int(z_text), unit=unit)
     except OutOfWindowError:
         return _EXCLUDED, unit
     except ValueError as exc:
@@ -344,6 +339,11 @@ def _parse_draw_rows(path: Path, reader, num_values: int) -> np.ndarray:
                 raise IngestError(f"{path}: line {line_no}: {exc}") from exc
             if iteration is None:
                 raise IngestError(f"{path}: line {line_no}: wrong number of values")
+            # int() and float() also read "_" and non-ASCII digits; the bulk parse does not
+            odd = next((cell for cell in row if not cell.isascii() or "_" in cell), None)
+            if odd is not None:
+                raise IngestError(f"{path}: line {line_no}: {odd!r} is not a plain "
+                                  "ASCII number")
             draws = by_chain.setdefault(chain, [])
             if iteration != len(draws) + 1:
                 raise IngestError(f"{path}: line {line_no}: iteration {iteration} of "
@@ -613,11 +613,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except CurdurError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
+        error, message = type(exc).__name__, str(exc)
+    except MemoryError as exc:
+        # numpy raises a subclass of its own; the line names the built-in
+        error, message = "MemoryError", str(exc)
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+    return EXIT_ERROR
 
 
 def entrypoint() -> None:

@@ -6,8 +6,12 @@ estimation in expanding warm-up windows.  The number of leapfrog steps is
 chosen each iteration so that step size times steps matches a fixed
 trajectory length, capped at a fixed maximum.
 
-Chains run one after another and own independent seeded RNG streams, so
-results are bit-identical across runs.
+One HMC iteration is written once, ``_transition``, and a chain runs it in
+two loops: warm-up iterations that only adapt, then kept iterations at the
+adapted step that only record.  The one ``PosteriorDraws`` is allocated
+before any chain runs, and each chain writes its own slice.  Chains run
+one after another and own independent seeded RNG streams, so results are
+bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -231,7 +235,28 @@ def _find_initial_step(kernel, q, logp0, grad0, rng, inv_mass) -> float:
     return step
 
 
-def _run_chain(kernel, start, config: SamplerConfig, chain_index: int, progress):
+def _transition(kernel, q, logp, grad, step_size, inv_mass, momentum_sd, rng):
+    """One HMC iteration: a momentum draw, a leapfrog trajectory, then the
+    accept draw.  Returns (q, logp, grad, accept_prob, diverged)."""
+    num_steps = int(min(MAX_LEAPFROG_STEPS, max(1, round(TRAJECTORY_LENGTH / step_size))))
+    p = rng.standard_normal(q.size) * momentum_sd
+    energy0 = _energy(logp, p, inv_mass)
+    q_new, p_new, logp_new, grad_new, diverged = _leapfrog(kernel, q, p, grad, step_size,
+                                                           num_steps, inv_mass)
+    if not diverged:
+        delta_energy = _energy(logp_new, p_new, inv_mass) - energy0
+        if not math.isfinite(delta_energy) or delta_energy > DIVERGENCE_ENERGY:
+            diverged = True
+
+    accept_prob = 0.0 if diverged else min(1.0, math.exp(-max(delta_energy, -700.0)))
+    if rng.random() < accept_prob:
+        return q_new, logp_new, grad_new, accept_prob, diverged
+    return q, logp, grad, accept_prob, diverged
+
+
+def _run_chain(kernel, start, config: SamplerConfig, chain_index: int,
+               result: PosteriorDraws, progress):
+    """Warm up chain ``chain_index``, then fill its slice of ``result``."""
     rng = np.random.default_rng([config.seed, chain_index])
     q = start(rng)
     dim = q.size
@@ -240,6 +265,7 @@ def _run_chain(kernel, start, config: SamplerConfig, chain_index: int, progress)
         raise SamplingError(
             f"chain {chain_index}: posterior is not finite at the initial point"
         )
+    total = config.iterations_per_chain
 
     inv_mass = np.ones(dim)
     momentum_sd = np.ones(dim)
@@ -247,59 +273,35 @@ def _run_chain(kernel, start, config: SamplerConfig, chain_index: int, progress)
     dual = _DualAveraging(step, config.target_accept)
     update_points = set(_mass_update_points(config.warmup))
     moments = _RunningMoments(dim)
-
-    kept = config.kept_iterations
-    draws = np.empty((kept, dim))
-    accept_sum = 0.0
-    divergences = 0
-    final_step = dual.adapted_step
-
-    for it in range(config.iterations_per_chain):
-        warming = it < config.warmup
-        step_size = dual.step if warming else final_step
-        num_steps = int(min(MAX_LEAPFROG_STEPS,
-                            max(1, round(TRAJECTORY_LENGTH / step_size))))
-
-        p = rng.standard_normal(dim) * momentum_sd
-        energy0 = _energy(logp, p, inv_mass)
-        q_new, p_new, logp_new, grad_new, diverged = _leapfrog(
-            kernel, q, p, grad, step_size, num_steps, inv_mass
-        )
-        if not diverged:
-            delta_energy = _energy(logp_new, p_new, inv_mass) - energy0
-            if not math.isfinite(delta_energy) or delta_energy > DIVERGENCE_ENERGY:
-                diverged = True
-
-        accept_prob = 0.0 if diverged else min(1.0, math.exp(-max(delta_energy, -700.0)))
-        if rng.random() < accept_prob:
-            q, logp, grad = q_new, logp_new, grad_new
-
-        if warming:
-            dual.update(accept_prob)
-            moments.add(q)
-            if it in update_points:
-                inv_mass = moments.regularized_variance()
-                momentum_sd = inv_mass ** -0.5
-                moments = _RunningMoments(dim)
-                # restart averaging around the current step; the next
-                # window re-converges it under the new metric
-                dual = _DualAveraging(dual.step, config.target_accept)
-            if it == config.warmup - 1:
-                final_step = dual.adapted_step
-        else:
-            draws[it - config.warmup] = q
-            accept_sum += accept_prob
-            divergences += int(diverged)
-
+    for it in range(config.warmup):
+        q, logp, grad, accept_prob, _ = _transition(kernel, q, logp, grad, dual.step,
+                                                    inv_mass, momentum_sd, rng)
+        dual.update(accept_prob)
+        moments.add(q)
+        if it in update_points:
+            inv_mass = moments.regularized_variance()
+            momentum_sd = inv_mass ** -0.5
+            moments = _RunningMoments(dim)
+            # restart averaging around the current step; the next
+            # window re-converges it under the new metric
+            dual = _DualAveraging(dual.step, config.target_accept)
         if progress is not None:
-            progress(chain_index, it + 1, config.iterations_per_chain)
+            progress(chain_index, it + 1, total)
 
-    return {
-        "draws": draws,
-        "accept_mean": accept_sum / kept,
-        "divergences": divergences,
-        "step_size": final_step,
-    }
+    step = dual.adapted_step
+    draws = result.draws[chain_index]
+    accept_sum, divergences = 0.0, 0
+    for it in range(config.kept_iterations):
+        q, logp, grad, accept_prob, diverged = _transition(kernel, q, logp, grad, step,
+                                                           inv_mass, momentum_sd, rng)
+        draws[it] = q
+        accept_sum += accept_prob
+        divergences += diverged
+        if progress is not None:
+            progress(chain_index, config.warmup + it + 1, total)
+    result.accept_stats[chain_index] = accept_sum / config.kept_iterations
+    result.divergence_count[chain_index] = divergences
+    result.step_sizes[chain_index] = step
 
 
 def sample_density(config: SamplerConfig, logp_and_grad, dim: int) -> PosteriorDraws:
@@ -319,33 +321,26 @@ def _sample_chains(config, kernel, start, param_names, progress=None):
     """HMC chains against ``kernel(q, logp)``, as ``_leapfrog`` calls it.
 
     ``start(rng)`` draws each chain's first position from its own RNG.
+    The result is allocated before any chain runs; each fills its slice.
     """
-    chain_ids = list(range(config.chains))
-    results = [_run_chain(kernel, start, config, c, progress) for c in chain_ids]
-
-    draws = np.stack([r["draws"] for r in results])
-    accept = np.array([r["accept_mean"] for r in results])
-    divergences = np.array([r["divergences"] for r in results], dtype=int)
-    steps = np.array([r["step_size"] for r in results])
-
-    kept = config.kept_iterations
-    dead = [c for c in chain_ids if divergences[c] == kept]
-    if dead:
-        detail = ", ".join(
-            f"chain {c}: step_size={steps[c]:.3g}, mean_accept={accept[c]:.3f}"
-            for c in dead
-        )
-        raise SamplingError(
-            f"all post-warmup proposals diverged in chain(s) {dead}; "
-            f"pathological step size or target ({detail})"
-        )
-    return PosteriorDraws(
-        draws=draws,
-        accept_stats=accept,
-        divergence_count=divergences,
-        step_sizes=steps,
+    chains, kept = config.chains, config.kept_iterations
+    result = PosteriorDraws(
+        draws=np.empty((chains, kept, len(param_names))),
+        accept_stats=np.empty(chains),
+        divergence_count=np.empty(chains, dtype=int),
+        step_sizes=np.empty(chains),
         param_names=param_names,
     )
+    for c in range(chains):
+        _run_chain(kernel, start, config, c, result, progress)
+
+    dead = [c for c in range(chains) if result.divergence_count[c] == kept]
+    if dead:
+        detail = ", ".join(f"chain {c}: step_size={result.step_sizes[c]:.3g}, "
+                           f"mean_accept={result.accept_stats[c]:.3f}" for c in dead)
+        raise SamplingError(f"all post-warmup proposals diverged in chain(s) {dead}; "
+                            f"pathological step size or target ({detail})")
+    return result
 
 
 def sample(

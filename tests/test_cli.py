@@ -102,6 +102,14 @@ class TestIngest:
         assert "line 5" in message
         assert "line 6" in message
 
+    # int() reads digit-group underscores and non-ASCII digits; a survey does not
+    @pytest.mark.parametrize("z", ["1_0", "\u0663", "\uff17"])
+    def test_value_must_be_ascii_digits(self, tmp_path, z):
+        path = write_csv(tmp_path / "data.csv", [f"{z},day", "3,day"])
+        with pytest.raises(IngestError) as err:
+            ingest(path)
+        assert str(err.value) == f"{path}: line 2: reported value {z!r} is not an integer"
+
     def test_bad_header(self, tmp_path):
         path = write_csv(tmp_path / "data.csv", ["1,day"], header="value,unit")
         with pytest.raises(IngestError):
@@ -305,6 +313,19 @@ ITERATION_OUT_OF_TURN = [
      "line 2: invalid literal for int() with base 10: 'x'"),
 ]
 
+# draws.csv bodies under the header "chain,iteration,x,y" holding a number
+# that int() or float() reads but the bulk parse refuses, and the error text
+# after "<path>: " that names its line
+NOT_PLAIN_NUMBERS = [
+    ("chain_underscore", "0,1,0.5,1\n1_0,1,0.7,2\n",
+     "line 3: '1_0' is not a plain ASCII number"),
+    ("value_underscore", "0,1,1_0,1\n1,1,0.7,2\n", "line 2: '1_0' is not a plain ASCII number"),
+    ("value_underscore_fraction", "0,1,0.5,1\n1,1,1_0.5,2\n",
+     "line 3: '1_0.5' is not a plain ASCII number"),
+    ("chain_arabic_indic", "0,1,0.5,1\n\u0662,1,0.7,2\n",
+     "line 3: '\u0662' is not a plain ASCII number"),
+]
+
 # draws.csv bodies under the header "chain,iteration,x,y": the array, or the
 # error text after "<path>: ", that read_draws_csv gives, and whether the
 # bulk parse reads the body (False: the row loop reads it)
@@ -319,9 +340,8 @@ DRAWS_BODIES = [
      "line 3: invalid literal for int() with base 10: '1.0'", False),
     ("chain_exponent", "0,1,0.5,1\n1e0,1,0.7,2\n",
      "line 3: invalid literal for int() with base 10: '1e0'", False),
-    ("chain_underscore", "0,1,0.5,1\n1_0,1,0.7,2\n", ROW_PAIR, False),
     ("chain_beyond_int64", "0,1,0.5,1\n99999999999999999999,1,0.7,2\n", ROW_PAIR, False),
-    ("value_underscore", "0,1,1_0,1\n1,1,0.7,2\n", [[[10.0, 1.0]], [[0.7, 2.0]]], False),
+    *[(*case, False) for case in NOT_PLAIN_NUMBERS],
     ("crlf_rows", "0,1,0.5,1\r\n1,1,0.7,2\r\n", ROW_PAIR, True),
     ("padded_fields", " 0 ,1, 0.5 ,1\n1,1,0.7,2\n", ROW_PAIR, True),
     ("special_values", "0,1,nan,-inf\n1,1,Infinity,-0.0\n",
@@ -521,6 +541,14 @@ class TestPipeInput:
     @pytest.mark.parametrize("body, expected", [case[1:] for case in ITERATION_OUT_OF_TURN],
                              ids=[case[0] for case in ITERATION_OUT_OF_TURN])
     def test_draws_iterations_out_of_turn(self, tmp_path, body, expected):
+        data = ("chain,iteration,x,y\n" + body).encode()
+        with pytest.raises(IngestError) as err:
+            _read_through_pipe(tmp_path, data, read_draws_csv)
+        assert str(err.value) == f"{tmp_path / 'pipe'}: {expected}"
+
+    @pytest.mark.parametrize("body, expected", [case[1:] for case in NOT_PLAIN_NUMBERS],
+                             ids=[case[0] for case in NOT_PLAIN_NUMBERS])
+    def test_draws_not_plain_numbers(self, tmp_path, body, expected):
         data = ("chain,iteration,x,y\n" + body).encode()
         with pytest.raises(IngestError) as err:
             _read_through_pipe(tmp_path, data, read_draws_csv)
@@ -895,6 +923,24 @@ class TestCommands:
         assert "usage:" not in err
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ConfigurationError"
         assert list(tmp_path.iterdir()) == []
+
+    # more bytes than a 47-bit address space holds, so the allocation is
+    # refused at once whatever the host's overcommit setting
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "{data}", "--iters", "10000000000000"],
+        ["simulate", "--truth", "geometric:p=0.1", "--n", "1000000000000000"],
+    ], ids=["fit", "simulate"])
+    def test_allocation_past_the_address_space_gives_error_json(self, tmp_path, capsys,
+                                                                 argv):
+        data = write_csv(tmp_path / "d.csv", ["5,day"])
+        out = tmp_path / "out"
+        argv = [arg.format(data=data) for arg in argv] + ["--outdir", str(out)]
+        assert main(argv) == EXIT_ERROR
+        payload = strict_json(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "MemoryError"
+        assert payload["message"]
+        if argv[0] == "simulate":
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, error",

@@ -179,6 +179,19 @@ class TestGaussianTarget:
         b = sample_density(config, gaussian_logp_grad, dim=3)
         assert np.array_equal(a.draws, b.draws)
 
+    def test_zero_warmup_keeps_every_iteration_at_the_initial_step(self):
+        # no warm-up: nothing adapts, so each chain samples at the step
+        # _find_initial_step gives from its stream after the start draw
+        config = SamplerConfig(chains=2, iterations_per_chain=40, warmup=0, seed=5)
+        res = sample_density(config, gaussian_logp_grad, dim=2)
+        assert res.draws.shape == (2, 40, 2)
+        for chain in range(2):
+            rng = np.random.default_rng([5, chain])
+            start = rng.uniform(-1.0, 1.0, 2)
+            step = _find_initial_step(lambda q, logp: gaussian_logp_grad(q), start,
+                                      *gaussian_logp_grad(start), rng, np.ones(2))
+            assert res.step_sizes[chain] == step
+
 
 class TestInitialStep:
     def test_steep_wall_gives_no_overflow_warning(self):
@@ -241,8 +254,8 @@ class TestModelSampling:
         config = SamplerConfig(chains=2, iterations_per_chain=40, warmup=20, seed=7)
         seen = []
         sample(config, data, BASIS, progress=lambda c, i, t: seen.append((c, i, t)))
-        assert (0, 40, 40) in seen and (1, 40, 40) in seen
-        assert len(seen) == 80
+        # one call per iteration, numbered on from warm-up into sampling
+        assert seen == [(c, i, 40) for c in (0, 1) for i in range(1, 41)]
 
     def test_all_divergent_raises(self):
         calls = {"n": 0}
