@@ -479,9 +479,6 @@ def _cmd_fit(args) -> int:
     heap = _heap_from_args(args)
     levels = _parse_levels(args.levels)
     dataset, ingest_report = ingest(args.input)
-    # made once the inputs are read, so a bad input leaves no new directory
-    outdir = Path(args.outdir)
-    _make_outdir(outdir)
     print(
         f"ingested {ingest_report.retained} records "
         f"({ingest_report.excluded} excluded as beyond the window)",
@@ -512,6 +509,9 @@ def _cmd_fit(args) -> int:
     observed = spread_mass(dataset, heap)
     phi_median = np.asarray(summary.tsls_pmf.median)
 
+    # made once the fit is done, so a failed run leaves no new directory
+    outdir = Path(args.outdir)
+    _make_outdir(outdir)
     # all four files, or none: a failure leaves the previous run's outputs
     names = ("draws.csv", "estimates.json", "diagnostics.json", "histogram.csv")
     with _replacing(*(outdir / name for name in names)) as tmps:

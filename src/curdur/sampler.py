@@ -2,7 +2,8 @@
 
 Multi-chain sampler with leapfrog integration, dual-averaging step-size
 adaptation toward a target acceptance rate, and diagonal mass-matrix
-estimation in expanding warm-up windows.  The number of leapfrog steps is
+estimation in Stan's expanding warm-up windows, each metric from its own
+window's draws alone.  The number of leapfrog steps is
 chosen each iteration so that step size times steps matches a fixed
 trajectory length, capped at a fixed maximum.
 
@@ -135,6 +136,7 @@ class _DualAveraging:
         self.target = target
         self.log_step = math.log(initial_step)
         self.log_step_bar = math.log(initial_step)
+        self.initial_step = initial_step
         self.h_bar = 0.0
         self.m = 0
 
@@ -144,7 +146,8 @@ class _DualAveraging:
 
     @property
     def adapted_step(self) -> float:
-        return math.exp(self.log_step_bar)
+        # with no update, the initial step itself, not exp(log(step))
+        return math.exp(self.log_step_bar) if self.m else self.initial_step
 
     def update(self, accept_prob: float) -> None:
         self.m += 1
@@ -155,31 +158,20 @@ class _DualAveraging:
         self.log_step_bar = weight * self.log_step + (1.0 - weight) * self.log_step_bar
 
 
-class _RunningMoments:
-    """Welford accumulator for per-coordinate variance."""
-
-    def __init__(self, dim: int):
-        self.count = 0
-        self.mean = np.zeros(dim)
-        self.m2 = np.zeros(dim)
-
-    def add(self, x: np.ndarray) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    def regularized_variance(self) -> np.ndarray:
-        # shrunk toward a small constant, as in windowed metric adaptation
-        n = self.count
-        if n < 2:
-            return np.ones_like(self.mean)
-        var = self.m2 / (n - 1)
-        return (n / (n + 5.0)) * var + 1e-3 * (5.0 / (n + 5.0))
+def _regularized_variance(window: np.ndarray) -> np.ndarray:
+    """Per-coordinate variance of a window's (draws, dim) positions, shrunk
+    toward a small constant as in windowed metric adaptation; a window of
+    one draw gives the unit metric."""
+    n = len(window)
+    if n < 2:
+        return np.ones(window.shape[1])
+    var = window.var(axis=0, ddof=1)
+    return (n / (n + 5.0)) * var + 1e-3 * (5.0 / (n + 5.0))
 
 
 def _mass_update_points(warmup: int) -> list:
-    """Iteration indices (0-based) after which the metric is re-estimated."""
+    """The slow windows of warm-up, as (start, end) iteration pairs: the
+    metric is re-estimated from each window's draws at its last iteration."""
     if warmup < 20:
         return []
     if warmup >= 150:
@@ -188,17 +180,17 @@ def _mass_update_points(warmup: int) -> list:
         init_buffer = max(1, int(round(0.15 * warmup)))
         term_buffer = max(1, int(round(0.10 * warmup)))
         window = max(1, int(round(0.05 * warmup)))
-    points = []
+    windows = []
     start = init_buffer
     while start + window <= warmup - term_buffer:
         end = start + window
         # absorb a too-small final window into this one
         if end + 2 * window > warmup - term_buffer:
             end = warmup - term_buffer
-        points.append(end - 1)
+        windows.append((start, end))
         start = end
         window *= 2
-    return points
+    return windows
 
 
 def _energy(logp: float, p: np.ndarray, inv_mass: np.ndarray) -> float:
@@ -271,17 +263,17 @@ def _run_chain(kernel, start, config: SamplerConfig, chain_index: int,
     momentum_sd = np.ones(dim)
     step = _find_initial_step(kernel, q, logp, grad, rng, inv_mass)
     dual = _DualAveraging(step, config.target_accept)
-    update_points = set(_mass_update_points(config.warmup))
-    moments = _RunningMoments(dim)
+    # each slow window's start, keyed by its last iteration
+    window_starts = {end - 1: first for first, end in _mass_update_points(config.warmup)}
+    visited = np.empty((config.warmup, dim))
     for it in range(config.warmup):
         q, logp, grad, accept_prob, _ = _transition(kernel, q, logp, grad, dual.step,
                                                     inv_mass, momentum_sd, rng)
         dual.update(accept_prob)
-        moments.add(q)
-        if it in update_points:
-            inv_mass = moments.regularized_variance()
+        visited[it] = q
+        if it in window_starts:
+            inv_mass = _regularized_variance(visited[window_starts[it] : it + 1])
             momentum_sd = inv_mass ** -0.5
-            moments = _RunningMoments(dim)
             # restart averaging around the current step; the next
             # window re-converges it under the new metric
             dual = _DualAveraging(dual.step, config.target_accept)

@@ -869,9 +869,8 @@ class TestCommands:
                            "message": f"{path}: chain 1, draw 31: parameter y is {value}"}
 
     def test_antithetic_chains_give_finite_ess(self, tmp_path, capsys):
-        # delta_6 and delta_7 of this fit are strongly antithetic (split-chain
-        # lag-1 autocorrelations -0.47 and -0.85): their Geyer sums are not
-        # positive, and the floor on tau caps their ESS at S log10(S)
+        # a short fit: flagged, every ESS finite and positive, and diagnose
+        # of its draws.csv says what fit wrote
         sim, fit = tmp_path / "sim", tmp_path / "fit"
         assert main(["simulate", "--truth", "geometric:p=0.03", "--n", "1000", "--seed", "7",
                      "--outdir", str(sim)]) == EXIT_OK
@@ -887,10 +886,19 @@ class TestCommands:
             if key not in ("divergences", "accept_rate", "step_size")}
         ess = {p["name"]: p["ess_bulk"] for p in diagnostics["parameters"]}
         cap = 300 * math.log10(300)
-        assert ess["delta_6"] == ess["delta_7"] == pytest.approx(cap, rel=1e-15)
         assert all(0.0 < value <= cap for value in ess.values())
         assert diagnostics["flags"]
         assert all(flag.split(":")[0] in ess for flag in diagnostics["flags"])
+
+        # chains whose every draw flips sign: the Geyer sum is not
+        # positive, and the floor on tau caps the ESS at S log10(S)
+        rows = [f"{chain},{it + 1},{(-1.0) ** it * (1.0 + 0.01 * it + 0.001 * chain)!r}"
+                for chain in (1, 2) for it in range(100)]
+        path = write_csv(tmp_path / "antithetic.csv", rows, header="chain,iteration,x")
+        # its tail indicators are not antithetic, and their ESS is low
+        assert main(["diagnose", "--draws", str(path)]) == EXIT_FLAGGED
+        (x,) = strict_json(capsys.readouterr().out)["parameters"]
+        assert x["ess_bulk"] == pytest.approx(200 * math.log10(200), rel=1e-15)
 
     def test_chainwise_constant_draws_give_null_rhat(self, tmp_path, capsys):
         # each chain holds its own value: no within-chain variance, so R-hat
@@ -939,8 +947,7 @@ class TestCommands:
         payload = strict_json(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "MemoryError"
         assert payload["message"]
-        if argv[0] == "simulate":
-            assert not out.exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, error",

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curdur import sampler
 from curdur.basis import BasisConfig, build_basis
 from curdur.errors import ConfigurationError, SamplingError
 from curdur.model import PosteriorDensity, phi_matrix, to_centered, to_noncentered
@@ -13,8 +14,11 @@ from curdur.reporting import ReportedDataset
 from curdur.sampler import (
     PosteriorDraws,
     SamplerConfig,
+    _DualAveraging,
     _find_initial_step,
     _leapfrog,
+    _mass_update_points,
+    _regularized_variance,
     _sample_chains,
     sample,
     sample_density,
@@ -191,6 +195,62 @@ class TestGaussianTarget:
             step = _find_initial_step(lambda q, logp: gaussian_logp_grad(q), start,
                                       *gaussian_logp_grad(start), rng, np.ones(2))
             assert res.step_sizes[chain] == step
+
+    def test_zero_warmup_keeps_a_found_step_of_eight_exactly(self):
+        # a normal of sd 4 makes both chains find step 8, which
+        # exp(log(8)) misses in its last bit
+        def wide(q):
+            return -0.5 * float(q @ q) / 16.0, -q / 16.0
+
+        config = SamplerConfig(chains=2, iterations_per_chain=40, warmup=0, seed=0)
+        res = sample_density(config, wide, dim=2)
+        for chain in range(2):
+            rng = np.random.default_rng([0, chain])
+            start = rng.uniform(-1.0, 1.0, 2)
+            step = _find_initial_step(lambda q, logp: wide(q), start, *wide(start), rng,
+                                      np.ones(2))
+            assert step == 8.0
+            assert res.step_sizes[chain] == step
+
+
+class TestStepAdaptation:
+    def test_no_update_gives_the_initial_step_exactly(self):
+        assert math.exp(math.log(8.0)) != 8.0
+        assert _DualAveraging(8.0, 0.8).adapted_step == 8.0
+
+
+class TestWarmupSchedule:
+    def test_windows_at_the_default_warmup(self):
+        assert _mass_update_points(1000) == [(75, 100), (100, 150), (150, 250),
+                                             (250, 450), (450, 950)]
+
+    def test_windows_at_short_warmups(self):
+        # 150 fits one base window between its buffers; under 150 the
+        # buffers and base window are 15%, 10% and 5% of warm-up
+        assert _mass_update_points(150) == [(75, 100)]
+        assert _mass_update_points(20) == [(3, 4), (4, 6), (6, 10), (10, 18)]
+        assert _mass_update_points(19) == []
+
+    def test_each_metric_sees_its_own_window(self, monkeypatch):
+        seen = []
+
+        def spy(window):
+            seen.append(len(window))
+            return _regularized_variance(window)
+
+        monkeypatch.setattr(sampler, "_regularized_variance", spy)
+        config = SamplerConfig(chains=2, iterations_per_chain=1004, warmup=1000, seed=1)
+        sample_density(config, gaussian_logp_grad, dim=2)
+        assert seen == [25, 50, 100, 200, 500] * 2
+
+    def test_one_draw_gives_the_unit_metric(self):
+        assert np.array_equal(_regularized_variance(np.array([[3.0, -2.0]])),
+                              np.ones(2))
+
+    def test_variance_is_shrunk_toward_a_small_constant(self):
+        window = np.random.default_rng(2).standard_normal((25, 3))
+        expected = (25 / 30) * window.var(axis=0, ddof=1) + 1e-3 * (5 / 30)
+        assert np.allclose(_regularized_variance(window), expected, rtol=1e-14)
 
 
 class TestInitialStep:
