@@ -244,6 +244,8 @@ def compute_diagnostics(draws: np.ndarray, names=None) -> DiagnosticsReport:
     if names is None:
         names = [f"param_{i}" for i in range(n_params)]
     names = list(names)
+    if len(names) != n_params:
+        raise DimensionError(f"{len(names)} names for {n_params} parameters")
     rhat = np.empty(n_params)
     bulk = np.empty(n_params)
     tail = np.empty(n_params)

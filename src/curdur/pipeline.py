@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .basis import BasisConfig, SplineBasis, build_basis
 from .diagnostics import DiagnosticsReport, compute_diagnostics
-from .estimates import EstimateSummary, summarize
+from .errors import ConfigurationError
+from .estimates import EstimateSummary, _checked_levels, summarize
 from .model import mean_tbs_floor
 from .sampler import PosteriorDraws, SamplerConfig, sample
 
@@ -41,7 +42,12 @@ def fit(data, basis_config=BasisConfig(), sampler_config=SamplerConfig(), heap=N
     ``report.flags`` holds the convergence flags and, when the widest
     ``mean_tbs_days`` band starts within 1% above ``floor``, a
     ``basis_floor`` flag; ``report.passed`` is False if any fired.
+    Bad ``levels``, or none, are refused before anything is sampled.
     """
+    levels = _checked_levels(levels)
+    if not levels:
+        # the floor rule reads the widest band
+        raise ConfigurationError("a fit needs at least one credible level")
     basis = build_basis(basis_config)
     draws = sample(sampler_config, data, basis, heap=heap, progress=progress)
     report = compute_diagnostics(draws.draws, names=draws.param_names)

@@ -31,6 +31,18 @@ class Unit(IntEnum):
     YEAR = 4
 
 
+def _whole(value, name: str) -> int:
+    """``value`` as a Python int; a value that is not a whole number raises
+    ConfigurationError rather than being truncated."""
+    try:
+        whole = int(value)
+        if whole == value:
+            return whole
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigurationError(f"{name} {value!r} is not a whole number")
+
+
 @dataclass(frozen=True)
 class HeapSet:
     """Preferred round day values and the half-width of their heap window."""
@@ -39,8 +51,9 @@ class HeapSet:
     halfwidth: int = 2
 
     def __post_init__(self):
-        days = tuple(sorted(int(d) for d in self.days))
+        days = tuple(sorted(_whole(d, "heap day") for d in self.days))
         object.__setattr__(self, "days", days)
+        object.__setattr__(self, "halfwidth", _whole(self.halfwidth, "halfwidth"))
         if len(set(days)) != len(days):
             raise ConfigurationError(f"heap days must be distinct, got {days}")
         if self.halfwidth < 0:

@@ -732,6 +732,26 @@ class TestCommands:
                            f"within 1% of the basis floor {floor:.4f}"]
         assert "basis_floor" in capsys.readouterr().err
 
+    def test_sorted_and_marked_copies_of_a_survey_fit_the_same(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        write_dataset(simulate_survey(truncated_geometric(0.1), n=300, seed=7), plain)
+        head, *body = plain.read_text().splitlines(keepends=True)
+        copies = {"plain": plain, "sorted": tmp_path / "sorted.csv",
+                  "marked": tmp_path / "marked.csv"}
+        copies["sorted"].write_text(head + "".join(sorted(body)))
+        copies["marked"].write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert copies["sorted"].read_bytes() != plain.read_bytes()
+        outputs = {}
+        for name, path in copies.items():
+            outdir = tmp_path / f"{name}-fit"
+            code = main(["fit", "--input", str(path), "--outdir", str(outdir), "--chains", "2",
+                         "--iters", "60", "--warmup", "30", "--seed", "3"])
+            assert code in (EXIT_OK, EXIT_FLAGGED)
+            outputs[name] = [(outdir / f).read_bytes() for f in
+                             ("draws.csv", "estimates.json", "diagnostics.json", "histogram.csv")]
+        assert outputs["sorted"] == outputs["plain"]
+        assert outputs["marked"] == outputs["plain"]
+
     def test_fit_above_the_basis_floor_is_not_flagged(self, tmp_path):
         # the fit benchmark's survey: true mean TBS 33.3 days
         _, diagnostics, estimates = self._short_fit(tmp_path, "geometric:p=0.03", 1000)

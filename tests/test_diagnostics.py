@@ -26,6 +26,7 @@ from curdur.diagnostics import (
     ess_tail,
     split_rank_rhat,
 )
+from curdur.errors import DimensionError
 from curdur.estimates import _linear_quantile
 
 
@@ -134,6 +135,11 @@ class TestReport:
         report = compute_diagnostics(draws)
         assert report.passed
         assert report.to_dict()["passed"] is True
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c", "d"]])
+    def test_names_must_match_the_parameters(self, rng, names):
+        with pytest.raises(DimensionError, match=f"{len(names)} names for 3 parameters"):
+            compute_diagnostics(rng.standard_normal((2, 100, 3)), names=names)
 
     def test_rhat_floor(self, rng):
         # the estimator's exact lower bound is sqrt((n - 1) / n) for

@@ -1,10 +1,12 @@
 """The library fit: the pipeline curdur fit runs, with the same outputs and flags."""
 
 import json
+import re
 
 import pytest
 
 import curdur
+from curdur import pipeline
 from curdur.cli import EXIT_FLAGGED, EXIT_OK, main, write_dataset
 
 SHORT = curdur.SamplerConfig(chains=2, iterations_per_chain=300, warmup=150, seed=1)
@@ -54,3 +56,16 @@ def test_cli_fit_writes_the_library_fit(above_floor, tmp_path):
     assert diagnostics == json.loads(json.dumps(expected))
     del estimates["dataset"], estimates["config"]
     assert estimates == json.loads(json.dumps(result.summary.to_dict()))
+
+
+@pytest.mark.parametrize("levels, message", [
+    ((1.5,), "credible levels must lie in (0, 1)"),
+    # the floor rule reads the widest band
+    ((), "a fit needs at least one credible level"),
+])
+def test_levels_are_refused_before_sampling(monkeypatch, levels, message):
+    monkeypatch.setattr(pipeline, "sample",
+                        lambda *args, **kwargs: pytest.fail("the fit sampled"))
+    data = curdur.simulate_survey(curdur.truncated_geometric(0.03), n=50, seed=7)
+    with pytest.raises(curdur.ConfigurationError, match=re.escape(message)):
+        curdur.fit(data, sampler_config=SHORT, levels=levels)

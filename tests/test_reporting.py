@@ -1,6 +1,9 @@
 """Reporting intervals, report probabilities, and histogram spreading."""
 
+import json
 import math
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,6 +45,21 @@ class TestTypes:
             with pytest.raises(ConfigurationError, match="<= 729"):
                 HeapSet(days=days)
         HeapSet(days=(7, LAST_DAY))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"days": (7.5, 14)}, "heap day 7.5 is not a whole number"),
+        ({"halfwidth": 1.5}, "halfwidth 1.5 is not a whole number"),
+        ({"days": (7, math.nan)}, "heap day nan is not a whole number"),
+    ])
+    def test_heap_values_must_be_whole(self, kwargs, message):
+        # refused, not truncated or left to fail in observation_matrix
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            HeapSet(**kwargs)
+
+    def test_heap_stores_python_ints(self):
+        heap = HeapSet(days=(np.int64(14), 7.0), halfwidth=np.int64(2))
+        assert heap == HeapSet(days=(7, 14), halfwidth=2)
+        assert json.loads(json.dumps(asdict(heap))) == {"days": [7, 14], "halfwidth": 2}
 
     def test_year_reports_must_be_one(self):
         with pytest.raises(OutOfWindowError):
