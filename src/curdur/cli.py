@@ -109,16 +109,6 @@ def _classify_row(row: list) -> tuple:
         return _PROBLEM, str(exc)
 
 
-@contextlib.contextmanager
-def _csv_errors(path: Path, reader):
-    """Turn what the csv module refuses, such as a field over its size
-    limit, into an IngestError naming the line."""
-    try:
-        yield
-    except csv.Error as exc:
-        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
-
-
 def _decode_error(path: Path, exc: UnicodeDecodeError) -> IngestError:
     """The IngestError for a file that is not UTF-8, naming the first bad
     byte and its offset in the file.
@@ -141,20 +131,26 @@ def _decode_error(path: Path, exc: UnicodeDecodeError) -> IngestError:
 
 
 @contextlib.contextmanager
-def _open_text(path: Path):
-    """``path`` open as UTF-8 text for the csv module, a leading
-    byte-order mark skipped; only ``\\n``, ``\\r\\n`` and ``\\r`` end a line.
+def _open_csv(path: Path):
+    """``path`` open as UTF-8 text, a leading byte-order mark skipped, and
+    a csv reader of it, as ``(handle, reader)``; only ``\\n``, ``\\r\\n``
+    and ``\\r`` end a line.
 
-    A file that cannot be read or is not UTF-8 raises IngestError,
-    whether that shows when it is opened or as it is read.
+    A file that cannot be read or is not UTF-8 raises IngestError, whether
+    that shows when it is opened or as it is read, and so does a row the
+    csv module refuses, such as one with a field over its size limit,
+    naming its line.
     """
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
-            yield handle
+            reader = csv.reader(handle)
+            yield handle, reader
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _decode_error(path, exc) from exc
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def ingest(path) -> tuple[ReportedDataset, IngestReport]:
@@ -169,26 +165,24 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
     excluded: dict[Unit, int] = {}
     problems = []
     classes: dict[tuple, tuple] = {}
-    with _open_text(path) as handle:
-        reader = csv.reader(handle)
-        with _csv_errors(path, reader):
-            head = next(reader, None)
-            if head is None:
-                raise IngestError(f"{path}: file is empty")
-            if [cell.strip().lower() for cell in head] != ["z", "unit"]:
-                raise IngestError(f"{path}: expected header 'z,unit', got {head!r}")
-            for line_no, row in enumerate(reader, start=2):
-                key = tuple(row)
-                found = classes.get(key)
-                if found is None:
-                    found = classes[key] = _classify_row(row)
-                kind, value = found
-                if kind == _RECORD:
-                    records.append(value)
-                elif kind == _EXCLUDED:
-                    excluded[value] = excluded.get(value, 0) + 1
-                elif kind == _PROBLEM:
-                    problems.append(f"line {line_no}: {value}")
+    with _open_csv(path) as (_, reader):
+        head = next(reader, None)
+        if head is None:
+            raise IngestError(f"{path}: file is empty")
+        if [cell.strip().lower() for cell in head] != ["z", "unit"]:
+            raise IngestError(f"{path}: expected header 'z,unit', got {head!r}")
+        for line_no, row in enumerate(reader, start=2):
+            key = tuple(row)
+            found = classes.get(key)
+            if found is None:
+                found = classes[key] = _classify_row(row)
+            kind, value = found
+            if kind == _RECORD:
+                records.append(value)
+            elif kind == _EXCLUDED:
+                excluded[value] = excluded.get(value, 0) + 1
+            elif kind == _PROBLEM:
+                problems.append(f"line {line_no}: {value}")
 
     if problems:
         shown = "; ".join(problems[:10])
@@ -283,20 +277,20 @@ def _parse_draws(handle, header_lines: int, num_values: int):
     """Chain ids and value rows of the draws.csv body, in one bulk parse.
 
     ``handle`` is the open file and the header fills its first
-    ``header_lines`` lines.  One pass over the body counts its commas,
-    and numpy's parse is a second.  The rows come back grouped by chain,
+    ``header_lines`` lines.  One pass over the body checks its text, and
+    numpy's parse is a second.  The rows come back grouped by chain,
     a view of the parsed table when the file has them in that order.
     Returns None for anything the row loop of ``_parse_draw_rows`` might
     read differently or refuse: text that is not ``_bulk_safe``, a field
-    numpy refuses, a row with other than ``num_values + 2`` fields, a body
-    of blank lines, or a chain whose iterations do not run 1, 2, ..., n.
+    numpy refuses, a row with other than ``num_values + 2`` fields, which
+    numpy refuses as not the width of its row type, a body of blank
+    lines, or a chain whose iterations do not run 1, 2, ..., n.
     """
-    commas, blank = 0, True
+    blank = True
     _seek_body(handle, header_lines)
     for chunk in iter(lambda: handle.read(1 << 16), ""):
         if not _bulk_safe(chunk):
             return None
-        commas += chunk.count(",")
         blank = blank and not chunk.strip("\r\n")
     if blank:
         return None
@@ -304,11 +298,8 @@ def _parse_draws(handle, header_lines: int, num_values: int):
                     ("values", np.float64, (num_values,))])
     try:
         table = np.loadtxt(_seek_body(handle, header_lines), dtype=row, delimiter=",",
-                           comments=None, usecols=range(num_values + 2), ndmin=1)
+                           comments=None, ndmin=1)
     except (ValueError, OverflowError):
-        return None
-    # loadtxt ignores columns past usecols; the row loop refuses them
-    if commas != len(table) * (num_values + 1):
         return None
     chains = table["chain"]
     # write_draws_csv writes the chains in order: only other input is regrouped
@@ -326,29 +317,28 @@ def _parse_draws(handle, header_lines: int, num_values: int):
 def _parse_draw_rows(path: Path, reader, num_values: int) -> np.ndarray:
     """Parse draws.csv rows one by one, naming the first bad line."""
     by_chain: dict = {}
-    with _csv_errors(path, reader):
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                chain = int(row[0])
-                values = [float(v) for v in row[2:]]
-                # a short row may lack the field: its length is the error
-                iteration = int(row[1]) if len(values) == num_values else None
-            except ValueError as exc:
-                raise IngestError(f"{path}: line {line_no}: {exc}") from exc
-            if iteration is None:
-                raise IngestError(f"{path}: line {line_no}: wrong number of values")
-            # int() and float() also read "_" and non-ASCII digits; the bulk parse does not
-            odd = next((cell for cell in row if not cell.isascii() or "_" in cell), None)
-            if odd is not None:
-                raise IngestError(f"{path}: line {line_no}: {odd!r} is not a plain "
-                                  "ASCII number")
-            draws = by_chain.setdefault(chain, [])
-            if iteration != len(draws) + 1:
-                raise IngestError(f"{path}: line {line_no}: iteration {iteration} of "
-                                  f"chain {chain}, expected {len(draws) + 1}")
-            draws.append(values)
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            chain = int(row[0])
+            values = [float(v) for v in row[2:]]
+            # a short row may lack the field: its length is the error
+            iteration = int(row[1]) if len(values) == num_values else None
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {line_no}: {exc}") from exc
+        if iteration is None:
+            raise IngestError(f"{path}: line {line_no}: wrong number of values")
+        # int() and float() also read "_" and non-ASCII digits; the bulk parse does not
+        odd = next((cell for cell in row if not cell.isascii() or "_" in cell), None)
+        if odd is not None:
+            raise IngestError(f"{path}: line {line_no}: {odd!r} is not a plain "
+                              "ASCII number")
+        draws = by_chain.setdefault(chain, [])
+        if iteration != len(draws) + 1:
+            raise IngestError(f"{path}: line {line_no}: iteration {iteration} of "
+                              f"chain {chain}, expected {len(draws) + 1}")
+        draws.append(values)
     _check_chain_sizes(path, [len(v) for v in by_chain.values()])
     return np.array([by_chain[c] for c in sorted(by_chain)])
 
@@ -364,10 +354,8 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
     same array or names the first bad line.
     """
     path = Path(path)
-    with _open_text(path) as handle:
-        reader = csv.reader(handle)
-        with _csv_errors(path, reader):
-            header = next(reader, None)
+    with _open_csv(path) as (handle, reader):
+        header = next(reader, None)
         if header is None or len(header) < 3 or header[:2] != ["chain", "iteration"]:
             raise IngestError(f"{path}: expected header 'chain,iteration,<parameters>'")
         names = header[2:]
@@ -417,9 +405,9 @@ def _parse_levels(text: str) -> tuple[float, ...]:
 
 
 _TRUTH_FAMILIES = {
-    "geometric": (simulator.truncated_geometric, {"p": float}),
-    "pointmass": (simulator.point_mass, {"day": int}),
-    "uniform": (simulator.uniform_gap, {"lo": int, "hi": int}),
+    "geometric": (simulator.truncated_geometric, {"p"}),
+    "pointmass": (simulator.point_mass, {"day"}),
+    "uniform": (simulator.uniform_gap, {"lo", "hi"}),
 }
 
 
@@ -442,17 +430,12 @@ def _truth_component(chunk: str) -> tuple[TbsDistribution, float]:
     name = name.strip().lower()
     if name not in _TRUTH_FAMILIES:
         raise ConfigurationError(f"unknown truth family {name!r}")
-    make, arg_types = _TRUTH_FAMILIES[name]
-    if set(kwargs) != set(arg_types):
+    make, keys = _TRUTH_FAMILIES[name]
+    if set(kwargs) != keys:
         raise ConfigurationError(
-            f"truth family {name!r} takes {sorted(arg_types)}, got {sorted(kwargs)}"
+            f"truth family {name!r} takes {sorted(keys)}, got {sorted(kwargs)}"
         )
-    for key, cast in arg_types.items():
-        if cast is int and not kwargs[key].is_integer():
-            raise ConfigurationError(
-                f"truth argument {key}={kwargs[key]!r} of {name!r} must be an integer"
-            )
-    return make(**{k: cast(kwargs[k]) for k, cast in arg_types.items()}), weight
+    return make(**kwargs), weight
 
 
 def parse_truth(spec: str) -> TbsDistribution:
@@ -467,8 +450,8 @@ def parse_truth(spec: str) -> TbsDistribution:
         return simulator.mixture(parts)
     except ConfigurationError:
         raise
-    except (ValueError, OverflowError) as exc:
-        # a number that does not parse, or a non-finite one cast to int
+    except ValueError as exc:
+        # a number that does not parse; the families check what it parses to
         raise ConfigurationError(f"bad truth {spec!r}: {exc}") from exc
 
 

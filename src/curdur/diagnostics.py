@@ -236,9 +236,10 @@ class DiagnosticsReport:
 def compute_diagnostics(draws: np.ndarray, names=None) -> DiagnosticsReport:
     """Diagnostics for a (chains, iterations, parameters) draw array."""
     draws = np.asarray(draws, dtype=float)
-    if draws.ndim != 3:
+    if draws.ndim != 3 or draws.shape[2] == 0:
         raise DimensionError(
-            f"draws must be (chains, iterations, parameters), got {draws.shape}"
+            f"draws must be (chains, iterations, parameters), one parameter or more, "
+            f"got {draws.shape}"
         )
     n_params = draws.shape[2]
     if names is None:

@@ -27,6 +27,7 @@ from .reporting import (
     ReportedDuration,
     Unit,
     YEAR_INTERVAL_START,
+    _whole,
     day_interval,
 )
 from .window import LAST_DAY, NUM_DAYS
@@ -43,6 +44,7 @@ def truncated_geometric(p: float) -> TbsDistribution:
 
 def point_mass(day: int) -> TbsDistribution:
     """All gaps exactly ``day`` day-classes long."""
+    day = _whole(day, "point mass day")
     if not 0 <= day <= LAST_DAY:
         raise ConfigurationError(f"point mass day must be in [0, {LAST_DAY}]")
     f = np.zeros(NUM_DAYS)
@@ -52,6 +54,7 @@ def point_mass(day: int) -> TbsDistribution:
 
 def uniform_gap(lo: int, hi: int) -> TbsDistribution:
     """Gaps uniform on the day-classes lo .. hi inclusive."""
+    lo, hi = _whole(lo, "uniform gap lo"), _whole(hi, "uniform gap hi")
     if not 0 <= lo <= hi <= LAST_DAY:
         raise ConfigurationError(f"need 0 <= lo <= hi <= {LAST_DAY}")
     f = np.zeros(NUM_DAYS)
@@ -151,6 +154,7 @@ def sample_tsls_exact(truth: TbsDistribution, n: int, seed) -> np.ndarray:
         raise ConfigurationError(
             f"true gap distribution must have length {NUM_DAYS}, got {truth.f_x.shape}"
         )
+    n = _whole(n, "survey size")
     if n < 0:
         raise ConfigurationError(f"survey size must be >= 0, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -349,6 +349,7 @@ DRAWS_BODIES = [
     ("trailing_comma", "0,1,0.5,1,\n1,1,0.7,2,\n",
      "line 2: could not convert string to float: ''", False),
     ("short_row", "0,1,0.5\n1,1,0.7,2\n", "line 2: wrong number of values", False),
+    ("long_row", "0,1,0.5,1,9\n1,1,0.7,2\n", "line 2: wrong number of values", False),
     ("unequal_chains", "0,1,0.5,1\n0,2,0.6,1\n1,1,0.7,2\n",
      "chains have unequal lengths [1, 2]", True),
     ("one_chain", "0,1,0.5,1\n0,2,0.7,2\n", "diagnostics need at least 2 chains", True),
@@ -1047,6 +1048,14 @@ class TestCommands:
         assert main(argv) == EXIT_ERROR
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == (
             "ConfigurationError")
+        assert not outdir.exists()
+
+    def test_non_whole_truth_day_leaves_no_output_directory(self, tmp_path, capsys):
+        outdir = tmp_path / "out"
+        argv = ["simulate", "--truth", "pointmass:day=3.5", "--n", "10", "--outdir", str(outdir)]
+        assert main(argv) == EXIT_ERROR
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+            "error": "ConfigurationError", "message": "point mass day 3.5 is not a whole number"}
         assert not outdir.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "fit"])

@@ -141,6 +141,10 @@ class TestReport:
         with pytest.raises(DimensionError, match=f"{len(names)} names for 3 parameters"):
             compute_diagnostics(rng.standard_normal((2, 100, 3)), names=names)
 
+    def test_zero_parameters_are_refused(self):
+        with pytest.raises(DimensionError, match=r"one parameter or more, got \(2, 10, 0\)"):
+            compute_diagnostics(np.zeros((2, 10, 0)))
+
     def test_rhat_floor(self, rng):
         # the estimator's exact lower bound is sqrt((n - 1) / n) for
         # split chains of length n

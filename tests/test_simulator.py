@@ -97,6 +97,20 @@ class TestTruthBuilders:
         with pytest.raises(ConfigurationError):
             truncated_geometric(1.5)
 
+    def test_whole_float_day_is_a_day(self):
+        assert point_mass(3.0).f_x[3] == 1.0
+
+    @pytest.mark.parametrize("make, args, name", [
+        (point_mass, (3.5,), "point mass day 3.5"),
+        (point_mass, (float("nan"),), "point mass day nan"),
+        (uniform_gap, (1.5, 3), "uniform gap lo 1.5"),
+        (uniform_gap, (3, float("inf")), "uniform gap hi inf"),
+        (lambda n: sample_tsls_exact(point_mass(3), n, 0), (2.5,), "survey size 2.5"),
+    ], ids=["day_fraction", "day_nan", "lo_fraction", "hi_inf", "survey_size_fraction"])
+    def test_non_whole_arguments_are_refused(self, make, args, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} is not a whole number$"):
+            make(*args)
+
 
 class TestApplyReporting:
     """One record: a uniform's pick from the table of its exact day."""
