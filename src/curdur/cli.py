@@ -468,9 +468,8 @@ def _cmd_fit(args) -> int:
         file=sys.stderr,
     )
 
-    def progress(chain, iteration, total):
-        if iteration == total:
-            print(f"chain {chain}: {total} iterations done", file=sys.stderr)
+    def progress(chain):
+        print(f"chain {chain}: {args.iters} iterations done", file=sys.stderr)
 
     result = pipeline.fit(dataset, basis_config, sampler_config, heap=heap, levels=levels,
                           progress=progress)

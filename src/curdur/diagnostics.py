@@ -130,9 +130,7 @@ def _ess_core(z: np.ndarray) -> float:
     lag_means = np.ascontiguousarray(_autocovariance(z).T).mean(axis=1).tolist()
     chain_means = z.mean(axis=1)
     mean_var = lag_means[0] * n_draw / (n_draw - 1.0)
-    var_plus = mean_var * (n_draw - 1.0) / n_draw
-    if n_chain > 1:
-        var_plus += float(chain_means.var(ddof=1))
+    var_plus = mean_var * (n_draw - 1.0) / n_draw + float(chain_means.var(ddof=1))
     if var_plus == 0.0:
         return 0.0
 
@@ -174,14 +172,16 @@ def ess_bulk(draws) -> float:
 
 
 def ess_tail(draws) -> float:
-    """Minimum ESS of the 5% and 95% pooled-quantile indicators."""
+    """Minimum ESS of the 5% and 95% pooled-quantile indicators; 0 for
+    degenerate input and for draws that are not all finite."""
     x = _as_chain_matrix(draws)
     if _is_constant(x):
         return 0.0
     ordered = np.sort(x, axis=None)
-    # NaN sorts last and makes both of np.quantile's tails NaN, which no
-    # draw is <= or >=: both indicators are constant
-    if np.isnan(ordered[-1]):
+    # a non-finite draw sorts to one end: NaN (last) makes both tails NaN,
+    # and equal infinities at a tail's order statistics make it inf - inf;
+    # either way there is no tail ESS
+    if not (np.isfinite(ordered[0]) and np.isfinite(ordered[-1])):
         return 0.0
     q05, q95 = (_linear_quantile(ordered, p) for p in (0.05, 0.95))
     out = []

@@ -173,9 +173,6 @@ def _band_in_place(x: np.ndarray, levels: tuple[float, ...]) -> QuantitySummary:
         tail = 0.5 * (1.0 - level)
         probs += [tail, 1.0 - tail]
     x.sort(axis=-1)
-    n = x.shape[-1]
-    if n == 0:
-        raise ValueError("no samples to summarize")
     # NaN sorts last, so the extreme draws show every non-finite sample
     if not (np.isfinite(x[..., 0]).all() and np.isfinite(x[..., -1]).all()):
         raise ValueError("samples must be finite")

@@ -43,6 +43,7 @@ def fit(data, basis_config=BasisConfig(), sampler_config=SamplerConfig(), heap=N
     ``mean_tbs_days`` band starts within 1% above ``floor``, a
     ``basis_floor`` flag; ``report.passed`` is False if any fired.
     Bad ``levels``, or none, are refused before anything is sampled.
+    ``progress(chain)``, when given, is called as each chain finishes.
     """
     levels = _checked_levels(levels)
     if not levels:

@@ -247,8 +247,9 @@ def _transition(kernel, q, logp, grad, step_size, inv_mass, momentum_sd, rng):
 
 
 def _run_chain(kernel, start, config: SamplerConfig, chain_index: int,
-               result: PosteriorDraws, progress):
-    """Warm up chain ``chain_index``, then fill its slice of ``result``."""
+               result: PosteriorDraws):
+    """Warm up chain ``chain_index``, then fill its slice of ``result``;
+    a chain whose every kept proposal diverged raises SamplingError."""
     rng = np.random.default_rng([config.seed, chain_index])
     q = start(rng)
     dim = q.size
@@ -257,7 +258,6 @@ def _run_chain(kernel, start, config: SamplerConfig, chain_index: int,
         raise SamplingError(
             f"chain {chain_index}: posterior is not finite at the initial point"
         )
-    total = config.iterations_per_chain
 
     inv_mass = np.ones(dim)
     momentum_sd = np.ones(dim)
@@ -277,23 +277,26 @@ def _run_chain(kernel, start, config: SamplerConfig, chain_index: int,
             # restart averaging around the current step; the next
             # window re-converges it under the new metric
             dual = _DualAveraging(dual.step, config.target_accept)
-        if progress is not None:
-            progress(chain_index, it + 1, total)
 
     step = dual.adapted_step
+    kept = config.kept_iterations
     draws = result.draws[chain_index]
     accept_sum, divergences = 0.0, 0
-    for it in range(config.kept_iterations):
+    for it in range(kept):
         q, logp, grad, accept_prob, diverged = _transition(kernel, q, logp, grad, step,
                                                            inv_mass, momentum_sd, rng)
         draws[it] = q
         accept_sum += accept_prob
         divergences += diverged
-        if progress is not None:
-            progress(chain_index, config.warmup + it + 1, total)
-    result.accept_stats[chain_index] = accept_sum / config.kept_iterations
+    result.accept_stats[chain_index] = accept_sum / kept
     result.divergence_count[chain_index] = divergences
     result.step_sizes[chain_index] = step
+    if divergences == kept:
+        raise SamplingError(
+            f"chain {chain_index}: all {kept} post-warmup proposals diverged "
+            f"(step_size={step:.3g}, mean_accept={accept_sum / kept:.3f}); "
+            "pathological step size or target"
+        )
 
 
 def sample_density(config: SamplerConfig, logp_and_grad, dim: int) -> PosteriorDraws:
@@ -313,25 +316,21 @@ def _sample_chains(config, kernel, start, param_names, progress=None):
     """HMC chains against ``kernel(q, logp)``, as ``_leapfrog`` calls it.
 
     ``start(rng)`` draws each chain's first position from its own RNG.
-    The result is allocated before any chain runs; each fills its slice.
+    The result is allocated before any chain runs; each fills its slice,
+    and then ``progress(chain)`` is called, when given.
     """
-    chains, kept = config.chains, config.kept_iterations
+    chains = config.chains
     result = PosteriorDraws(
-        draws=np.empty((chains, kept, len(param_names))),
+        draws=np.empty((chains, config.kept_iterations, len(param_names))),
         accept_stats=np.empty(chains),
         divergence_count=np.empty(chains, dtype=int),
         step_sizes=np.empty(chains),
         param_names=param_names,
     )
     for c in range(chains):
-        _run_chain(kernel, start, config, c, result, progress)
-
-    dead = [c for c in range(chains) if result.divergence_count[c] == kept]
-    if dead:
-        detail = ", ".join(f"chain {c}: step_size={result.step_sizes[c]:.3g}, "
-                           f"mean_accept={result.accept_stats[c]:.3f}" for c in dead)
-        raise SamplingError(f"all post-warmup proposals diverged in chain(s) {dead}; "
-                            f"pathological step size or target ({detail})")
+        _run_chain(kernel, start, config, c, result)
+        if progress is not None:
+            progress(c)
     return result
 
 
@@ -350,7 +349,9 @@ def sample(
 
     Chains start from (delta, log_sigma) uniform on [-1, 1] per coordinate
     and run in scale-free coordinates internally; the returned draws are
-    always (delta_1 .. delta_K, log_sigma).
+    always (delta_1 .. delta_K, log_sigma).  ``progress(chain)``, when
+    given, is called as each chain finishes.  A chain whose every kept
+    proposal diverged raises SamplingError before the next chain starts.
     """
     if data is None or len(data) == 0:
         raise SamplingError("dataset is empty; nothing to fit")

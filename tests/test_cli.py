@@ -305,6 +305,8 @@ ITERATION_OUT_OF_TURN = [
      "line 4: iteration 1 of chain 0, expected 2"),
     ("iteration_missing", "0,1,0.5,1\n0,3,0.6,1\n1,1,0.7,2\n1,2,0.8,2\n",
      "line 3: iteration 3 of chain 0, expected 2"),
+    ("iteration_missing_after_blank_line", "0,1,0.5,1\n\n0,3,0.6,1\n1,1,0.7,2\n1,2,0.8,2\n",
+     "line 4: iteration 3 of chain 0, expected 2"),
     ("iteration_zero_based", "0,0,0.5,1\n1,0,0.7,2\n",
      "line 2: iteration 0 of chain 0, expected 1"),
     ("iteration_float", "0,1,0.5,1\n1,1.0,0.7,2\n",
@@ -760,6 +762,20 @@ class TestCommands:
         assert estimates["mean_tbs_days"]["intervals"]["0.95"]["lower"] > 1.01 * floor
         assert not [f for f in diagnostics["flags"] if "basis_floor" in f]
 
+    def test_fit_workload_exits_zero(self, tmp_path, capsys):
+        # the fit benchmark's survey and fit, which pass every check
+        assert main(["simulate", "--truth", "geometric:p=0.03", "--n", "1000", "--seed", "7",
+                     "--outdir", str(tmp_path / "sim")]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["fit", "--input", str(tmp_path / "sim" / "data.csv"),
+                     "--outdir", str(tmp_path / "fit"), "--chains", "2", "--seed", "1"])
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "fit" / "diagnostics.json").read_text())["passed"] is True
+        # one line per chain, as it finishes
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("ingested ")
+        assert err[1:] == ["chain 0: 2000 iterations done", "chain 1: 2000 iterations done"]
+
     def test_unknown_unit_gives_error_json(self, tmp_path, capsys):
         bad = write_csv(tmp_path / "bad.csv", ["5,fortnight"])
         code = main(["fit", "--input", str(bad), "--outdir", str(tmp_path / "out")])
@@ -801,17 +817,27 @@ class TestCommands:
             (["fit", "--knots", "100000"], "ConfigurationError"),
             # the spline degree is a constant: --degree is an unknown option
             (["fit", "--degree", "100000"], "ConfigurationError"),
+            (["fit", "--input", "{empty}"], "IngestError"),
+            (["fit", "--heap-halfwidth", "-1"], "ConfigurationError"),
+            (["fit", "--warmup", "-1"], "ConfigurationError"),
+            (["fit", "--seed", "-1"], "ConfigurationError"),
+            (["simulate", "--truth", "geometric", "--n", "10"], "ConfigurationError"),
+            (["simulate", "--truth", "geometric:p", "--n", "10"], "ConfigurationError"),
+            (["simulate", "--truth", "pointmass:day=800", "--n", "10"], "ConfigurationError"),
+            (["simulate", "--truth", "uniform:lo=9,hi=3", "--n", "10"], "ConfigurationError"),
         ],
     )
     def test_bad_arguments_give_error_json(self, tmp_path, capsys, argv, error):
         data = write_csv(tmp_path / "d.csv", ["5,day"])
         draws = write_csv(tmp_path / "draws.csv", ["0,1,0.5", "0,2,0.7", "1,1,0.1", "1,2,0.3"],
                           header="chain,iteration,x")
-        if argv[0] == "fit":
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        if argv[0] == "fit" and "--input" not in argv:
             argv = argv + ["--input", str(data)]
         if argv[0] != "diagnose" and "--outdir" not in argv:
             argv = argv + ["--outdir", str(tmp_path / "out")]
-        code = main([arg.format(data=data, draws=draws) for arg in argv])
+        code = main([arg.format(data=data, draws=draws, empty=empty) for arg in argv])
         assert code == EXIT_ERROR
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == error

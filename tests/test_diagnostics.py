@@ -312,6 +312,21 @@ class TestOddLengthIndicator:
         x[1, 7] = math.nan
         assert ess_tail(x) == self.unique_path_tail(x) == 0.0
 
+    def test_equal_infinities_at_a_tail_quantile(self, rng):
+        # 10 of 100 draws at -inf fill the 5% order statistics, which
+        # np.quantile reads as -inf - -inf; no warning, no tail ESS
+        x = ar1_chains(rng, 2, 50, 0.3)
+        x[0, :10] = -math.inf
+        assert ess_tail(x) == 0.0
+        assert compute_diagnostics(x[:, :, None]).ess_tail.tolist() == [0.0]
+
+    def test_tied_maximum(self):
+        # one 0.0 among 99 ones: both tail quantiles are 1, and every draw
+        # is <= 1, a constant indicator
+        x = np.ones((4, 25))
+        x[2, 3] = 0.0
+        assert ess_tail(x) == 0.0
+
 
 @pytest.mark.parametrize("decimals", [None, 1])
 def test_tail_quantiles_match_np_quantile(rng, decimals):

@@ -57,6 +57,8 @@ class TestTbsFromTsls:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             tbs_from_tsls(np.zeros(730))
+        with pytest.raises(DegenerateDistributionError, match="no mass"):
+            tsls_from_tbs(np.zeros(730))
 
     def test_round_trip_bijection(self, rng):
         for _ in range(100):
@@ -225,6 +227,10 @@ class TestQuantileBand:
 
 
 class TestSummarize:
+    def test_no_draws_refused(self):
+        with pytest.raises(ValueError, match="no draws to summarize"):
+            summarize(as_draws(np.empty((0, 14))), build_basis(BasisConfig()))
+
     def test_single_draw(self, rng):
         basis = build_basis(BasisConfig())
         vec = np.concatenate([rng.uniform(-0.5, 0.5, 13), [0.0]])

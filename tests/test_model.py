@@ -12,7 +12,7 @@ from scipy import stats
 
 from curdur import model
 from curdur.basis import BasisConfig, SplineBasis, build_basis
-from curdur.errors import DimensionError
+from curdur.errors import ConfigurationError, DimensionError
 from curdur.model import (
     LOG_CLAMP,
     ModelParams,
@@ -225,6 +225,22 @@ class TestTslsDistributionValidation:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
             TslsDistribution(phi=np.ones(730) / 700.0)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: ModelParams(delta=np.zeros((2, 3)), log_sigma=0.0), DimensionError,
+     r"delta must be a vector, got shape \(2, 3\)"),
+    (lambda: ModelParams(delta=np.zeros(3), log_sigma=math.inf), ValueError,
+     "model parameters must be finite"),
+    (lambda: TslsDistribution(phi=[1.0]), DimensionError, "at least two entries"),
+    (lambda: TslsDistribution(phi=[0.5, math.nan]), ValueError, "phi entries must be finite"),
+    (lambda: PosteriorDensity(None, SplineBasis(values=BASIS.values[:366],
+                                                knots=BASIS.knots)),
+     ConfigurationError, "needs a basis over 730 days, got 365"),
+], ids=["params_matrix", "params_infinite", "phi_one_entry", "phi_nan", "basis_365_days"])
+def test_malformed_inputs_are_refused(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 class TestLogPrior:

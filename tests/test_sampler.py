@@ -50,6 +50,16 @@ def full_calls(density):
     return lambda q, logp: density.noncentered_logp_and_grad(q)
 
 
+def chain_starts(config, dim):
+    """Each chain's first position under ``sample_density``."""
+    return [np.random.default_rng([config.seed, c]).uniform(-1.0, 1.0, dim)
+            for c in range(config.chains)]
+
+
+# the layout of the chains that the sampler's refusal tests run
+REFUSED = SamplerConfig(chains=2, iterations_per_chain=30, warmup=10, seed=1)
+
+
 class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -313,20 +323,45 @@ class TestModelSampling:
         data = simulate_survey(truncated_geometric(0.15), n=100, seed=2)
         config = SamplerConfig(chains=2, iterations_per_chain=40, warmup=20, seed=7)
         seen = []
-        sample(config, data, BASIS, progress=lambda c, i, t: seen.append((c, i, t)))
-        # one call per iteration, numbered on from warm-up into sampling
-        assert seen == [(c, i, 40) for c in (0, 1) for i in range(1, 41)]
+        sample(config, data, BASIS, progress=seen.append)
+        # one call per chain, as it finishes
+        assert seen == [0, 1]
 
     def test_all_divergent_raises(self):
-        calls = {"n": 0}
+        starts = chain_starts(REFUSED, 2)
+        started, calls = [], [0]
 
         def pathological(q):
-            # finite at the very first evaluation, then a cliff
-            calls["n"] += 1
-            if calls["n"] <= 2:
-                return 0.0, np.zeros_like(q)
+            # finite at a chain's start and at its first trial step, then
+            # a cliff: every kept proposal diverges
+            for c, s in enumerate(starts):
+                if np.array_equal(q, s):
+                    started.append(c)
+                    calls[0] = 0
+            calls[0] += 1
+            return (0.0 if calls[0] <= 2 else -math.inf), np.zeros_like(q)
+
+        with pytest.raises(SamplingError, match=r"^chain 0: all 20 post-warmup proposals "
+                           r"diverged \(step_size=.*, mean_accept=0\.000\); "
+                           r"pathological step size or target$"):
+            sample_density(REFUSED, pathological, dim=2)
+        # refused as it ends: chain 1 never starts
+        assert started == [0]
+
+    def test_non_finite_start_raises(self):
+        def cliff(q):
             return -math.inf, np.zeros_like(q)
 
-        config = SamplerConfig(chains=2, iterations_per_chain=30, warmup=10, seed=1)
-        with pytest.raises(SamplingError):
-            sample_density(config, pathological, dim=2)
+        with pytest.raises(SamplingError,
+                           match="^chain 0: posterior is not finite at the initial point$"):
+            sample_density(REFUSED, cliff, dim=2)
+
+    def test_no_workable_step_size_raises(self):
+        starts = chain_starts(REFUSED, 2)
+
+        def finite_at_starts_only(q):
+            finite = any(np.array_equal(q, s) for s in starts)
+            return (0.0 if finite else -math.inf), np.zeros_like(q)
+
+        with pytest.raises(SamplingError, match="^could not find a workable step size"):
+            sample_density(REFUSED, finite_at_starts_only, dim=2)
