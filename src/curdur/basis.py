@@ -16,6 +16,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigurationError
+from .reporting import _whole
 from .window import NUM_DAYS
 
 
@@ -37,6 +38,7 @@ class BasisConfig:
     num_segments: int = 10
 
     def __post_init__(self):
+        object.__setattr__(self, "num_segments", _whole(self.num_segments, "num_segments"))
         if self.num_segments < 1:
             raise ConfigurationError(
                 f"num_segments must be >= 1, got {self.num_segments}"

@@ -47,8 +47,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FLAGGED = 3
 
+# each unit's lower-case name, as data.csv and the ingest report spell it
+_UNIT_NAMES = {unit: unit.name.lower() for unit in Unit}
+
 # each unit's lower-case name and its code; str(unit) spells the member on 3.10
-_UNIT_TOKENS = {token: unit for unit in Unit for token in (unit.name.lower(), str(unit.value))}
+_UNIT_TOKENS = {token: unit for unit in Unit for token in (_UNIT_NAMES[unit], str(unit.value))}
 
 # a survey value: ASCII digits with an optional sign, no "_" or other digits
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -188,7 +191,7 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
         shown = "; ".join(problems[:10])
         more = f" (and {len(problems) - 10} more)" if len(problems) > 10 else ""
         raise IngestError(f"{path}: {shown}{more}")
-    report.excluded_by_unit = {unit.name.lower(): excluded[unit] for unit in sorted(excluded)}
+    report.excluded_by_unit = {_UNIT_NAMES[unit]: excluded[unit] for unit in sorted(excluded)}
     report.retained = len(records)
     report.total_rows = report.retained + report.excluded
     if not records:
@@ -220,13 +223,11 @@ def _replacing(*paths):
 
 
 def write_dataset(dataset: ReportedDataset, path) -> None:
-    """Write records as the ingestible CSV format, one formatted row per class."""
+    """Write records as the ingestible CSV format, one row per record."""
     with _replacing(path) as (tmp,), open(tmp, "w", newline="") as handle:
         # the rows csv.writer writes: no value or unit name needs quoting
-        distinct = dict.fromkeys(dataset.records)
-        lines = {r: f"{r.z},{r.unit.name.lower()}\r\n" for r in distinct}
         handle.write("z,unit\r\n")
-        handle.writelines([lines[record] for record in dataset.records])
+        handle.writelines(f"{r.z},{_UNIT_NAMES[r.unit]}\r\n" for r in dataset.records)
 
 
 def _csv_line(head: str, values) -> str:

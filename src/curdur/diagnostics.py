@@ -28,15 +28,14 @@ MIN_DRAWS_PER_CHAIN = 4
 @functools.lru_cache(maxsize=16)
 def _rank_scores(size: int) -> np.ndarray:
     """Normal scores of the average ranks r = 0.5, 1, ..., size + 0.5 of size
-    draws, the score of r at index 2r - 1; no draw takes the end ranks, but
-    ``_rank_normalize_indicator`` scores them when b holds one value."""
+    draws, the score of r at index 2r - 1; no draw takes the end ranks,
+    which keep that index rule free of an offset."""
     p = (np.arange(1, 2 * size + 2) / 2 - 0.375) / (size + 0.25)
     scores = np.array([*map(NormalDist().inv_cdf, p.tolist())])
     scores.flags.writeable = False
     return scores
 
 
-@functools.lru_cache(maxsize=16)
 def _next_fast_len(n: int) -> int:
     """Smallest integer >= n with no prime factor above 11: a fast FFT length."""
     power_of_two = 1 << (n - 1).bit_length()
@@ -73,15 +72,6 @@ def _rank_normalize(x: np.ndarray) -> np.ndarray:
     # r = cumsum - (cnt - 1) / 2, whose score is at index 2r - 1
     _, idx, cnt = np.unique(x, return_inverse=True, return_counts=True)
     return _rank_scores(x.size)[2 * np.cumsum(cnt) - cnt][idx].reshape(x.shape)
-
-
-def _rank_normalize_indicator(b: np.ndarray) -> np.ndarray:
-    """``_rank_normalize`` of a boolean array, in closed form: the falses
-    share rank (n0 + 1) / 2 and the trues n0 + (n1 + 1) / 2, at indices n0
-    and b.size + n0 of ``_rank_scores``, also when b holds one value only."""
-    n0 = b.size - int(np.count_nonzero(b))
-    scores = _rank_scores(b.size)
-    return np.where(b, scores[b.size + n0], scores[n0])
 
 
 def _is_constant(x: np.ndarray) -> bool:
@@ -189,7 +179,7 @@ def ess_tail(draws) -> float:
         if _is_constant(indicator):
             out.append(0.0)
         else:
-            out.append(_ess_core(_rank_normalize_indicator(_split_chains(indicator))))
+            out.append(_ess_core(_rank_normalize(_split_chains(indicator))))
     return min(out)
 
 

@@ -15,8 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SplineBasis
-from .errors import ConfigurationError, DegenerateDistributionError
+from .errors import ConfigurationError, DegenerateDistributionError, DimensionError
 from .model import _DAY_BLOCK, TslsDistribution, _phi_blocks
+
+
+def _vector(values, field: str) -> np.ndarray:
+    """``values``, or its ``field``, as a float vector; another shape raises DimensionError."""
+    x = np.asarray(getattr(values, field, values), dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"{field} must be a vector, got shape {x.shape}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -26,7 +34,7 @@ class TbsDistribution:
     f_x: np.ndarray
 
     def __post_init__(self):
-        f_x = np.asarray(self.f_x, dtype=float)
+        f_x = _vector(self.f_x, "f_x")
         object.__setattr__(self, "f_x", f_x)
         total = float(f_x.sum())
         # written so that NaN fails
@@ -56,7 +64,7 @@ def tbs_from_tsls(phi) -> TbsDistribution:
     f_x = (phi_x - phi_{x+1}) / phi_0, with the boundary probability zero;
     non-negative by monotonicity of phi, no clipping involved.
     """
-    phi = np.append(np.asarray(getattr(phi, "phi", phi), dtype=float), 0.0)
+    phi = np.append(_vector(phi, "phi"), 0.0)
     if not np.isfinite(phi).all():
         raise ValueError("duration probabilities must be finite")
     if phi[0] <= 0.0:
@@ -70,7 +78,7 @@ def tsls_from_tbs(f_x) -> TslsDistribution:
     The forward direction of the renewal identity: phi_y is the gap
     survival S(y) normalized by its sum.  Exact inverse of tbs_from_tsls.
     """
-    f = np.asarray(getattr(f_x, "f_x", f_x), dtype=float)
+    f = _vector(f_x, "f_x")
     survival = np.cumsum(f[::-1])[::-1]
     total = float(survival.sum())
     if total <= 0.0:
@@ -210,7 +218,7 @@ def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:
     row-by-row transforms of ``phi_matrix``.
     """
     levels = _checked_levels(levels)
-    flat = draws.draws.reshape(-1, draws.draws.shape[-1])
+    flat = draws.flat()
     if flat.shape[0] == 0:
         raise ValueError("no draws to summarize")
     # day-major rows: phi of the day before the block, the block, which

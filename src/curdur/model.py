@@ -94,16 +94,13 @@ def _coefficients(sums: np.ndarray) -> tuple:
     """alpha = exp(sums - max) along the last axis, in place, from
     log-scale coefficient sums clipped to +/- LOG_CLAMP.
 
-    Returns alpha and the mask of sums the clip left alone, or None when
-    every sum lies within the clamp, which skips the clip.  The common
+    Returns alpha and the mask of sums the clip left alone.  The common
     scale cancels in phi and in every likelihood ratio, so the shift
     keeps all downstream sums inside double range.
     """
-    unclamped = None
-    if not (np.maximum.reduce(sums, axis=None, initial=-LOG_CLAMP) <= LOG_CLAMP
-            and np.minimum.reduce(sums, axis=None, initial=LOG_CLAMP) >= -LOG_CLAMP):
-        unclamped = np.abs(sums) <= LOG_CLAMP
-        np.clip(sums, -LOG_CLAMP, LOG_CLAMP, out=sums)
+    # two comparisons build no float temporary the size of sums
+    unclamped = (sums >= -LOG_CLAMP) & (sums <= LOG_CLAMP)
+    np.clip(sums, -LOG_CLAMP, LOG_CLAMP, out=sums)
     sums -= np.maximum.reduce(sums, axis=-1, keepdims=True)
     return np.exp(sums, out=sums), unclamped
 
@@ -273,7 +270,6 @@ class PosteriorDensity:
         sigma_sq = sigma * sigma
         sums = self._upper.dot(eta)
         sums *= sigma
-        unclamped = None
         if guarded:
             alpha, unclamped = _coefficients(sums)
         else:
@@ -282,7 +278,7 @@ class PosteriorDensity:
         loglik = float(self._weights.dot(np.log(mass))) if logp else None
         d_sums = self._rows_t.dot(self._weights / mass)
         d_sums *= alpha
-        if unclamped is not None:
+        if guarded:
             d_sums *= unclamped
         grad = self._upper_t.dot(d_sums)
         grad *= sigma

@@ -25,6 +25,7 @@ import numpy as np
 from .diagnostics import MIN_DRAWS_PER_CHAIN
 from .errors import ConfigurationError, SamplingError
 from .model import PosteriorDensity, to_centered, to_noncentered
+from .reporting import _whole
 
 # step size times leapfrog steps each iteration aims for; longer
 # trajectories cost more gradient evaluations but decorrelate draws faster
@@ -47,6 +48,8 @@ class SamplerConfig:
     target_accept: float = 0.8
 
     def __post_init__(self):
+        for name in ("chains", "iterations_per_chain", "warmup", "seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.chains < 2:
             raise ConfigurationError(
                 f"diagnostics require at least 2 chains, got {self.chains}"
@@ -94,7 +97,7 @@ class PosteriorDraws:
 
     @property
     def num_params(self) -> int:
-        return self.draws.shape[2]
+        return self.draws.shape[-1]
 
     def flat(self) -> np.ndarray:
         return self.draws.reshape(-1, self.num_params)
@@ -119,10 +122,7 @@ def _leapfrog(kernel, q, p, grad, step_size, num_steps, inv_mass):
         q = q + drift * p
         last = step == num_steps - 1
         logp, grad = kernel(q, last)
-        # a finite sum means a finite gradient; Python floats sum without
-        # numpy's overflow warnings, and only a non-finite sum is rechecked
-        if logp is not None and not (math.isfinite(logp) and (
-                math.isfinite(sum(grad.tolist())) or np.isfinite(grad).all())):
+        if logp is not None and not (math.isfinite(logp) and np.isfinite(grad).all()):
             return q, p, logp, grad, True
         p = p + (0.5 * step_size if last else step_size) * grad
     return q, p, logp, grad, False

@@ -70,8 +70,8 @@ def mixture(parts: Sequence[tuple[TbsDistribution, float]]) -> TbsDistribution:
     f = np.zeros(NUM_DAYS)
     for i, (part, w) in enumerate(parts):
         if part.f_x.shape != f.shape:
-            raise ConfigurationError(f"mixture part {i} has {part.f_x.size} day-classes "
-                                     f"(shape {part.f_x.shape}), expected {NUM_DAYS}")
+            raise ConfigurationError(f"mixture part {i} has {part.f_x.size} day-classes, "
+                                     f"expected {NUM_DAYS}")
         f += w * part.f_x
     return TbsDistribution(f_x=f)
 

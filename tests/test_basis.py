@@ -39,6 +39,13 @@ class TestBasisConfig:
         with pytest.raises(ConfigurationError):
             BasisConfig(num_segments=728)
 
+    @pytest.mark.parametrize("value", [10.5, "10", None, float("inf")])
+    def test_num_segments_must_be_a_whole_number(self, value):
+        # refused as the config is made, not by build_basis
+        with pytest.raises(ConfigurationError, match="num_segments .* is not a whole number"):
+            BasisConfig(num_segments=value)
+        assert type(BasisConfig(num_segments=10.0).num_segments) is int
+
     def test_window_is_fixed(self):
         # the survey window and the cubic degree are constants of the
         # method, not settings

@@ -18,7 +18,6 @@ from curdur.diagnostics import (
     _autocovariance,
     _next_fast_len,
     _rank_normalize,
-    _rank_normalize_indicator,
     _rank_scores,
     _split_chains,
     compute_diagnostics,
@@ -181,11 +180,10 @@ class TestRankNormalize:
 
     @pytest.mark.parametrize("size", [1, 2, 7, 250])
     def test_indicator_closed_form_matches_unique_path(self, rng, size):
+        # ess_tail ranks its boolean indicators as they are
         for p_true in (0.0, 0.05, 0.5, 1.0):
             b = rng.random((2, size)) < p_true
-            assert np.array_equal(
-                _rank_normalize_indicator(b), _rank_normalize(b.astype(float))
-            )
+            assert np.array_equal(_rank_normalize(b), _rank_normalize(b.astype(float)))
 
 
 class TestNdtri:
@@ -260,8 +258,8 @@ class TestEssCore:
         q05, q95 = np.quantile(x, [0.05, 0.95])
         series = [
             _rank_normalize(_split_chains(x)),
-            _rank_normalize_indicator(_split_chains(x <= q05)),
-            _rank_normalize_indicator(_split_chains(x >= q95)),
+            _rank_normalize(_split_chains(x <= q05)),
+            _rank_normalize(_split_chains(x >= q95)),
         ]
         for z in series:
             assert _ess_core(z) == parent_ess_core(z)

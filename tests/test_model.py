@@ -13,6 +13,7 @@ from scipy import stats
 from curdur import model
 from curdur.basis import BasisConfig, SplineBasis, build_basis
 from curdur.errors import ConfigurationError, DimensionError
+from curdur.estimates import TbsDistribution, tbs_from_tsls, tsls_from_tbs
 from curdur.model import (
     LOG_CLAMP,
     ModelParams,
@@ -74,7 +75,7 @@ def clips(monkeypatch):
 
     def spy(sums):
         alpha, unclamped = coefficients(sums)
-        counts.append(0 if unclamped is None else np.count_nonzero(~unclamped))
+        counts.append(np.count_nonzero(~unclamped))
         return alpha, unclamped
 
     monkeypatch.setattr(model, "_coefficients", spy)
@@ -237,7 +238,19 @@ class TestTslsDistributionValidation:
     (lambda: PosteriorDensity(None, SplineBasis(values=BASIS.values[:366],
                                                 knots=BASIS.knots)),
      ConfigurationError, "needs a basis over 730 days, got 365"),
-], ids=["params_matrix", "params_infinite", "phi_one_entry", "phi_nan", "basis_365_days"])
+    # the gap-time transforms refuse a non-vector before np.append or
+    # np.cumsum flattens it
+    (lambda: tsls_from_tbs(np.full((2, 730), 1 / 1460)), DimensionError,
+     r"f_x must be a vector, got shape \(2, 730\)"),
+    (lambda: tbs_from_tsls(np.full((2, 730), 1 / 1460)), DimensionError,
+     r"phi must be a vector, got shape \(2, 730\)"),
+    (lambda: tsls_from_tbs(np.array(1.0)), DimensionError,
+     r"f_x must be a vector, got shape \(\)"),
+    (lambda: TbsDistribution(f_x=np.full((2, 365), 1 / 730)), DimensionError,
+     r"f_x must be a vector, got shape \(2, 365\)"),
+], ids=["params_matrix", "params_infinite", "phi_one_entry", "phi_nan", "basis_365_days",
+        "tsls_from_tbs_matrix", "tbs_from_tsls_matrix", "tsls_from_tbs_scalar",
+        "tbs_matrix"])
 def test_malformed_inputs_are_refused(make, error, message):
     with pytest.raises(error, match=message):
         make()
@@ -538,24 +551,20 @@ def _reverse_sums(delta):
 
 
 def _clip_path(sums):
-    """The clamp and rescale without the clamp's fast path: clip every sum,
-    shift each row by its largest sum and exponentiate; the mask marks the
-    sums the clip left alone."""
+    """The clamp and rescale spelled out: clip every sum, shift each row by
+    its largest sum and exponentiate; the mask marks the sums the clip left
+    alone."""
     clipped = np.clip(sums, -LOG_CLAMP, LOG_CLAMP)
     return np.exp(clipped - clipped.max(axis=-1, keepdims=True)), clipped == sums
 
 
 def _matches_clip_path(sums):
     """Check ``_coefficients`` on a copy of ``sums`` against ``_clip_path``:
-    the same alpha, and the same mask, or None where the clip moves no sum.
-    Returns the mask."""
+    the same alpha and the same mask.  Returns the mask."""
     expected, mask = _clip_path(sums)
     alpha, unclamped = _coefficients(sums.copy())
     assert np.array_equal(alpha, expected)
-    if mask.all():
-        assert unclamped is None
-    else:
-        assert np.array_equal(unclamped, mask)
+    assert np.array_equal(unclamped, mask)
     return mask
 
 
@@ -577,6 +586,8 @@ def _clamp_edge_deltas():
 
 
 class TestClampFastPath:
+    """``_coefficients`` against the clip spelled out, on the clamp's edges."""
+
     @pytest.mark.parametrize("case", sorted(_clamp_edge_deltas()))
     def test_matches_clip_path(self, case):
         mask = _matches_clip_path(_reverse_sums(_clamp_edge_deltas()[case]))
@@ -600,7 +611,7 @@ class TestClampFastPath:
         assert np.allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
 
     def test_matrix_rows_match_clip_path(self):
-        # the "at" rows alone skip the clip; with the "past" rows in the
+        # the "at" rows alone clip no sum; with the "past" rows in the
         # stack, the mask has an entry for every sum of every row
         deltas = np.stack(list(_clamp_edge_deltas().values()))
         assert _matches_clip_path(_reverse_sums(deltas[:3])).all()

@@ -76,6 +76,20 @@ class TestSamplerConfig:
             SamplerConfig(iterations_per_chain=63, warmup=60)
         assert SamplerConfig(iterations_per_chain=64, warmup=60).kept_iterations == 4
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("chains", 2.5), ("iterations_per_chain", 20.5), ("warmup", 10.5),
+         ("seed", 1.5), ("seed", "1"), ("chains", None)],
+    )
+    def test_counts_must_be_whole_numbers(self, field, value):
+        # refused as the config is made, not by numpy once sampling starts
+        with pytest.raises(ConfigurationError, match=f"{field} .* is not a whole number"):
+            SamplerConfig(**{field: value})
+        # a whole float is stored as the int it stands for
+        config = SamplerConfig(chains=2.0, iterations_per_chain=20.0, warmup=10.0, seed=1.0)
+        assert [type(v) for v in (config.chains, config.iterations_per_chain,
+                                  config.warmup, config.seed)] == [int] * 4
+
 
 class TestLeapfrog:
     def test_reversibility(self, rng):
