@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DimensionError
 from .reporting import _whole
 from .window import NUM_DAYS
 
@@ -61,21 +61,24 @@ class SplineBasis:
     """Precomputed decreasing basis matrix.
 
     ``values[d, k]`` holds the kth reflected integrated B-spline at day d,
-    for d = 0 .. support_days.  Every entry lies in [0, 1], every column is
+    for d = 0 .. NUM_DAYS.  Every entry lies in [0, 1], every column is
     non-increasing, row 0 is all ones and the last row is all zeros.
-    Immutable after construction; safe for concurrent reads.
+    Values of any other shape raise DimensionError.  Immutable after
+    construction; safe for concurrent reads.
     """
 
     values: np.ndarray
     knots: np.ndarray
 
+    def __post_init__(self):
+        shape = np.shape(self.values)
+        if len(shape) != 2 or shape[0] != NUM_DAYS + 1:
+            raise DimensionError(f"basis values must hold one row per day 0 .. {NUM_DAYS}, "
+                                 f"got shape {shape}")
+
     @property
     def num_basis(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def support_days(self) -> int:
-        return self.values.shape[0] - 1
 
 
 def _bspline_columns(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:

@@ -15,16 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SplineBasis
-from .errors import ConfigurationError, DegenerateDistributionError, DimensionError
+from .errors import ConfigurationError, DegenerateDistributionError
 from .model import _DAY_BLOCK, TslsDistribution, _phi_blocks
-
-
-def _vector(values, field: str) -> np.ndarray:
-    """``values``, or its ``field``, as a float vector; another shape raises DimensionError."""
-    x = np.asarray(getattr(values, field, values), dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"{field} must be a vector, got shape {x.shape}")
-    return x
+from .window import NUM_DAYS, day_vector
 
 
 @dataclass(frozen=True)
@@ -34,7 +27,7 @@ class TbsDistribution:
     f_x: np.ndarray
 
     def __post_init__(self):
-        f_x = _vector(self.f_x, "f_x")
+        f_x = day_vector(self.f_x, "f_x")
         object.__setattr__(self, "f_x", f_x)
         total = float(f_x.sum())
         # written so that NaN fails
@@ -64,7 +57,7 @@ def tbs_from_tsls(phi) -> TbsDistribution:
     f_x = (phi_x - phi_{x+1}) / phi_0, with the boundary probability zero;
     non-negative by monotonicity of phi, no clipping involved.
     """
-    phi = np.append(_vector(phi, "phi"), 0.0)
+    phi = np.append(day_vector(phi, "phi"), 0.0)
     if not np.isfinite(phi).all():
         raise ValueError("duration probabilities must be finite")
     if phi[0] <= 0.0:
@@ -78,7 +71,7 @@ def tsls_from_tbs(f_x) -> TslsDistribution:
     The forward direction of the renewal identity: phi_y is the gap
     survival S(y) normalized by its sum.  Exact inverse of tbs_from_tsls.
     """
-    f = _vector(f_x, "f_x")
+    f = day_vector(f_x, "f_x")
     survival = np.cumsum(f[::-1])[::-1]
     total = float(survival.sum())
     if total <= 0.0:
@@ -229,7 +222,7 @@ def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:
     for start, block in _phi_blocks(flat, basis, phi[1 : _DAY_BLOCK + 1]):
         width = len(block)
         lead = int(start > 0)
-        last = start + width == basis.support_days
+        last = start + width == NUM_DAYS
         rows = phi[1 - lead : 1 + width + last]
         if last:
             rows[-1] = 0.0

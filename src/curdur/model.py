@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import SplineBasis
-from .errors import ConfigurationError, DimensionError
+from .errors import DimensionError
 from .reporting import HeapSet, ReportedDataset, observation_matrix
-from .window import NUM_DAYS
+from .window import NUM_DAYS, day_vector
 
 LOG_CLAMP = 700.0
 # the kernel's exception-free region: |log_sigma| and the bound on every
@@ -74,10 +74,8 @@ class TslsDistribution:
     phi: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
+        phi = day_vector(self.phi, "phi")
         object.__setattr__(self, "phi", phi)
-        if phi.ndim != 1 or phi.size < 2:
-            raise DimensionError("phi must be a vector with at least two entries")
         if not np.all(np.isfinite(phi)):
             raise ValueError("phi entries must be finite")
         if np.any(phi < 0.0):
@@ -153,7 +151,7 @@ def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis, out: np.ndarray):
     alpha = _coefficients(sums)[0]
     alpha /= (alpha @ _support_totals(basis))[:, None]
     support = basis.values[:-1]
-    for start in range(0, basis.support_days, _DAY_BLOCK):
+    for start in range(0, NUM_DAYS, _DAY_BLOCK):
         days = support[start : start + _DAY_BLOCK]
         yield start, np.dot(days, alpha.T, out=out[: len(days)])
 
@@ -161,11 +159,11 @@ def _phi_blocks(param_matrix: np.ndarray, basis: SplineBasis, out: np.ndarray):
 def phi_matrix(param_matrix: np.ndarray, basis: SplineBasis) -> np.ndarray:
     """Vectorized phi transform for a stack of parameter vectors (rows).
 
-    Returns an array of shape (rows, support_days) assembled from
+    Returns an array of shape (rows, NUM_DAYS) assembled from
     ``_phi_blocks``, so it holds the values every summary is taken from.
     """
     rows = np.shape(param_matrix)[0]
-    phi = np.empty((rows, basis.support_days))
+    phi = np.empty((rows, NUM_DAYS))
     for start, block in _phi_blocks(param_matrix, basis, np.empty((_DAY_BLOCK, rows))):
         phi[:, start : start + len(block)] = block.T
     return phi
@@ -187,11 +185,6 @@ class PosteriorDensity:
         basis: SplineBasis,
         heap: HeapSet | None = None,
     ):
-        if basis.support_days != NUM_DAYS:
-            raise ConfigurationError(
-                f"likelihood evaluation needs a basis over {NUM_DAYS} days, "
-                f"got {basis.support_days}"
-            )
         k = basis.num_basis
         self.num_params = k + 1
         # sums = _upper.dot(v) are the reverse sums of v[:-1] and

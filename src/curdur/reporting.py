@@ -16,7 +16,7 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigurationError, OutOfWindowError
-from .window import LAST_DAY, NUM_DAYS
+from .window import LAST_DAY, NUM_DAYS, day_vector
 
 YEAR_INTERVAL_START = 365 - 31
 DEFAULT_HEAP_DAYS = (7, 14, 21, 28, 30, 60, 90)
@@ -154,11 +154,10 @@ def reported_prob(phi, record: ReportedDuration, heap: HeapSet | None = None) ->
     """Probability of one report under a duration distribution.
 
     ``phi`` may be a TslsDistribution or a plain probability vector over
-    days 0 .. 729.  The sum is accumulated term by term, matching a plain
+    days 0 .. 729; any other shape raises DimensionError.  The sum is accumulated term by term, matching a plain
     enumeration over the day interval exactly.
     """
-    vec = getattr(phi, "phi", phi)
-    vec = np.asarray(vec, dtype=float)
+    vec = day_vector(phi, "phi")
     lo, hi = day_interval(record, heap)
     total = 0.0
     for y in range(lo, hi + 1):

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .estimates import TbsDistribution
 from .reporting import (
-    DEFAULT_HEAP,
     EXCLUSION_MIN,
     HeapSet,
     ReportedDataset,
@@ -68,10 +67,7 @@ def mixture(parts: Sequence[tuple[TbsDistribution, float]]) -> TbsDistribution:
     if np.any(weights < 0.0) or not abs(weights.sum() - 1.0) <= 1e-9:
         raise ConfigurationError("mixture weights must be non-negative and sum to 1")
     f = np.zeros(NUM_DAYS)
-    for i, (part, w) in enumerate(parts):
-        if part.f_x.shape != f.shape:
-            raise ConfigurationError(f"mixture part {i} has {part.f_x.size} day-classes, "
-                                     f"expected {NUM_DAYS}")
+    for part, w in parts:
         f += w * part.f_x
     return TbsDistribution(f_x=f)
 
@@ -142,22 +138,26 @@ def _encode(channel: str, y: int, heap: HeapSet) -> ReportedDuration:
     raise ConfigurationError(f"unknown reporting channel {channel!r}")
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; a seed it refuses, such as a
+    negative or fractional one, raises ConfigurationError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad seed {seed!r}: {exc}") from exc
+
+
 def sample_tsls_exact(truth: TbsDistribution, n: int, seed) -> np.ndarray:
     """Exact durations under stationary sampling from the true gaps.
 
     Selects a gap class g with probability proportional to (g + 1) times
     its frequency, then a uniform day inside it, which reproduces the
     renewal identity for the observed-duration distribution exactly.
-    ``truth`` must cover the day-classes 0 .. 729.
     """
-    if truth.f_x.shape != (NUM_DAYS,):
-        raise ConfigurationError(
-            f"true gap distribution must have length {NUM_DAYS}, got {truth.f_x.shape}"
-        )
     n = _whole(n, "survey size")
     if n < 0:
         raise ConfigurationError(f"survey size must be >= 0, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     weights = (np.arange(NUM_DAYS) + 1.0) * truth.f_x
@@ -209,10 +209,7 @@ def simulate_survey(
 ) -> ReportedDataset:
     """Generate a synthetic survey dataset; deterministic per seed."""
     behavior = behavior if behavior is not None else ReportingBehavior()
-    try:
-        rng = np.random.default_rng(seed)
-    except ValueError as exc:  # a negative seed
-        raise ConfigurationError(f"bad seed {seed!r}: {exc}") from exc
+    rng = _rng(seed)
     exact = sample_tsls_exact(truth, n, rng)
     uniforms = rng.random(len(exact)).tolist()
     days = exact.tolist()

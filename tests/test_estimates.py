@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curdur.basis import BasisConfig, SplineBasis, build_basis
-from curdur.errors import DegenerateDistributionError
+from curdur.errors import DegenerateDistributionError, DimensionError
 from curdur.estimates import (
     TbsDistribution,
     _band_in_place,
@@ -20,6 +20,7 @@ from curdur.estimates import (
     tsls_from_tbs,
 )
 from curdur.model import ModelParams, TslsDistribution, phi_from_params, phi_matrix
+from curdur.reporting import ReportedDuration, Unit, reported_prob
 from curdur.sampler import PosteriorDraws
 from curdur.window import NUM_DAYS
 from tests.conftest import random_monotone_simplex
@@ -76,9 +77,10 @@ class TestTbsFromTsls:
     @given(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=730).filter(lambda v: sum(v) > 0))
     def test_round_trip_property(self, increments):
         # a non-increasing simplex is the normalised reverse sum of any
-        # non-negative increments
+        # non-negative increments; zeros pad its support to the 730 days
         tail = np.cumsum(np.array(increments)[::-1])[::-1]
-        phi = tail / tail.sum()
+        phi = np.zeros(NUM_DAYS)
+        phi[: tail.size] = tail / tail.sum()
         back = tsls_from_tbs(tbs_from_tsls(TslsDistribution(phi=phi))).phi
         assert np.abs(back - phi).max() <= 1e-12
 
@@ -98,9 +100,9 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("transform", [tbs_from_tsls])
     @pytest.mark.parametrize("position", [0, 1])
     def test_transforms_reject(self, bad, transform, position):
-        phi = [0.5, 0.5]
+        phi = np.full(NUM_DAYS, 1.0 / NUM_DAYS)
         phi[position] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             transform(phi)
 
 
@@ -115,6 +117,36 @@ def as_draws(rows, chains=1):
         param_names=[f"delta_{i+1}" for i in range(rows.shape[1] - 1)]
         + ["log_sigma"],
     )
+
+
+def _one_column_basis(days):
+    """A basis whose one column is ``days`` with the boundary row appended."""
+    boundary = np.zeros(days.shape[:-1] + (1,))
+    return SplineBasis(values=np.concatenate([days, boundary], axis=-1)[..., None],
+                       knots=np.array([0.0, 730.0]))
+
+
+# every entry point that takes a day vector, given one
+DAY_VECTOR_ENTRY_POINTS = {
+    "tsls_distribution": lambda days: TslsDistribution(phi=days),
+    "tbs_distribution": lambda days: TbsDistribution(f_x=days),
+    "spline_basis": _one_column_basis,
+    "tbs_from_tsls": tbs_from_tsls,
+    "tsls_from_tbs": tsls_from_tbs,
+    "reported_prob": lambda days: reported_prob(days, ReportedDuration(z=3, unit=Unit.DAY)),
+    "summarize": lambda days: summarize(as_draws(np.zeros((1, 2))), _one_column_basis(days)),
+}
+
+
+@pytest.mark.parametrize("shape", [(729,), (731,), (2, 730)],
+                         ids=["729_days", "731_days", "two_rows"])
+@pytest.mark.parametrize("entry", DAY_VECTOR_ENTRY_POINTS.values(),
+                         ids=DAY_VECTOR_ENTRY_POINTS.keys())
+def test_day_vectors_of_another_shape_are_refused(entry, shape):
+    # a uniform simplex, so that its shape is its one fault
+    days = np.full(shape, 1.0 / math.prod(shape))
+    with pytest.raises(DimensionError, match=r"one (entry|row) per day 0 \.\. "):
+        entry(days)
 
 
 def one_draw_summary(rng):

@@ -12,7 +12,7 @@ from scipy import stats
 
 from curdur import model
 from curdur.basis import BasisConfig, SplineBasis, build_basis
-from curdur.errors import ConfigurationError, DimensionError
+from curdur.errors import DimensionError
 from curdur.estimates import TbsDistribution, tbs_from_tsls, tsls_from_tbs
 from curdur.model import (
     LOG_CLAMP,
@@ -233,21 +233,22 @@ class TestTslsDistributionValidation:
      r"delta must be a vector, got shape \(2, 3\)"),
     (lambda: ModelParams(delta=np.zeros(3), log_sigma=math.inf), ValueError,
      "model parameters must be finite"),
-    (lambda: TslsDistribution(phi=[1.0]), DimensionError, "at least two entries"),
-    (lambda: TslsDistribution(phi=[0.5, math.nan]), ValueError, "phi entries must be finite"),
-    (lambda: PosteriorDensity(None, SplineBasis(values=BASIS.values[:366],
-                                                knots=BASIS.knots)),
-     ConfigurationError, "needs a basis over 730 days, got 365"),
+    (lambda: TslsDistribution(phi=[1.0]), DimensionError,
+     r"phi must hold one entry per day 0 \.\. 729, got shape \(1,\)"),
+    (lambda: TslsDistribution(phi=np.where(np.arange(730) == 1, math.nan, 1 / 730)), ValueError,
+     "phi entries must be finite"),
+    (lambda: SplineBasis(values=BASIS.values[:366], knots=BASIS.knots), DimensionError,
+     r"basis values must hold one row per day 0 \.\. 730, got shape \(366, 13\)"),
     # the gap-time transforms refuse a non-vector before np.append or
     # np.cumsum flattens it
     (lambda: tsls_from_tbs(np.full((2, 730), 1 / 1460)), DimensionError,
-     r"f_x must be a vector, got shape \(2, 730\)"),
+     r"f_x must hold one entry per day 0 \.\. 729, got shape \(2, 730\)"),
     (lambda: tbs_from_tsls(np.full((2, 730), 1 / 1460)), DimensionError,
-     r"phi must be a vector, got shape \(2, 730\)"),
+     r"phi must hold one entry per day 0 \.\. 729, got shape \(2, 730\)"),
     (lambda: tsls_from_tbs(np.array(1.0)), DimensionError,
-     r"f_x must be a vector, got shape \(\)"),
+     r"f_x must hold one entry per day 0 \.\. 729, got shape \(\)"),
     (lambda: TbsDistribution(f_x=np.full((2, 365), 1 / 730)), DimensionError,
-     r"f_x must be a vector, got shape \(2, 365\)"),
+     r"f_x must hold one entry per day 0 \.\. 729, got shape \(2, 365\)"),
 ], ids=["params_matrix", "params_infinite", "phi_one_entry", "phi_nan", "basis_365_days",
         "tsls_from_tbs_matrix", "tbs_from_tsls_matrix", "tsls_from_tbs_scalar",
         "tbs_matrix"])

@@ -1,5 +1,6 @@
 """The project's test settings: pytest reports a failing test as a failure,
-and the numpy-only CI job runs only test modules that need no scipy."""
+the numpy-only CI job runs only test modules that need no scipy, and no
+source module imports a name it never uses."""
 
 import ast
 import re
@@ -66,3 +67,30 @@ def test_numpy_only_job_runs_test_modules_that_import_no_scipy():
     for path in [ROOT / module for module in modules] + [ROOT / "tests" / "conftest.py"]:
         assert path.is_file(), path
         assert not _imported_packages(path) & {"scipy", "mpmath"}, path
+
+
+# perfbench's tracer looks these up on curdur.cli, which calls them only
+# through pipeline.fit; the harness changes only with the benchmark itself
+IMPORTED_FOR_THE_BENCHMARK = {"cli.py": {"build_basis", "sample", "summarize"}}
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """The names the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_source_modules_use_every_name_they_import():
+    # __init__.py imports to re-export
+    modules = [path for path in (ROOT / "src" / "curdur").glob("*.py")
+               if path.name != "__init__.py"]
+    assert modules
+    for path in modules:
+        unused = _unused_imports(path) - IMPORTED_FOR_THE_BENCHMARK.get(path.name, set())
+        assert not unused, (path.name, sorted(unused))

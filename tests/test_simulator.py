@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curdur.cli import write_dataset
-from curdur.errors import ConfigurationError
+from curdur.errors import ConfigurationError, DimensionError
 from curdur.estimates import TbsDistribution
 from curdur.reporting import HeapSet, ReportedDuration, Unit, day_interval
 from curdur.simulator import (
@@ -51,11 +51,17 @@ class TestSampleExact:
     @pytest.mark.parametrize("length", [1, 729])
     def test_gap_pmf_of_the_wrong_length_is_refused(self, length):
         # a point mass at gap 0 of another length than the 730 day-classes
-        truth = TbsDistribution(f_x=np.eye(length)[0])
-        with pytest.raises(ConfigurationError, match="length 730"):
-            sample_tsls_exact(truth, n=2000, seed=1)
-        with pytest.raises(ConfigurationError, match="length 730"):
-            simulate_survey(truth, n=2000, seed=1)
+        # is refused when it is built, so no sampler ever sees one
+        with pytest.raises(DimensionError, match=rf"got shape \({length},\)"):
+            TbsDistribution(f_x=np.eye(length)[0])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_a_seed_numpy_refuses_is_a_configuration_error(self, seed):
+        # numpy's own ValueError or TypeError for it names no argument
+        with pytest.raises(ConfigurationError, match=f"^bad seed {seed}: "):
+            sample_tsls_exact(point_mass(3), 10, seed)
+        with pytest.raises(ConfigurationError, match=f"^bad seed {seed}: "):
+            simulate_survey(point_mass(3), n=10, seed=seed)
 
     def test_seeded_determinism(self):
         truth = truncated_geometric(0.2)
@@ -77,10 +83,10 @@ class TestTruthBuilders:
 
     @pytest.mark.parametrize("length, weight", [(729, 0.5), (731, 0.5), (1, 0.0)])
     def test_mixture_refuses_parts_of_another_length(self, length, weight):
-        # a one-day part would broadcast over every day, even at weight 0
-        part = TbsDistribution(f_x=np.eye(length)[0])
-        with pytest.raises(ConfigurationError, match=f"part 0 has {length} day-classes"):
-            mixture([(part, weight), (point_mass(3), 1.0 - weight)])
+        # a one-day part would broadcast over every day, even at weight 0:
+        # no such part, at any weight, can be built to reach mixture
+        with pytest.raises(DimensionError, match=rf"got shape \({length},\)"):
+            TbsDistribution(f_x=np.eye(length)[0])
 
     def test_truth_must_be_a_simplex(self):
         with pytest.raises(ConfigurationError):
