@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import os
 import re
@@ -203,23 +204,40 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
 def _replacing(*paths):
     """Yield a temporary path beside each of ``paths``, then replace them all.
 
-    The targets are replaced only once the block has written every
-    temporary file, so an error leaves all previous files as they were.
-    A target that is a directory raises ConfigurationError before any is
-    replaced.  The temporary files are removed either way.
+    The one owner of output files: the directory the targets share is
+    made on entry, and the targets are replaced only once the block has
+    written every temporary file.  Any error leaves all previous files as
+    they were and removes the temporary files and every directory made
+    here.  A directory that cannot be made, an OSError while the block
+    writes or the files are renamed, and a target that is a directory
+    raise ConfigurationError.
     """
     paths = [Path(path) for path in paths]
+    outdir = paths[0].parent
+    made = list(itertools.takewhile(lambda d: not d.exists(), (outdir, *outdir.parents)))
     tmps = [path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in paths]
+    action = f"create output directory {outdir}"
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        action = f"write {outdir}"
         yield tmps
         for path in paths:
             if path.is_dir() and not path.is_symlink():
                 raise ConfigurationError(f"cannot write {path}: it is a directory")
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
-    finally:
+    except BaseException as exc:
+        # a cleanup that fails, as under an --outdir that is a file, or on
+        # a directory something else has since filled, leaves that path be
         for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
+        for directory in made:  # deepest first
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        if isinstance(exc, OSError):
+            raise ConfigurationError(f"cannot {action}: {exc}") from exc
+        raise
 
 
 def write_dataset(dataset: ReportedDataset, path) -> None:
@@ -379,13 +397,6 @@ def _write_json(payload: dict, path) -> None:
         handle.write("\n")
 
 
-def _make_outdir(outdir: Path) -> None:
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot create output directory {outdir}: {exc}") from exc
-
-
 def _heap_from_args(args) -> HeapSet:
     days = DEFAULT_HEAP.days
     if args.heap_days is not None:
@@ -492,9 +503,7 @@ def _cmd_fit(args) -> int:
     observed = spread_mass(dataset, heap)
     phi_median = np.asarray(summary.tsls_pmf.median)
 
-    # made once the fit is done, so a failed run leaves no new directory
     outdir = Path(args.outdir)
-    _make_outdir(outdir)
     # all four files, or none: a failure leaves the previous run's outputs
     names = ("draws.csv", "estimates.json", "diagnostics.json", "histogram.csv")
     with _replacing(*(outdir / name for name in names)) as tmps:
@@ -518,9 +527,7 @@ def _cmd_fit(args) -> int:
 def _cmd_simulate(args) -> int:
     truth = parse_truth(args.truth)
     dataset = simulator.simulate_survey(truth, n=args.n, seed=args.seed)
-    # made once the truth and --n are checked, so neither leaves a new directory
     outdir = Path(args.outdir)
-    _make_outdir(outdir)
     # both files, or neither: a survey never sits beside another run's truth
     with _replacing(outdir / "data.csv", outdir / "truth.json") as (data_tmp, truth_tmp):
         write_dataset(dataset, data_tmp)

@@ -5,7 +5,8 @@ sample sizes.  Draws are split in half per chain, pooled ranks are mapped
 through the normal quantile function with the (r - 3/8) / (S + 1/4)
 adjustment, and autocorrelation sums use Geyer's initial monotone
 positive sequence.  No scipy is used: the normal scores come from
-``statistics.NormalDist`` and the FFT length from a pure-Python search.
+``statistics.NormalDist``, and each FFT runs at the least power of two
+that holds twice the draws.
 """
 
 from __future__ import annotations
@@ -34,21 +35,6 @@ def _rank_scores(size: int) -> np.ndarray:
     scores = np.array([*map(NormalDist().inv_cdf, p.tolist())])
     scores.flags.writeable = False
     return scores
-
-
-def _next_fast_len(n: int) -> int:
-    """Smallest integer >= n with no prime factor above 11: a fast FFT length."""
-    power_of_two = 1 << (n - 1).bit_length()
-    odd = [1]  # the 3-5-7-11-smooth numbers up to power_of_two
-    for prime in (3, 5, 7, 11):
-        grown = []
-        for m in odd:
-            while m <= power_of_two:
-                grown.append(m)
-                m *= prime
-        odd = grown
-    # each odd factor times the least power of two that reaches n
-    return min(m << (-(-n // m) - 1).bit_length() for m in odd)
 
 
 def _as_chain_matrix(draws) -> np.ndarray:
@@ -104,7 +90,7 @@ def split_rank_rhat(draws) -> float:
 def _autocovariance(x: np.ndarray) -> np.ndarray:
     """Autocovariance of each row of a (chains, draws) matrix, in one FFT."""
     n = x.shape[1]
-    m = _next_fast_len(2 * n)
+    m = 1 << (2 * n - 1).bit_length()  # the least power of two >= 2n
     centered = x - x.mean(axis=1, keepdims=True)
     freq = np.fft.rfft(centered, m, axis=-1)
     acov = np.fft.irfft(freq * np.conj(freq), m, axis=-1)[:, :n].real

@@ -16,9 +16,13 @@ NUM_DAYS = 730
 
 def day_vector(values, name: str) -> np.ndarray:
     """``values``, or its ``name`` attribute, as a float vector over days
-    0 .. 729; any other shape raises DimensionError."""
-    x = np.asarray(getattr(values, name, values), dtype=float)
+    0 .. 729; anything else, such as a distribution of the other type or
+    a string, raises DimensionError."""
+    rule = f"{name} must hold one entry per day 0 .. {LAST_DAY}"
+    try:
+        x = np.asarray(getattr(values, name, values), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DimensionError(f"{rule}, got a {type(values).__name__}") from exc
     if x.shape != (NUM_DAYS,):
-        raise DimensionError(f"{name} must hold one entry per day 0 .. {LAST_DAY}, "
-                             f"got shape {x.shape}")
+        raise DimensionError(f"{rule}, got shape {x.shape}")
     return x

@@ -1,9 +1,12 @@
 """End-to-end CLI: ingestion, fitting, simulation, diagnosis."""
 
+import errno
 import hashlib
 import json
 import math
 import os
+import resource
+import signal
 import subprocess
 import sys
 import threading
@@ -1153,7 +1156,7 @@ class TestAtomicWrites:
     def test_failure_partway_keeps_old_file(self, tmp_path, kind):
         target = tmp_path / "out.txt"
         target.write_text("previous run\n")
-        with pytest.raises((OSError, AttributeError, TypeError)):
+        with pytest.raises((ConfigurationError, AttributeError, TypeError)):
             _write_failing(kind, target)
         assert target.read_text() == "previous run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
@@ -1166,7 +1169,7 @@ class TestAtomicWrites:
         assert target.read_text() != "previous run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
-    def test_failed_fit_keeps_previous_histogram(self, tmp_path, monkeypatch):
+    def test_failed_fit_keeps_previous_histogram(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data.csv"
         write_dataset(simulate_survey(truncated_geometric(0.1), n=200, seed=3), data)
         outdir = tmp_path / "out"
@@ -1176,9 +1179,12 @@ class TestAtomicWrites:
             (outdir / name).write_text(f"previous run: {name}\n")
         # the histogram is the last file a fit writes, a row per day
         monkeypatch.setattr("curdur.cli.spread_mass", lambda *args: _FailingRows())
-        with pytest.raises(OSError):
-            main(["fit", "--input", str(data), "--outdir", str(outdir), "--chains", "2",
-                  "--iters", "40", "--warmup", "20", "--knots", "4"])
+        code = main(["fit", "--input", str(data), "--outdir", str(outdir), "--chains", "2",
+                     "--iters", "40", "--warmup", "20", "--knots", "4"])
+        assert code == EXIT_ERROR
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+            "error": "ConfigurationError",
+            "message": f"cannot write {outdir}: no space left on device"}
         # no new file replaced an old one, and no temporary file is left
         assert sorted(p.name for p in outdir.iterdir()) == names
         for name in names:
@@ -1237,6 +1243,57 @@ class TestAtomicWrites:
         assert payload["error"] == "ConfigurationError"
         assert (outdir / "data.csv").read_bytes() == previous
         assert sorted(p.name for p in outdir.iterdir()) == ["data.csv", "truth.json"]
+
+
+def _file_size_limit(limit):
+    """A preexec_fn that caps the files the child writes at ``limit`` bytes.
+
+    It acts on the child alone, and with SIGXFSZ ignored a write past the
+    cap fails with EFBIG instead of killing the child.
+    """
+    def preexec():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+    return preexec
+
+
+class TestFailedWrites:
+    """A write the file system refuses exits 1 with a JSON line, and leaves
+    no temporary file, no new directory and no changed previous output."""
+
+    OUTPUTS = {"simulate": ["data.csv", "truth.json"],
+               "fit": ["diagnostics.json", "draws.csv", "estimates.json", "histogram.csv"]}
+
+    @pytest.mark.parametrize("outdir", ["out", "new/deeper"], ids=["existing", "new_nested"])
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_file_size_limit_gives_error_json(self, tmp_path, command, outdir):
+        data = tmp_path / "survey.csv"
+        write_dataset(simulate_survey(truncated_geometric(0.1), n=200, seed=3), data)
+        outdir = tmp_path / outdir
+        previous = {}
+        if outdir.name == "out":
+            outdir.mkdir()
+            for name in self.OUTPUTS[command] + ["notes.txt"]:
+                previous[name] = f"previous run: {name}\n".encode()
+                (outdir / name).write_bytes(previous[name])
+        before = sorted(tmp_path.rglob("*"))
+        args = {"simulate": ["--truth", "geometric:p=0.1", "--n", "20000"],
+                "fit": ["--input", str(data), "--chains", "2", "--iters", "40",
+                        "--warmup", "20", "--knots", "4"]}[command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "curdur.cli", command, *args, "--outdir", str(outdir)],
+            capture_output=True, text=True, preexec_fn=_file_size_limit(1 << 16))
+        assert proc.returncode == EXIT_ERROR
+        assert "Traceback" not in proc.stderr
+        payload = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "ConfigurationError"
+        assert payload["message"].startswith(f"cannot write {outdir}: [Errno {errno.EFBIG}]")
+        assert list(tmp_path.rglob(".*.tmp")) == []
+        assert not (tmp_path / "new").exists()
+        assert sorted(tmp_path.rglob("*")) == before
+        for name, content in previous.items():
+            assert (outdir / name).read_bytes() == content
 
 
 class _FailingRows:

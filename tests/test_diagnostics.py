@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.fft import next_fast_len
 from scipy.special import ndtri
 from scipy.stats import rankdata
 
 from curdur.diagnostics import (
     _ess_core,
     _autocovariance,
-    _next_fast_len,
     _rank_normalize,
     _rank_scores,
     _split_chains,
@@ -203,12 +201,6 @@ class TestNdtri:
     def test_rank_grid_near_scipy(self, size):
         p = rank_grid(size)
         assert np.all(ulps(_rank_scores(size), ndtri(p)) <= 8.0)
-
-
-def test_next_fast_len_matches_scipy():
-    assert [_next_fast_len(n) for n in range(1, 5001)] == [
-        next_fast_len(n) for n in range(1, 5001)
-    ]
 
 
 def parent_ess_core(z):

@@ -22,6 +22,7 @@ from curdur.estimates import (
 from curdur.model import ModelParams, TslsDistribution, phi_from_params, phi_matrix
 from curdur.reporting import ReportedDuration, Unit, reported_prob
 from curdur.sampler import PosteriorDraws
+from curdur.simulator import point_mass
 from curdur.window import NUM_DAYS
 from tests.conftest import random_monotone_simplex
 
@@ -138,15 +139,36 @@ DAY_VECTOR_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("shape", [(729,), (731,), (2, 730)],
-                         ids=["729_days", "731_days", "two_rows"])
+@pytest.mark.parametrize("shape", [(1,), (729,), (731,), (2, 730)],
+                         ids=["1_day", "729_days", "731_days", "two_rows"])
 @pytest.mark.parametrize("entry", DAY_VECTOR_ENTRY_POINTS.values(),
                          ids=DAY_VECTOR_ENTRY_POINTS.keys())
 def test_day_vectors_of_another_shape_are_refused(entry, shape):
-    # a uniform simplex, so that its shape is its one fault
+    # a uniform simplex, so that its shape is its one fault; a one-day
+    # vector would broadcast over every day if it got through
     days = np.full(shape, 1.0 / math.prod(shape))
     with pytest.raises(DimensionError, match=r"one (entry|row) per day 0 \.\. "):
         entry(days)
+
+
+# a gap pmf where a TSLS pmf belongs, and the other way round
+TBS_POINT_MASS = point_mass(3)
+
+
+@pytest.mark.parametrize("entry, value, name", [
+    ("tsls_distribution", TBS_POINT_MASS, "phi"),
+    ("tbs_distribution", UNIFORM, "f_x"),
+    ("tbs_from_tsls", TBS_POINT_MASS, "phi"),
+    ("tsls_from_tbs", UNIFORM, "f_x"),
+    ("reported_prob", TBS_POINT_MASS, "phi"),
+    ("tbs_from_tsls", "uniform", "phi"),
+    ("tsls_from_tbs", ["0.5", "half"] * 365, "f_x"),
+], ids=["tsls_distribution", "tbs_distribution", "tbs_from_tsls", "tsls_from_tbs",
+        "reported_prob", "string", "list_of_strings"])
+def test_day_vectors_of_another_type_are_refused(entry, value, name):
+    with pytest.raises(DimensionError, match=rf"^{name} must hold one entry per day 0 \.\. "
+                       rf"729, got a {type(value).__name__}$"):
+        DAY_VECTOR_ENTRY_POINTS[entry](value)
 
 
 def one_draw_summary(rng):
