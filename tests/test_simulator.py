@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curdur.cli import write_dataset
-from curdur.errors import ConfigurationError
+from curdur.errors import ConfigurationError, DimensionError
 from curdur.estimates import TbsDistribution
 from curdur.reporting import HeapSet, ReportedDuration, Unit, day_interval
 from curdur.simulator import (
@@ -48,6 +48,13 @@ class TestSampleExact:
         tv = 0.5 * np.abs(emp - renewal_target(truth)).sum()
         assert tv < 0.005
 
+    @pytest.mark.parametrize("length", [1, 729])
+    def test_gap_pmf_of_the_wrong_length_is_refused(self, length):
+        # a point mass at gap 0 of another length than the 730 day-classes
+        # is refused when it is built, so no sampler ever sees one
+        with pytest.raises(DimensionError, match=rf"got shape \({length},\)"):
+            TbsDistribution(f_x=np.eye(length)[0])
+
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_a_seed_numpy_refuses_is_a_configuration_error(self, seed):
         # numpy's own ValueError or TypeError for it names no argument
@@ -73,6 +80,13 @@ class TestTruthBuilders:
     def test_mixture_weights_sum_to_one_within_1e_9(self):
         truth = mixture([(point_mass(1), 0.5), (point_mass(2), 0.5 + 5e-10)])
         assert truth.f_x[2] == 0.5 + 5e-10
+
+    @pytest.mark.parametrize("length, weight", [(729, 0.5), (731, 0.5), (1, 0.0)])
+    def test_mixture_refuses_parts_of_another_length(self, length, weight):
+        # a one-day part would broadcast over every day, even at weight 0:
+        # no such part, at any weight, can be built to reach mixture
+        with pytest.raises(DimensionError, match=rf"got shape \({length},\)"):
+            TbsDistribution(f_x=np.eye(length)[0])
 
     def test_truth_must_be_a_simplex(self):
         with pytest.raises(ConfigurationError):
