@@ -65,7 +65,7 @@ class HeapSet:
             )
 
     def __contains__(self, z: int) -> bool:
-        return int(z) in self.days
+        return z in self.days
 
 
 DEFAULT_HEAP = HeapSet()
@@ -80,8 +80,9 @@ EXCLUSION_MIN = {Unit.DAY: 730, Unit.WEEK: 105, Unit.MONTH: 24, Unit.YEAR: 2}
 class ReportedDuration:
     """One survey response: reported value plus reporting unit.
 
-    The one check of a (z, unit) pair: a negative value or a 0-year report
-    raises ValueError, and one from the unit's ``EXCLUSION_MIN`` on raises
+    The one check of a (z, unit) pair: a value that is not a whole number
+    raises ConfigurationError, a negative value or a 0-year report raises
+    ValueError, and one from the unit's ``EXCLUSION_MIN`` on raises
     OutOfWindowError, so every report built starts inside the window.
     """
 
@@ -89,7 +90,7 @@ class ReportedDuration:
     unit: Unit
 
     def __post_init__(self):
-        z = int(self.z)
+        z = _whole(self.z, "reported value")
         unit = Unit(self.unit)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "unit", unit)

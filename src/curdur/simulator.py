@@ -27,7 +27,6 @@ from .reporting import (
     Unit,
     YEAR_INTERVAL_START,
     _whole,
-    day_interval,
 )
 from .window import LAST_DAY, NUM_DAYS
 
@@ -101,7 +100,9 @@ class ReportingBehavior:
     ``simulate_survey`` calls ``rule`` once per distinct exact day and
     reuses the answer for every record of that day, so ``rule`` must be a
     pure function of the day.  Every channel it lists for a day, whatever
-    its probability, must give a report whose interval holds the day.
+    its probability, is encoded into a report whose interval holds the
+    day; an unknown channel, or a day the channel cannot encode (a month
+    or year report of day 0), raises ConfigurationError.
     """
 
     rule: Callable[[int], Sequence[tuple[str, float]]] = default_unit_rule
@@ -169,8 +170,11 @@ def _day_reports(y: int, behavior: ReportingBehavior) -> list[tuple[ReportedDura
     """The reports the rule gives exact day ``y``, in the rule's order.
 
     Each report comes with the running sum of the probabilities up to it:
-    column ``y`` of the reporting matrix, in the rule's order.  Every
-    channel is checked here, so a faulty rule is refused whatever the seed.
+    column ``y`` of the reporting matrix, in the rule's order.  The whole
+    table is built, so a faulty rule is refused whatever the seed:
+    probabilities that are negative or do not sum to 1 within 1e-9, an
+    unknown channel and a day a channel cannot encode raise
+    ConfigurationError.
     """
     pairs = tuple(behavior.rule(y))
     probs = np.array([p for _, p in pairs], dtype=float)
@@ -180,15 +184,8 @@ def _day_reports(y: int, behavior: ReportingBehavior) -> list[tuple[ReportedDura
         )
     reports, acc = [], 0.0
     for channel, p in pairs:
-        record = _encode(channel, y, behavior.heap)
-        lo, hi = day_interval(record, behavior.heap)
-        if not lo <= y <= hi:
-            raise ConfigurationError(
-                f"channel {channel!r} produced {record} whose interval [{lo}, {hi}] "
-                f"does not contain day {y}"
-            )
         acc += p
-        reports.append((record, acc))
+        reports.append((_encode(channel, y, behavior.heap), acc))
     return reports
 
 

@@ -61,6 +61,24 @@ class TestTypes:
         assert heap == HeapSet(days=(7, 14), halfwidth=2)
         assert json.loads(json.dumps(asdict(heap))) == {"days": [7, 14], "halfwidth": 2}
 
+    @pytest.mark.parametrize("z, member", [(7, True), (7.0, True), (7.5, False), ("7", False)],
+                             ids=["int-7", "float-7.0", "float-7.5", "str-7"])
+    def test_heap_membership_does_not_truncate(self, z, member):
+        assert (z in DEFAULT_HEAP) is member
+
+    @pytest.mark.parametrize("z", [1.5, -0.5, np.float64(6.9), "7"],
+                             ids=["float-1.5", "float-minus-0.5", "float64-6.9", "str-7"])
+    def test_report_values_must_be_whole(self, z):
+        # refused, not truncated; a ConfigurationError is a ValueError, so
+        # ingestion counts it as a malformed row
+        with pytest.raises(ConfigurationError, match=r"^reported value .* is not a whole number$"):
+            ReportedDuration(z=z, unit=Unit.DAY)
+
+    def test_report_stores_a_python_int(self):
+        record = ReportedDuration(z=np.int64(7), unit=Unit.DAY)
+        assert record == ReportedDuration(z=7.0, unit=Unit.DAY)
+        assert type(record.z) is int
+
     def test_year_reports_must_be_one(self):
         with pytest.raises(OutOfWindowError):
             ReportedDuration(z=2, unit=Unit.YEAR)

@@ -5,14 +5,17 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curdur.cli import write_dataset
 from curdur.errors import ConfigurationError, DimensionError
 from curdur.estimates import TbsDistribution
-from curdur.reporting import HeapSet, ReportedDuration, Unit, day_interval
+from curdur.reporting import DEFAULT_HEAP, HeapSet, ReportedDuration, Unit, day_interval
 from curdur.simulator import (
     ReportingBehavior,
     _day_reports,
+    _encode,
     _pick,
     mixture,
     point_mass,
@@ -21,6 +24,7 @@ from curdur.simulator import (
     truncated_geometric,
     uniform_gap,
 )
+from curdur.window import LAST_DAY, NUM_DAYS
 
 
 def renewal_target(truth):
@@ -86,7 +90,8 @@ class TestTruthBuilders:
         # a one-day part would broadcast over every day, even at weight 0:
         # no such part, at any weight, can be built to reach mixture
         with pytest.raises(DimensionError, match=rf"got shape \({length},\)"):
-            TbsDistribution(f_x=np.eye(length)[0])
+            mixture([(TbsDistribution(f_x=np.eye(length)[0]), weight),
+                     (point_mass(3), 1.0 - weight)])
 
     def test_truth_must_be_a_simplex(self):
         with pytest.raises(ConfigurationError):
@@ -339,6 +344,55 @@ class TestRuleCheckedWhateverTheSeed:
         first = next(int(y) for y in exact if y in (0, 9))
         with pytest.raises(ConfigurationError, match=rf"day {first}\b"):
             simulate_survey(truth, ReportingBehavior(rule=rule), n=200, seed=seed)
+
+
+CHANNELS = ("day_exact", "day_heaped", "week", "month", "year")
+
+
+def encode_every_day(heap):
+    """Each channel's report of each day 0 .. 729 under ``heap``, checked to
+    hold its day; returns the (channel, day) pairs ``_encode`` refuses."""
+    refused = []
+    for y in range(NUM_DAYS):
+        for channel in CHANNELS:
+            try:
+                record = _encode(channel, y, heap)
+            except ConfigurationError:
+                refused.append((channel, y))
+                continue
+            lo, hi = day_interval(record, heap)
+            assert lo <= y <= hi, (channel, y, record, heap)
+    return refused
+
+
+class TestEncodedReportsHoldTheirDay:
+    """A day's table needs no interval check: every report a channel
+    encodes holds its day, and only a month or year report of day 0 is
+    refused, by ``_encode`` itself."""
+
+    HEAPS = (
+        DEFAULT_HEAP,
+        HeapSet(halfwidth=0),
+        HeapSet(days=(5, 6, 7, 8), halfwidth=3),
+        HeapSet(days=(LAST_DAY,), halfwidth=5),
+        HeapSet(days=(100,), halfwidth=100),
+        HeapSet(days=(3, 10, 700, LAST_DAY), halfwidth=3),
+        HeapSet(days=(), halfwidth=0),
+    )
+
+    def test_every_day_channel_and_heap(self):
+        assert len(self.HEAPS) * NUM_DAYS * len(CHANNELS) == 25_550
+        for heap in self.HEAPS:
+            assert encode_every_day(heap) == [("month", 0), ("year", 0)], heap
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 30).flatmap(lambda halfwidth: st.builds(
+        HeapSet,
+        days=st.lists(st.integers(halfwidth, LAST_DAY), max_size=10, unique=True).map(tuple),
+        halfwidth=st.just(halfwidth),
+    )))
+    def test_random_heaps(self, heap):
+        assert encode_every_day(heap) == [("month", 0), ("year", 0)]
 
 
 def reporting_matrix(behavior):
