@@ -57,10 +57,6 @@ _UNIT_TOKENS = {token: unit for unit in Unit for token in (_UNIT_NAMES[unit], st
 # a survey value: ASCII digits with an optional sign, no "_" or other digits
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
-# draws.csv rows formatted per write
-_WRITE_BLOCK = 256
-
-
 @dataclass
 class IngestReport:
     """Row accounting from one ingestion pass.
@@ -260,13 +256,11 @@ def _csv_line(head: str, values) -> str:
 def write_draws_csv(draws: PosteriorDraws, path) -> None:
     with _replacing(path) as (tmp,), open(tmp, "w", newline="") as handle:
         csv.writer(handle).writerow(["chain", "iteration"] + list(draws.param_names))
-        # a block of rows at a time: only that block is held as floats and text
+        # one row at a time: only that row is held as floats and text
         for chain in range(draws.num_chains):
             values = np.asarray(draws.draws[chain], dtype=float)
-            for first in range(0, len(values), _WRITE_BLOCK):
-                rows = values[first : first + _WRITE_BLOCK].tolist()
-                handle.writelines([_csv_line(f"{chain},{it}", row)
-                                   for it, row in enumerate(rows, first + 1)])
+            handle.writelines(_csv_line(f"{chain},{it}", row.tolist())
+                              for it, row in enumerate(values, 1))
 
 
 def _check_chain_sizes(path: Path, sizes: list) -> None:

@@ -139,12 +139,14 @@ def _ess_core(z: np.ndarray) -> float:
     return size / max(tau, 1.0 / math.log10(size))
 
 
+def _ess(x: np.ndarray) -> float:
+    """Bulk ESS of a checked (chains, draws) matrix; 0 if it is constant."""
+    return 0.0 if _is_constant(x) else _ess_core(_rank_normalize(_split_chains(x)))
+
+
 def ess_bulk(draws) -> float:
     """ESS of the rank-normalized split chains; 0 for degenerate input."""
-    x = _as_chain_matrix(draws)
-    if _is_constant(x):
-        return 0.0
-    return _ess_core(_rank_normalize(_split_chains(x)))
+    return _ess(_as_chain_matrix(draws))
 
 
 def ess_tail(draws) -> float:
@@ -160,13 +162,7 @@ def ess_tail(draws) -> float:
     if not (np.isfinite(ordered[0]) and np.isfinite(ordered[-1])):
         return 0.0
     q05, q95 = (_linear_quantile(ordered, p) for p in (0.05, 0.95))
-    out = []
-    for indicator in (x <= q05, x >= q95):
-        if _is_constant(indicator):
-            out.append(0.0)
-        else:
-            out.append(_ess_core(_rank_normalize(_split_chains(indicator))))
-    return min(out)
+    return min(_ess(x <= q05), _ess(x >= q95))
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """End-to-end CLI: ingestion, fitting, simulation, diagnosis."""
 
+import csv
 import errno
 import hashlib
 import json
@@ -391,6 +392,22 @@ class TestDrawsCsv:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "bc25fd62d42c9268303cd2fb7ef25526a2518b2c8e796549c8d4a4e0e7469255"
 
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # 600 rows a chain, with the floats whose text is most special
+        values = np.random.default_rng(8).standard_normal((3, 600, 3))
+        values[0, 0] = [-0.0, 5e-324, math.nan]
+        values[1, 299] = [math.inf, 1e308, -math.inf]
+        values[2, 599] = [-5e-324, -1e308, 0.0]
+        path = tmp_path / "draws.csv"
+        write_draws_csv(posterior(values, ["a", "b", "c"]), path)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["chain", "iteration", "a", "b", "c"])
+            for chain, rows in enumerate(values.tolist()):
+                writer.writerows([chain, it, *row] for it, row in enumerate(rows, 1))
+        assert path.read_bytes() == expected.read_bytes()
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(values=hnp.arrays(np.float64,
                              st.tuples(st.integers(2, 3), st.integers(1, 4), st.integers(1, 3)),
@@ -498,7 +515,7 @@ class TestReadMemory:
 
 
 class TestWriteMemory:
-    """The draws writer holds one block of rows as floats and text."""
+    """The draws writer holds one row as floats and text."""
 
     @pytest.mark.parametrize("iterations", [2000, 8000])
     def test_write_draws_peak(self, tmp_path, iterations):

@@ -142,6 +142,16 @@ class TestReport:
         with pytest.raises(DimensionError, match=r"one parameter or more, got \(2, 10, 0\)"):
             compute_diagnostics(np.zeros((2, 10, 0)))
 
+    def test_matches_the_public_functions(self, rng):
+        # an odd draw count, so each split drops the middle draw
+        columns = [ar1_chains(rng, 4, 101, rho=0.7), np.full((4, 101), 3.0),
+                   rng.standard_normal((4, 101)), rng.integers(0, 2, (4, 101))]
+        columns[2][1, 20] = math.nan
+        report = compute_diagnostics(np.stack(columns, axis=2))
+        for got, public in [(report.rhat, split_rank_rhat), (report.ess_bulk, ess_bulk),
+                            (report.ess_tail, ess_tail)]:
+            assert got.tobytes() == np.array([public(x) for x in columns]).tobytes()
+
     def test_rhat_floor(self, rng):
         # the estimator's exact lower bound is sqrt((n - 1) / n) for
         # split chains of length n
