@@ -22,7 +22,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,9 @@ import numpy as np
 from . import pipeline, simulator
 # build_basis, sample and summarize are bound here for perfbench's tracer alone
 from .basis import BasisConfig, build_basis
-from .diagnostics import compute_diagnostics
+from .diagnostics import MIN_CHAINS, compute_diagnostics
 from .errors import ConfigurationError, CurdurError, IngestError, OutOfWindowError
-from .estimates import TbsDistribution, _checked_levels, summarize
+from .estimates import DEFAULT_LEVELS, TbsDistribution, _checked_levels, summarize
 from .reporting import (
     DEFAULT_HEAP,
     HeapSet,
@@ -57,20 +57,23 @@ _UNIT_TOKENS = {token: unit for unit in Unit for token in (_UNIT_NAMES[unit], st
 # a survey value: ASCII digits with an optional sign, no "_" or other digits
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
-@dataclass
+@dataclass(frozen=True)
 class IngestReport:
     """Row accounting from one ingestion pass.
 
     ``excluded_by_unit`` maps unit names to excluded rows, in unit order.
     """
 
-    total_rows: int = 0
-    retained: int = 0
-    excluded_by_unit: dict = field(default_factory=dict)
+    retained: int
+    excluded_by_unit: dict
 
     @property
     def excluded(self) -> int:
         return sum(self.excluded_by_unit.values())
+
+    @property
+    def total_rows(self) -> int:
+        return self.retained + self.excluded
 
     def to_dict(self) -> dict:
         return {
@@ -161,7 +164,6 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
     """
     path = Path(path)
     records = []
-    report = IngestReport()
     excluded: dict[Unit, int] = {}
     problems = []
     classes: dict[tuple, tuple] = {}
@@ -188,12 +190,10 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
         shown = "; ".join(problems[:10])
         more = f" (and {len(problems) - 10} more)" if len(problems) > 10 else ""
         raise IngestError(f"{path}: {shown}{more}")
-    report.excluded_by_unit = {_UNIT_NAMES[unit]: excluded[unit] for unit in sorted(excluded)}
-    report.retained = len(records)
-    report.total_rows = report.retained + report.excluded
     if not records:
         raise IngestError(f"{path}: no usable records after exclusions")
-    return ReportedDataset(records), report
+    by_unit = {_UNIT_NAMES[unit]: excluded[unit] for unit in sorted(excluded)}
+    return ReportedDataset(records), IngestReport(len(records), by_unit)
 
 
 @contextlib.contextmanager
@@ -264,8 +264,8 @@ def write_draws_csv(draws: PosteriorDraws, path) -> None:
 
 
 def _check_chain_sizes(path: Path, sizes: list) -> None:
-    if len(sizes) < 2:
-        raise IngestError(f"{path}: diagnostics need at least 2 chains")
+    if len(sizes) < MIN_CHAINS:
+        raise IngestError(f"{path}: diagnostics need at least {MIN_CHAINS} chains")
     if len(set(sizes)) != 1:
         raise IngestError(f"{path}: chains have unequal lengths {sorted(set(sizes))}")
 
@@ -327,8 +327,9 @@ def _parse_draws(handle, header_lines: int, num_values: int):
     return chains, table["values"]
 
 
-def _parse_draw_rows(path: Path, reader, num_values: int) -> np.ndarray:
-    """Parse draws.csv rows one by one, naming the first bad line."""
+def _parse_draw_rows(path: Path, reader, num_values: int) -> tuple[np.ndarray, list]:
+    """Parse draws.csv rows one by one, naming the first bad line; returns
+    the draws and the chain ids, sorted, that their chains follow."""
     by_chain: dict = {}
     for line_no, row in enumerate(reader, start=2):
         if not row:
@@ -353,20 +354,13 @@ def _parse_draw_rows(path: Path, reader, num_values: int) -> np.ndarray:
                               f"chain {chain}, expected {len(draws) + 1}")
         draws.append(values)
     _check_chain_sizes(path, [len(v) for v in by_chain.values()])
-    return np.array([by_chain[c] for c in sorted(by_chain)])
+    ids = sorted(by_chain)
+    return np.array([by_chain[c] for c in ids]), ids
 
 
-def read_draws_csv(path) -> tuple[np.ndarray, list]:
-    """Rebuild the (chains, iterations, parameters) array from draws.csv.
-
-    The file is read as a stream, a leading UTF-8 byte-order mark
-    skipped.  Each chain's rows must carry the iterations 1, 2, ..., n in
-    file order.  The body of a regular file is parsed in bulk, and rows in
-    chain order come back as a view of the parsed table; a pipe, and
-    input that parse refuses, go through the row loop, which returns the
-    same array or names the first bad line.
-    """
-    path = Path(path)
+def _read_draws(path: Path) -> tuple[np.ndarray, list, list]:
+    """``read_draws_csv``'s draws and names, and the file's chain ids in
+    sorted order: chain c of the draws is the file's chain ``ids[c]``."""
     with _open_csv(path) as (handle, reader):
         header = next(reader, None)
         if header is None or len(header) < 3 or header[:2] != ["chain", "iteration"]:
@@ -378,11 +372,27 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
             # the reader goes on from the body's first line, counting lines on
             _seek_body(handle, reader.line_num)
         if parsed is None:
-            return _parse_draw_rows(path, reader, len(names)), names
+            draws, ids = _parse_draw_rows(path, reader, len(names))
+            return draws, names, ids
     chains, values = parsed
     ids, sizes = np.unique(chains, return_counts=True)
     _check_chain_sizes(path, sizes.tolist())
-    return values.reshape(len(ids), -1, len(names)), names
+    return values.reshape(len(ids), -1, len(names)), names, ids.tolist()
+
+
+def read_draws_csv(path) -> tuple[np.ndarray, list]:
+    """Rebuild the (chains, iterations, parameters) array from draws.csv,
+    its chains in the sorted order of their ids.
+
+    The file is read as a stream, a leading UTF-8 byte-order mark
+    skipped.  Each chain's rows must carry the iterations 1, 2, ..., n in
+    file order.  The body of a regular file is parsed in bulk, and rows in
+    chain order come back as a view of the parsed table; a pipe, and
+    input that parse refuses, go through the row loop, which returns the
+    same array or names the first bad line.
+    """
+    draws, names, _ = _read_draws(Path(path))
+    return draws, names
 
 
 def _write_json(payload: dict, path) -> None:
@@ -392,14 +402,11 @@ def _write_json(payload: dict, path) -> None:
 
 
 def _heap_from_args(args) -> HeapSet:
-    days = DEFAULT_HEAP.days
-    if args.heap_days is not None:
-        try:
-            days = tuple(int(d) for d in args.heap_days.split(","))
-        except ValueError as exc:
-            raise ConfigurationError(f"bad heap days {args.heap_days!r}") from exc
-    halfwidth = DEFAULT_HEAP.halfwidth if args.heap_halfwidth is None else args.heap_halfwidth
-    return HeapSet(days=days, halfwidth=halfwidth)
+    try:
+        days = tuple(int(d) for d in args.heap_days.split(","))
+    except ValueError as exc:
+        raise ConfigurationError(f"bad heap days {args.heap_days!r}") from exc
+    return HeapSet(days=days, halfwidth=args.heap_halfwidth)
 
 
 def _parse_levels(text: str) -> tuple[float, ...]:
@@ -534,13 +541,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    draws, names = read_draws_csv(args.draws)
+    draws, names, ids = _read_draws(Path(args.draws))
     bad = np.argwhere(~np.isfinite(draws))
     if bad.size:
-        # chains are numbered in the sorted order of their ids
         chain, iteration, param = bad[0]
         raise IngestError(
-            f"{args.draws}: chain {chain}, draw {iteration + 1}: "
+            f"{args.draws}: chain {ids[chain]}, draw {iteration + 1}: "
             f"parameter {names[param]} is {draws[chain, iteration, param]}"
         )
     report = compute_diagnostics(draws, names=names)
@@ -568,14 +574,20 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit the model to a survey CSV")
     fit.add_argument("--input", required=True, help="survey CSV with header z,unit")
     fit.add_argument("--outdir", required=True, help="output directory")
-    fit.add_argument("--knots", type=int, default=10, help="number of knot segments")
-    fit.add_argument("--chains", type=int, default=4)
-    fit.add_argument("--iters", type=int, default=2000, help="iterations per chain")
-    fit.add_argument("--warmup", type=int, default=1000)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--levels", default="0.8,0.95", help="credible levels, comma separated")
-    fit.add_argument("--heap-days", default=None, help="override heap days, comma separated")
-    fit.add_argument("--heap-halfwidth", type=int, default=None)
+    # every default is the library's: `curdur fit` and `curdur.fit` agree
+    basis, sampler = BasisConfig(), SamplerConfig()
+    fit.add_argument("--knots", type=int, default=basis.num_segments,
+                     help="number of knot segments")
+    fit.add_argument("--chains", type=int, default=sampler.chains)
+    fit.add_argument("--iters", type=int, default=sampler.iterations_per_chain,
+                     help="iterations per chain")
+    fit.add_argument("--warmup", type=int, default=sampler.warmup)
+    fit.add_argument("--seed", type=int, default=sampler.seed)
+    fit.add_argument("--levels", default=",".join(map(str, DEFAULT_LEVELS)),
+                     help="credible levels, comma separated")
+    fit.add_argument("--heap-days", default=",".join(map(str, DEFAULT_HEAP.days)),
+                     help="heap days, comma separated")
+    fit.add_argument("--heap-halfwidth", type=int, default=DEFAULT_HEAP.halfwidth)
     fit.set_defaults(func=_cmd_fit)
 
     sim = sub.add_parser("simulate", help="generate a synthetic survey CSV")

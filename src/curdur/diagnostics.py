@@ -23,6 +23,7 @@ from .estimates import _linear_quantile
 
 RHAT_THRESHOLD = 1.01
 ESS_THRESHOLD = 400.0
+MIN_CHAINS = 2
 MIN_DRAWS_PER_CHAIN = 4
 
 
@@ -41,8 +42,8 @@ def _as_chain_matrix(draws) -> np.ndarray:
     x = np.asarray(draws, dtype=float)
     if x.ndim != 2:
         raise DimensionError(f"draws must be (chains, iterations), got shape {x.shape}")
-    if x.shape[0] < 2:
-        raise DimensionError("diagnostics require at least 2 chains")
+    if x.shape[0] < MIN_CHAINS:
+        raise DimensionError(f"diagnostics require at least {MIN_CHAINS} chains")
     if x.shape[1] < MIN_DRAWS_PER_CHAIN:
         raise DimensionError(f"diagnostics require at least {MIN_DRAWS_PER_CHAIN} draws per chain")
     return x

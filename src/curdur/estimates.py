@@ -19,6 +19,8 @@ from .errors import ConfigurationError, DegenerateDistributionError
 from .model import _DAY_BLOCK, TslsDistribution, _phi_blocks
 from .window import NUM_DAYS, day_vector
 
+DEFAULT_LEVELS = (0.8, 0.95)
+
 
 @dataclass(frozen=True)
 class TbsDistribution:
@@ -197,7 +199,7 @@ def _joined(parts: list) -> QuantitySummary:
     return QuantitySummary(median=np.concatenate([q.median for q in parts]), bands=bands)
 
 
-def summarize(draws, basis: SplineBasis, levels=(0.8, 0.95)) -> EstimateSummary:
+def summarize(draws, basis: SplineBasis, levels=DEFAULT_LEVELS) -> EstimateSummary:
     """Per-draw transforms followed by pointwise posterior quantiles.
 
     ``draws`` is a PosteriorDraws holding the raw parameter array; every

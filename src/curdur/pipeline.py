@@ -1,8 +1,8 @@
 """The whole fit: sample, diagnose, summarize, then the basis-floor rule.
 
 ``fit`` is what ``curdur fit`` runs between reading the survey and
-writing its files, so a library caller gets the same draws, the same
-summary and the same flags.
+writing its files, with the same defaults, so a library caller gets the
+same draws, the same summary and the same flags.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .basis import BasisConfig, SplineBasis, build_basis
 from .diagnostics import DiagnosticsReport, compute_diagnostics
 from .errors import ConfigurationError
-from .estimates import EstimateSummary, _checked_levels, summarize
+from .estimates import DEFAULT_LEVELS, EstimateSummary, _checked_levels, summarize
 from .model import mean_tbs_floor
 from .sampler import PosteriorDraws, SamplerConfig, sample
 
@@ -36,7 +36,7 @@ class FitResult:
 
 
 def fit(data, basis_config=BasisConfig(), sampler_config=SamplerConfig(), heap=None,
-        levels=(0.8, 0.95), progress=None) -> FitResult:
+        levels=DEFAULT_LEVELS, progress=None) -> FitResult:
     """Fit the model to ``data`` by HMC and summarize the posterior.
 
     ``report.flags`` holds the convergence flags and, when the widest

@@ -19,7 +19,6 @@ from .errors import ConfigurationError, OutOfWindowError
 from .window import LAST_DAY, NUM_DAYS, day_vector
 
 YEAR_INTERVAL_START = 365 - 31
-DEFAULT_HEAP_DAYS = (7, 14, 21, 28, 30, 60, 90)
 
 
 class Unit(IntEnum):
@@ -47,7 +46,7 @@ def _whole(value, name: str) -> int:
 class HeapSet:
     """Preferred round day values and the half-width of their heap window."""
 
-    days: tuple[int, ...] = DEFAULT_HEAP_DAYS
+    days: tuple[int, ...] = (7, 14, 21, 28, 30, 60, 90)
     halfwidth: int = 2
 
     def __post_init__(self):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import MIN_DRAWS_PER_CHAIN
+from .diagnostics import MIN_CHAINS, MIN_DRAWS_PER_CHAIN
 from .errors import ConfigurationError, SamplingError
 from .model import PosteriorDensity, to_centered, to_noncentered
 from .reporting import _whole
@@ -50,9 +50,9 @@ class SamplerConfig:
     def __post_init__(self):
         for name in ("chains", "iterations_per_chain", "warmup", "seed"):
             object.__setattr__(self, name, _whole(getattr(self, name), name))
-        if self.chains < 2:
+        if self.chains < MIN_CHAINS:
             raise ConfigurationError(
-                f"diagnostics require at least 2 chains, got {self.chains}"
+                f"diagnostics require at least {MIN_CHAINS} chains, got {self.chains}"
             )
         if self.warmup < 0:
             raise ConfigurationError(f"warmup must be >= 0, got {self.warmup}")
@@ -207,8 +207,7 @@ def _find_initial_step(kernel, q, logp0, grad0, rng, inv_mass) -> float:
     """
     dim = q.size
     step = 1.0
-    momentum_sd = inv_mass ** -0.5
-    p = rng.standard_normal(dim) * momentum_sd
+    p = rng.standard_normal(dim) * inv_mass ** -0.5
     energy0 = _energy(logp0, p, inv_mass)
 
     def energy_after(step_size: float) -> float:
@@ -227,11 +226,11 @@ def _find_initial_step(kernel, q, logp0, grad0, rng, inv_mass) -> float:
     return step
 
 
-def _transition(kernel, q, logp, grad, step_size, inv_mass, momentum_sd, rng):
+def _transition(kernel, q, logp, grad, step_size, inv_mass, rng):
     """One HMC iteration: a momentum draw, a leapfrog trajectory, then the
     accept draw.  Returns (q, logp, grad, accept_prob, diverged)."""
     num_steps = int(min(MAX_LEAPFROG_STEPS, max(1, round(TRAJECTORY_LENGTH / step_size))))
-    p = rng.standard_normal(q.size) * momentum_sd
+    p = rng.standard_normal(q.size) * inv_mass ** -0.5
     energy0 = _energy(logp, p, inv_mass)
     q_new, p_new, logp_new, grad_new, diverged = _leapfrog(kernel, q, p, grad, step_size,
                                                            num_steps, inv_mass)
@@ -260,7 +259,6 @@ def _run_chain(kernel, start, config: SamplerConfig, chain_index: int,
         )
 
     inv_mass = np.ones(dim)
-    momentum_sd = np.ones(dim)
     step = _find_initial_step(kernel, q, logp, grad, rng, inv_mass)
     dual = _DualAveraging(step, config.target_accept)
     # each slow window's start, keyed by its last iteration
@@ -268,12 +266,11 @@ def _run_chain(kernel, start, config: SamplerConfig, chain_index: int,
     visited = np.empty((config.warmup, dim))
     for it in range(config.warmup):
         q, logp, grad, accept_prob, _ = _transition(kernel, q, logp, grad, dual.step,
-                                                    inv_mass, momentum_sd, rng)
+                                                    inv_mass, rng)
         dual.update(accept_prob)
         visited[it] = q
         if it in window_starts:
             inv_mass = _regularized_variance(visited[window_starts[it] : it + 1])
-            momentum_sd = inv_mass ** -0.5
             # restart averaging around the current step; the next
             # window re-converges it under the new metric
             dual = _DualAveraging(dual.step, config.target_accept)
@@ -284,7 +281,7 @@ def _run_chain(kernel, start, config: SamplerConfig, chain_index: int,
     accept_sum, divergences = 0.0, 0
     for it in range(kept):
         q, logp, grad, accept_prob, diverged = _transition(kernel, q, logp, grad, step,
-                                                           inv_mass, momentum_sd, rng)
+                                                           inv_mass, rng)
         draws[it] = q
         accept_sum += accept_prob
         divergences += diverged

@@ -159,8 +159,6 @@ def sample_tsls_exact(truth: TbsDistribution, n: int, seed) -> np.ndarray:
     if n < 0:
         raise ConfigurationError(f"survey size must be >= 0, got {n}")
     rng = _rng(seed)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
     weights = (np.arange(NUM_DAYS) + 1.0) * truth.f_x
     gaps = rng.choice(NUM_DAYS, size=n, p=weights / weights.sum())
     return rng.integers(0, gaps + 1)

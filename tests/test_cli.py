@@ -1,17 +1,21 @@
 """End-to-end CLI: ingestion, fitting, simulation, diagnosis."""
 
+import argparse
 import csv
 import errno
 import hashlib
+import inspect
 import json
 import math
 import os
+import re
 import resource
 import signal
 import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,9 +43,10 @@ from curdur.cli import (
 )
 from curdur.diagnostics import compute_diagnostics
 from curdur.errors import ConfigurationError, IngestError, OutOfWindowError
+from curdur.estimates import DEFAULT_LEVELS, summarize
 from curdur.model import mean_tbs_floor
-from curdur.reporting import ReportedDuration, Unit, day_interval
-from curdur.sampler import PosteriorDraws
+from curdur.reporting import DEFAULT_HEAP, ReportedDuration, Unit, day_interval
+from curdur.sampler import PosteriorDraws, SamplerConfig
 from curdur.simulator import simulate_survey, truncated_geometric
 
 
@@ -383,7 +388,89 @@ DRAWS_BODIES = [
 ]
 
 
+# the fields of a draws.csv row, each a format of its chain id or iteration
+# that int() and numpy's parser both read: signs, leading zeros, padding
+_INTEGER_FORMS = ["{}", "+{}", "0{}", " {} ", "\x0b{}", "{}\x0b"]
+# and one that one parser or both may refuse or read otherwise: digit
+# groups, hex, a float, integers beyond int64, iterations out of turn
+_ODD_INTEGER_FORMS = ["0", "{}0", "2{}", "1_{}", "0x{}", "{}.0", "99999999999999999999",
+                      "-9223372036854775809"]
+# values that both parsers read, the special ones included, then odd ones
+_VALUES = ["0.5", "-0.0", "+1", "007", " 2.5 ", "\x0b3", "nan", "-nan", "NaN", "Infinity",
+           "-inf", "1e400", "-1e400", "1e-400", "99999999999999999999"]
+_ODD_VALUES = ["1_0.5", "0x10", "1e", "--1"]
+
+
+def _field(draw, plain, odd):
+    """A field drawn from ``plain``, or about one time in six from ``odd``."""
+    return draw(st.sampled_from(odd if draw(st.integers(0, 5)) == 5 else plain))
+
+
+@st.composite
+def _draws_bodies(draw):
+    """A draws.csv body of one or two chains of one or two rows each, about
+    one time in five a row more for the first, interleaved, under the header
+    "chain,iteration,x,y"."""
+    chains = draw(st.lists(st.sampled_from([0, 1, 5, 9, 12]), min_size=1, max_size=2,
+                           unique=True))
+    extra = [chains[0]] if draw(st.integers(0, 4)) == 4 else []
+    turns = draw(st.permutations(chains * draw(st.integers(1, 2)) + extra))
+    rows, seen = [], {}
+    for chain in turns:
+        seen[chain] = seen.get(chain, 0) + 1
+        fields = [_field(draw, _INTEGER_FORMS, _ODD_INTEGER_FORMS).format(chain),
+                  _field(draw, _INTEGER_FORMS, _ODD_INTEGER_FORMS).format(seen[chain]),
+                  _field(draw, _VALUES, _ODD_VALUES), draw(st.sampled_from(_VALUES))]
+        rows.append(",".join(fields) + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(rows)
+
+
+def _draws_or_error(parse):
+    """``parse()``'s (draws, chain ids), or the text of the IngestError it raises."""
+    try:
+        return parse()
+    except IngestError as exc:
+        return str(exc)
+
+
+def _bulk_and_row_parses(path: Path):
+    """What the bulk parse and the row loop each make of draws.csv at
+    ``path``; None when the bulk parse leaves the body to the row loop."""
+    with cli._open_csv(path) as (handle, reader):
+        next(reader)
+        if cli._parse_draws(handle, reader.line_num, 2) is None:
+            return None
+        cli._seek_body(handle, reader.line_num)
+        rows = _draws_or_error(lambda: cli._parse_draw_rows(path, reader, 2))
+
+    def bulk():
+        # a regular file that the bulk parse takes goes by it alone
+        draws, _, ids = cli._read_draws(path)
+        return draws, ids
+
+    return _draws_or_error(bulk), rows
+
+
 class TestDrawsCsv:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(body=_draws_bodies())
+    def test_bulk_parse_and_row_loop_agree(self, tmp_path_factory, body):
+        # the row loop reads every body the bulk parse takes to the same
+        # ids and bytes, or refuses it on its chain sizes with the same text
+        path = tmp_path_factory.getbasetemp() / "agree.csv"
+        path.write_text("chain,iteration,x,y\n" + body, newline="")
+        both = _bulk_and_row_parses(path)
+        if both is None:
+            return
+        bulk, rows = both
+        if isinstance(bulk, str):
+            assert rows == bulk
+        else:
+            assert not isinstance(rows, str), rows
+            assert rows[1] == bulk[1]
+            assert rows[0].shape == bulk[0].shape
+            assert rows[0].tobytes() == bulk[0].tobytes()
+
     def test_bytes_are_pinned(self, tmp_path):
         values = [[[-0.0, 5e-324, 0.1], [1e308, math.nan, math.inf]],
                   [[-math.inf, 2.5, -1e-7], [0.0, -5e-324, 1.0 / 3.0]]]
@@ -644,6 +731,35 @@ class TestRunConfig:
         assert _parse_levels(args.levels) == (0.5, 0.9)
         assert args.knots == 10
         assert args.chains == 4
+
+    def test_fit_defaults_are_the_library_defaults(self, tmp_path, monkeypatch):
+        # a default of `curdur fit` apart from the library's would be named here
+        for library in (pipeline.fit, summarize):
+            assert inspect.signature(library).parameters["levels"].default == DEFAULT_LEVELS
+        passed = {}
+
+        def fit(data, basis_config, sampler_config, heap, levels, progress):
+            passed.update(basis=basis_config, sampler=sampler_config, heap=heap, levels=levels)
+            raise ConfigurationError("fit not run")
+
+        monkeypatch.setattr(pipeline, "fit", fit)
+        path = write_csv(tmp_path / "d.csv", ["3,day"])
+        assert main(["fit", "--input", str(path), "--outdir", str(tmp_path / "o")]) == EXIT_ERROR
+        assert passed == {"basis": BasisConfig(), "sampler": SamplerConfig(),
+                          "heap": DEFAULT_HEAP, "levels": DEFAULT_LEVELS}
+
+    def test_readme_lists_every_fit_option_and_its_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = readme[readme.index("`fit` options:"):].split("\n\n", 1)[0]
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {action.dest.replace("_", "-"): action.default
+                   for action in sub.choices["fit"]._actions}
+        for name in ("input", "outdir", "help"):
+            del options[name]
+        assert set(re.findall(r"`--([a-z-]+)`", paragraph)) == set(options)
+        written = dict(re.findall(r"`--([a-z-]+)` \((?:[^()`]*, )?default `([^`]+)`\)",
+                                  " ".join(paragraph.split())))
+        assert written == {name: str(default) for name, default in options.items()}
 
 
 class TestCommands:
@@ -934,6 +1050,27 @@ class TestCommands:
         payload = json.loads(captured.err.strip().splitlines()[-1])
         assert payload == {"error": "IngestError",
                            "message": f"{path}: chain 1, draw 31: parameter y is {value}"}
+
+    @pytest.mark.parametrize("source", [
+        "file",
+        pytest.param("pipe", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                      reason="needs named pipes")),
+    ])
+    def test_diagnose_names_the_file_chain_id(self, tmp_path, capsys, source):
+        # chains 5 and 9 are the array's chains 0 and 1; the error names 9
+        rows = [f"{chain},{it},0.5,{'nan' if (chain, it) == (9, 5) else 1.0}"
+                for chain in (5, 9) for it in range(1, 6)]
+        path = write_csv(tmp_path / "draws.csv", rows, header="chain,iteration,x,y")
+        if source == "file":
+            code = main(["diagnose", "--draws", str(path)])
+        else:
+            code = _read_through_pipe(tmp_path, path.read_bytes(),
+                                      lambda pipe: main(["diagnose", "--draws", str(pipe)]))
+            path = tmp_path / "pipe"
+        assert code == EXIT_ERROR
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload == {"error": "IngestError",
+                           "message": f"{path}: chain 9, draw 5: parameter y is nan"}
 
     def test_antithetic_chains_give_finite_ess(self, tmp_path, capsys):
         # a short fit: flagged, every ESS finite and positive, and diagnose
