@@ -2,9 +2,10 @@
 
 Input CSV has header ``z,unit`` with unit tokens day/week/month/year
 (case-insensitive) or the integer codes 1-4, and a value ``z`` of ASCII
-digits with an optional sign.  Reports ``ReportedDuration``
-refuses as beyond the two-year window are excluded and counted; malformed
-rows, the pairs it refuses otherwise included, abort with their line numbers.
+digits with an optional sign; only ASCII whitespace pads a cell.  Reports
+``ReportedDuration`` refuses as beyond the two-year window are excluded
+and counted; malformed rows, the pairs it refuses otherwise included,
+abort with their line numbers.
 
 Exit codes: 0 success, 1 error, usage errors included (machine-readable
 JSON on stderr), 3 fit or diagnose completed but a flag fired: a convergence
@@ -15,12 +16,14 @@ Run as ``curdur <command>`` or ``python -m curdur.cli <command>``.
 from __future__ import annotations
 
 import argparse
+import array
 import contextlib
 import csv
 import itertools
 import json
 import os
 import re
+import string
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -94,14 +97,14 @@ def _classify_row(row: list) -> tuple:
     unit for one beyond the window and the problem text (without
     its line number) for a malformed one.
     """
-    if not row or all(not cell.strip() for cell in row):
+    if not row or all(not cell.strip(string.whitespace) for cell in row):
         return _BLANK, None
     if len(row) != 2:
         return _PROBLEM, f"expected 2 fields, got {len(row)}"
-    z_text, unit_text = row[0].strip(), row[1].strip().lower()
-    unit = _UNIT_TOKENS.get(unit_text)
+    z_text, unit_text = (cell.strip(string.whitespace) for cell in row)
+    unit = _UNIT_TOKENS.get(unit_text.lower())
     if unit is None:
-        return _PROBLEM, f"unknown unit {row[1].strip()!r}"
+        return _PROBLEM, f"unknown unit {unit_text!r}"
     if not _INTEGER.fullmatch(z_text):
         return _PROBLEM, f"reported value {z_text!r} is not an integer"
     try:
@@ -171,7 +174,7 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
         head = next(reader, None)
         if head is None:
             raise IngestError(f"{path}: file is empty")
-        if [cell.strip().lower() for cell in head] != ["z", "unit"]:
+        if [cell.strip(string.whitespace).lower() for cell in head] != ["z", "unit"]:
             raise IngestError(f"{path}: expected header 'z,unit', got {head!r}")
         for line_no, row in enumerate(reader, start=2):
             key = tuple(row)
@@ -270,92 +273,26 @@ def _check_chain_sizes(path: Path, sizes: list) -> None:
         raise IngestError(f"{path}: chains have unequal lengths {sorted(set(sizes))}")
 
 
-def _bulk_safe(text: str) -> bool:
-    """Whether ``text`` is free of the characters numpy's parser is known
-    to read otherwise than int() and float() do: it strips the separators
-    \\x1c-\\x1f as whitespace, and some non-ASCII characters crash it.
+def _body_lines(handle, start: int, line_numbers: array.array):
+    """The lines of a draws.csv body for numpy's parser, from ``handle``
+    at line ``start``; the number of each line yielded is appended to
+    ``line_numbers``.
+
+    Blank lines are skipped.  A line numpy's parser would read otherwise
+    than int() and float() do raises ValueError: one that is not ASCII,
+    as some non-ASCII characters crash the parser, one that holds the
+    separators \\x1c-\\x1f, which it strips as whitespace, and one with
+    an odd number of quotes, whose quoted field would run on into the
+    next line and so make two lines one row.
     """
-    return text.isascii() and not any(sep in text for sep in "\x1c\x1d\x1e\x1f")
-
-
-def _seek_body(handle, header_lines: int):
-    """Move ``handle`` to the line after its first ``header_lines``."""
-    handle.seek(0)
-    for _ in range(header_lines):
-        handle.readline()
-    return handle
-
-
-def _parse_draws(handle, header_lines: int, num_values: int):
-    """Chain ids and value rows of the draws.csv body, in one bulk parse.
-
-    ``handle`` is the open file and the header fills its first
-    ``header_lines`` lines.  One pass over the body checks its text, and
-    numpy's parse is a second.  The rows come back grouped by chain,
-    a view of the parsed table when the file has them in that order.
-    Returns None for anything the row loop of ``_parse_draw_rows`` might
-    read differently or refuse: text that is not ``_bulk_safe``, a field
-    numpy refuses, a row with other than ``num_values + 2`` fields, which
-    numpy refuses as not the width of its row type, a body of blank
-    lines, or a chain whose iterations do not run 1, 2, ..., n.
-    """
-    blank = True
-    _seek_body(handle, header_lines)
-    for chunk in iter(lambda: handle.read(1 << 16), ""):
-        if not _bulk_safe(chunk):
-            return None
-        blank = blank and not chunk.strip("\r\n")
-    if blank:
-        return None
-    row = np.dtype([("chain", np.int64), ("iteration", np.int64),
-                    ("values", np.float64, (num_values,))])
-    try:
-        table = np.loadtxt(_seek_body(handle, header_lines), dtype=row, delimiter=",",
-                           comments=None, ndmin=1)
-    except (ValueError, OverflowError):
-        return None
-    chains = table["chain"]
-    # write_draws_csv writes the chains in order: only other input is regrouped
-    if np.any(chains[1:] < chains[:-1]):
-        table = table[np.argsort(chains, kind="stable")]
-        chains = table["chain"]
-    # each chain's first iteration is 1 and every next one the last plus 1
-    iterations = table["iteration"]
-    due = np.where(chains[1:] == chains[:-1], iterations[:-1] + 1, 1)
-    if iterations[0] != 1 or not np.array_equal(iterations[1:], due):
-        return None
-    return chains, table["values"]
-
-
-def _parse_draw_rows(path: Path, reader, num_values: int) -> tuple[np.ndarray, list]:
-    """Parse draws.csv rows one by one, naming the first bad line; returns
-    the draws and the chain ids, sorted, that their chains follow."""
-    by_chain: dict = {}
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
+    for number, line in enumerate(handle, start):
+        if not line.strip("\r\n"):
             continue
-        try:
-            chain = int(row[0])
-            values = [float(v) for v in row[2:]]
-            # a short row may lack the field: its length is the error
-            iteration = int(row[1]) if len(values) == num_values else None
-        except ValueError as exc:
-            raise IngestError(f"{path}: line {line_no}: {exc}") from exc
-        if iteration is None:
-            raise IngestError(f"{path}: line {line_no}: wrong number of values")
-        # int() and float() also read "_" and non-ASCII digits; the bulk parse does not
-        odd = next((cell for cell in row if not cell.isascii() or "_" in cell), None)
-        if odd is not None:
-            raise IngestError(f"{path}: line {line_no}: {odd!r} is not a plain "
-                              "ASCII number")
-        draws = by_chain.setdefault(chain, [])
-        if iteration != len(draws) + 1:
-            raise IngestError(f"{path}: line {line_no}: iteration {iteration} of "
-                              f"chain {chain}, expected {len(draws) + 1}")
-        draws.append(values)
-    _check_chain_sizes(path, [len(v) for v in by_chain.values()])
-    ids = sorted(by_chain)
-    return np.array([by_chain[c] for c in ids]), ids
+        line_numbers.append(number)
+        if (not line.isascii() or "\x1c" in line or "\x1d" in line or "\x1e" in line
+                or "\x1f" in line or '"' in line and line.count('"') % 2):
+            raise ValueError(f"line {number} is not plain ASCII CSV")
+        yield line
 
 
 def _read_draws(path: Path) -> tuple[np.ndarray, list, list]:
@@ -366,30 +303,55 @@ def _read_draws(path: Path) -> tuple[np.ndarray, list, list]:
         if header is None or len(header) < 3 or header[:2] != ["chain", "iteration"]:
             raise IngestError(f"{path}: expected header 'chain,iteration,<parameters>'")
         names = header[2:]
-        parsed = None
-        if handle.seekable():  # a pipe can be read once only, by the row loop
-            parsed = _parse_draws(handle, reader.line_num, len(names))
-            # the reader goes on from the body's first line, counting lines on
-            _seek_body(handle, reader.line_num)
-        if parsed is None:
-            draws, ids = _parse_draw_rows(path, reader, len(names))
-            return draws, names, ids
-    chains, values = parsed
+        line_numbers = array.array("q")
+        lines = _body_lines(handle, reader.line_num + 1, line_numbers)
+        row = np.dtype([("chain", np.int64), ("iteration", np.int64),
+                        ("values", np.float64, (len(names),))])
+        table = np.zeros(0, row)
+        try:
+            # numpy warns of a body with no rows; it is refused on its chains below
+            first = next(lines, None)
+            if first is not None:
+                # numpy takes one line at a time: the last one taken is the bad one
+                table = np.loadtxt(itertools.chain([first], lines), dtype=row,
+                                   delimiter=",", quotechar='"', comments=None, ndmin=1)
+        except UnicodeDecodeError:
+            raise  # _open_csv names the bad byte
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {line_numbers[-1]}: expected two int64 integers "
+                              f"and {len(names)} numbers") from exc
+    chains, order = table["chain"], None
+    # write_draws_csv writes the chains in order: only other input is regrouped
+    if np.any(chains[1:] < chains[:-1]):
+        order = np.argsort(chains, kind="stable")
+        table = table[order]
+        chains = table["chain"]
+    # each chain's first iteration is 1 and every next one the last plus 1
+    iterations = table["iteration"]
+    due = np.ones_like(iterations)
+    np.add(iterations[:-1], 1, out=due[1:], where=chains[1:] == chains[:-1])
+    wrong = np.flatnonzero(iterations != due)
+    if wrong.size:
+        # the first wrong row in file order: the rows of its chain before it are right
+        rows = np.arange(len(table)) if order is None else order
+        at = wrong[np.argmin(rows[wrong])]
+        raise IngestError(f"{path}: line {line_numbers[rows[at]]}: iteration {iterations[at]} "
+                          f"of chain {chains[at]}, expected {due[at]}")
     ids, sizes = np.unique(chains, return_counts=True)
     _check_chain_sizes(path, sizes.tolist())
-    return values.reshape(len(ids), -1, len(names)), names, ids.tolist()
+    return table["values"].reshape(len(ids), -1, len(names)), names, ids.tolist()
 
 
 def read_draws_csv(path) -> tuple[np.ndarray, list]:
     """Rebuild the (chains, iterations, parameters) array from draws.csv,
     its chains in the sorted order of their ids.
 
-    The file is read as a stream, a leading UTF-8 byte-order mark
-    skipped.  Each chain's rows must carry the iterations 1, 2, ..., n in
-    file order.  The body of a regular file is parsed in bulk, and rows in
-    chain order come back as a view of the parsed table; a pipe, and
-    input that parse refuses, go through the row loop, which returns the
-    same array or names the first bad line.
+    The file, regular or a pipe, is read once as a stream, a leading UTF-8
+    byte-order mark skipped, and its body parsed by numpy line by line.
+    Chain ids and iterations are int64.  Each chain's rows must carry the
+    iterations 1, 2, ..., n in file order, and rows in chain order come
+    back as a view of the parsed table.  A malformed row raises
+    IngestError naming its line.
     """
     draws, names, _ = _read_draws(Path(path))
     return draws, names
