@@ -1,10 +1,15 @@
 """Convergence and efficiency diagnostics for multi-chain draws.
 
 Implements the rank-normalized split R-hat and the bulk / tail effective
-sample sizes.  Draws are split in half per chain, pooled ranks are mapped
-through the normal quantile function with the (r - 3/8) / (S + 1/4)
-adjustment, and autocorrelation sums use Geyer's initial monotone
-positive sequence.  No scipy is used: the normal scores come from
+sample sizes.  Draws are split in half per chain, and pooled ranks are
+mapped through the normal quantile function with the (r - 3/8) / (S + 1/4)
+adjustment.  ESS is S / tau, with tau from Geyer's initial monotone
+sequence as Stan and ArviZ take it: the pair sums P_k = rho_2k + rho_2k+1
+of the chain-averaged autocorrelation are truncated at the first
+non-positive one, P_m, and made non-increasing, and tau = -1 + 2 sum P_k
++ max(rho_2m, 0).  ESS values changed once when this replaced a loop that
+also counted rho_2m twice, whatever its sign; no flag of the benchmark's
+fit workload did.  No scipy is used: the normal scores come from
 ``statistics.NormalDist``, and each FFT runs at the least power of two
 that holds twice the draws.
 """
@@ -88,56 +93,35 @@ def split_rank_rhat(draws) -> float:
     return _classic_rhat(_rank_normalize(_split_chains(x)))
 
 
-def _autocovariance(x: np.ndarray) -> np.ndarray:
-    """Autocovariance of each row of a (chains, draws) matrix, in one FFT."""
-    n = x.shape[1]
-    m = 1 << (2 * n - 1).bit_length()  # the least power of two >= 2n
-    centered = x - x.mean(axis=1, keepdims=True)
-    freq = np.fft.rfft(centered, m, axis=-1)
-    acov = np.fft.irfft(freq * np.conj(freq), m, axis=-1)[:, :n].real
-    return acov / n
+def _geyer_tau(rho: np.ndarray) -> float:
+    """tau of the autocorrelations ``rho`` at lags 0, 1, ..., as the module
+    docstring gives it; when no pair sum is non-positive, all count."""
+    pairs = rho[0 : len(rho) - 1 : 2] + rho[1::2]
+    stops = np.flatnonzero(pairs <= 0.0)
+    if not stops.size:
+        return -1.0 + 2.0 * float(np.minimum.accumulate(pairs).sum())
+    m = stops[0]
+    even = max(float(rho[2 * m]), 0.0)
+    return -1.0 + 2.0 * float(np.minimum.accumulate(pairs[:m]).sum()) + even
 
 
 def _ess_core(z: np.ndarray) -> float:
-    """Multi-chain ESS via Geyer's initial monotone positive sequence."""
-    n_chain, n_draw = z.shape
-    # the mean over chains of each lag, summed as acov[:, t].mean() sums it;
-    # acov.mean(axis=0) adds the rows in order instead, which from 8 rows on
-    # differs in the last bit
-    lag_means = np.ascontiguousarray(_autocovariance(z).T).mean(axis=1).tolist()
-    chain_means = z.mean(axis=1)
-    mean_var = lag_means[0] * n_draw / (n_draw - 1.0)
-    var_plus = mean_var * (n_draw - 1.0) / n_draw + float(chain_means.var(ddof=1))
+    """Multi-chain ESS via Geyer's initial monotone sequence."""
+    n_draw = z.shape[1]
+    # the autocovariance at every lag, averaged over chains, from one FFT
+    size = 1 << (2 * n_draw - 1).bit_length()
+    freq = np.fft.rfft(z - z.mean(axis=1, keepdims=True), size, axis=1)
+    power = (freq.real**2 + freq.imag**2).mean(axis=0)
+    acov = np.fft.irfft(power, size)[:n_draw] / n_draw
+    mean_var = acov[0] * n_draw / (n_draw - 1.0)
+    var_plus = acov[0] + float(z.mean(axis=1).var(ddof=1))
     if var_plus == 0.0:
         return 0.0
-
-    rho = np.zeros(n_draw)
+    rho = 1.0 - (mean_var - acov) / var_plus
     rho[0] = 1.0
-    rho_even = 1.0
-    rho_odd = 1.0 - (mean_var - lag_means[1]) / var_plus
-    rho[1] = rho_odd
-    t = 1
-    while t < n_draw - 2 and (rho_even + rho_odd) >= 0.0:
-        rho_even = 1.0 - (mean_var - lag_means[t + 1]) / var_plus
-        rho_odd = 1.0 - (mean_var - lag_means[t + 2]) / var_plus
-        rho[t + 1] = rho_even
-        if (rho_even + rho_odd) >= 0.0:
-            rho[t + 2] = rho_odd
-        t += 2
-    max_t = t
-
-    t = 1
-    while t <= max_t - 2:
-        if (rho[t + 1] + rho[t + 2]) > (rho[t - 1] + rho[t]):
-            rho[t + 1] = (rho[t - 1] + rho[t]) / 2.0
-            rho[t + 2] = rho[t + 1]
-        t += 2
-
-    tau = -1.0 + 2.0 * float(rho[:max_t].sum()) + float(rho[max_t + 1 : max_t + 2].sum())
     # antithetic chains can sum to tau <= 0: as in Stan and ArviZ (Vehtari
     # et al. 2021), tau is floored at 1 / log10(S), capping ESS at S log10(S)
-    size = n_chain * n_draw
-    return size / max(tau, 1.0 / math.log10(size))
+    return z.size / max(_geyer_tau(rho), 1.0 / math.log10(z.size))
 
 
 def _ess(x: np.ndarray) -> float:

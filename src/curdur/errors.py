@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and numpy's missing size check."""
+
+import math
+import sys
 
 
 class CurdurError(Exception):
@@ -27,3 +30,10 @@ class IngestError(CurdurError, ValueError):
 
 class SamplingError(CurdurError, RuntimeError):
     """The sampler could not produce usable draws."""
+
+
+def check_allocation(*shape: int) -> None:
+    """MemoryError for 8-byte values of ``shape`` past any address space,
+    which numpy refuses with ValueError or OverflowError instead."""
+    if math.prod(shape) * 8 > sys.maxsize:
+        raise MemoryError(f"an array of shape {shape} needs more bytes than any address space")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import MIN_CHAINS, MIN_DRAWS_PER_CHAIN
-from .errors import ConfigurationError, SamplingError
+from .errors import ConfigurationError, SamplingError, check_allocation
 from .model import PosteriorDensity, to_centered, to_noncentered
 from .reporting import _whole
 
@@ -263,6 +263,7 @@ def _run_chain(kernel, start, config: SamplerConfig, chain_index: int,
     dual = _DualAveraging(step, config.target_accept)
     # each slow window's start, keyed by its last iteration
     window_starts = {end - 1: first for first, end in _mass_update_points(config.warmup)}
+    check_allocation(config.warmup, dim)
     visited = np.empty((config.warmup, dim))
     for it in range(config.warmup):
         q, logp, grad, accept_prob, _ = _transition(kernel, q, logp, grad, dual.step,
@@ -317,6 +318,7 @@ def _sample_chains(config, kernel, start, param_names, progress=None):
     and then ``progress(chain)`` is called, when given.
     """
     chains = config.chains
+    check_allocation(chains, config.kept_iterations, len(param_names))
     result = PosteriorDraws(
         draws=np.empty((chains, config.kept_iterations, len(param_names))),
         accept_stats=np.empty(chains),

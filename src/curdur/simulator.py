@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_allocation
 from .estimates import TbsDistribution
 from .reporting import (
     EXCLUSION_MIN,
@@ -160,6 +160,7 @@ def sample_tsls_exact(truth: TbsDistribution, n: int, seed) -> np.ndarray:
         raise ConfigurationError(f"survey size must be >= 0, got {n}")
     rng = _rng(seed)
     weights = (np.arange(NUM_DAYS) + 1.0) * truth.f_x
+    check_allocation(n)
     gaps = rng.choice(NUM_DAYS, size=n, p=weights / weights.sum())
     return rng.integers(0, gaps + 1)
 

@@ -1182,7 +1182,16 @@ class TestCommands:
     @pytest.mark.parametrize("argv", [
         ["fit", "--input", "{data}", "--iters", "10000000000000"],
         ["simulate", "--truth", "geometric:p=0.1", "--n", "1000000000000000"],
-    ], ids=["fit", "simulate"])
+        # past numpy's own limits, which it refuses before asking for memory:
+        # more bytes than a signed 64-bit size, or a size no C long holds
+        ["fit", "--input", "{data}", "--iters", "9223372036854775807"],
+        ["fit", "--input", "{data}", "--chains", "100000000000000000000"],
+        ["fit", "--input", "{data}", "--warmup", "100000000000000000000",
+         "--iters", "100000000000000000010"],
+        ["simulate", "--truth", "geometric:p=0.1", "--n", "9223372036854775807"],
+        ["simulate", "--truth", "geometric:p=0.1", "--n", "100000000000000000000"],
+    ], ids=["fit", "simulate", "fit-iters-past-size", "fit-chains-past-c-long",
+            "fit-warmup-past-c-long", "simulate-n-past-size", "simulate-n-past-c-long"])
     def test_allocation_past_the_address_space_gives_error_json(self, tmp_path, capsys,
                                                                  argv):
         data = write_csv(tmp_path / "d.csv", ["5,day"])

@@ -14,7 +14,7 @@ from scipy.stats import rankdata
 
 from curdur.diagnostics import (
     _ess_core,
-    _autocovariance,
+    _geyer_tau,
     _rank_normalize,
     _rank_scores,
     _split_chains,
@@ -213,58 +213,92 @@ class TestNdtri:
         assert np.all(ulps(_rank_scores(size), ndtri(p)) <= 8.0)
 
 
-def parent_ess_core(z):
-    """_ess_core as it stood with one column mean per lag in the loop."""
+def reference_autocorrelation(z):
+    """The autocorrelation rho_t of split chains ``z`` at every lag t, with
+    rho_0 = 1 (Vehtari et al. 2021, eq. 10), each lag's autocovariance a
+    plain dot product per chain; None when var_plus is 0."""
     n_chain, n_draw = z.shape
-    acov = _autocovariance(z)
-    chain_means = z.mean(axis=1)
-    mean_var = float(acov[:, 0].mean()) * n_draw / (n_draw - 1.0)
-    var_plus = mean_var * (n_draw - 1.0) / n_draw
-    if n_chain > 1:
-        var_plus += float(chain_means.var(ddof=1))
+    centered = z - z.mean(axis=1, keepdims=True)
+    acov = [sum(float(c[: n_draw - t] @ c[t:]) for c in centered) / n_chain / n_draw
+            for t in range(n_draw)]
+    mean_var = acov[0] * n_draw / (n_draw - 1.0)
+    var_plus = mean_var * (n_draw - 1.0) / n_draw + float(z.mean(axis=1).var(ddof=1))
     if var_plus == 0.0:
+        return None
+    return [1.0] + [1.0 - (mean_var - a) / var_plus for a in acov[1:]]
+
+
+def reference_tau(rho):
+    """Geyer's initial monotone sequence, one pair at a time: each pair
+    sum P_k = rho_2k + rho_2k+1, capped at the one before, is added twice
+    until the first non-positive one, P_m, which adds rho_2m once if it
+    is positive and ends the sum."""
+    tau, cap = -1.0, math.inf
+    for k in range(len(rho) // 2):
+        pair = rho[2 * k] + rho[2 * k + 1]
+        if pair <= 0.0:
+            return tau + max(rho[2 * k], 0.0)
+        cap = min(cap, pair)
+        tau += 2.0 * cap
+    return tau
+
+
+def reference_ess(z):
+    rho = reference_autocorrelation(z)
+    if rho is None:
         return 0.0
-    rho = np.zeros(n_draw)
-    rho[0] = 1.0
-    rho_even = 1.0
-    rho_odd = 1.0 - (mean_var - float(acov[:, 1].mean())) / var_plus
-    rho[1] = rho_odd
-    t = 1
-    while t < n_draw - 2 and (rho_even + rho_odd) >= 0.0:
-        rho_even = 1.0 - (mean_var - float(acov[:, t + 1].mean())) / var_plus
-        rho_odd = 1.0 - (mean_var - float(acov[:, t + 2].mean())) / var_plus
-        rho[t + 1] = rho_even
-        if (rho_even + rho_odd) >= 0.0:
-            rho[t + 2] = rho_odd
-        t += 2
-    max_t = t
-    t = 1
-    while t <= max_t - 2:
-        if (rho[t + 1] + rho[t + 2]) > (rho[t - 1] + rho[t]):
-            rho[t + 1] = (rho[t - 1] + rho[t]) / 2.0
-            rho[t + 2] = rho[t + 1]
-        t += 2
-    tau = -1.0 + 2.0 * float(rho[:max_t].sum()) + float(rho[max_t + 1 : max_t + 2].sum())
-    if not np.isfinite(tau) or tau <= 0.0:
-        return float("nan")
-    return n_chain * n_draw / tau
+    return z.size / max(reference_tau(rho), 1.0 / math.log10(z.size))
+
+
+def bulk_and_tail_series(x):
+    """The split, rank-normalized draws and the two tail indicators."""
+    q05, q95 = np.quantile(x, [0.05, 0.95])
+    return [_rank_normalize(_split_chains(v)) for v in (x, x <= q05, x >= q95)]
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * want
 
 
 class TestEssCore:
     @pytest.mark.parametrize("n_chains", [2, 4, 8])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95])
     def test_matches_parent_formula(self, rng, n_chains, rho):
-        # 4 and 8 chains give 8 and 16 split rows, where a row-order sum of
-        # each lag would round differently from the per-lag mean
-        x = ar1_chains(rng, n_chains, 400, rho)
-        q05, q95 = np.quantile(x, [0.05, 0.95])
-        series = [
-            _rank_normalize(_split_chains(x)),
-            _rank_normalize(_split_chains(x <= q05)),
-            _rank_normalize(_split_chains(x >= q95)),
-        ]
-        for z in series:
-            assert _ess_core(z) == parent_ess_core(z)
+        # the FFT's autocovariance against the definition's, and the pair
+        # sums against the one-pair-at-a-time loop
+        for z in bulk_and_tail_series(ar1_chains(rng, n_chains, 400, rho)):
+            assert_close(_ess_core(z), reference_ess(z))
+
+    # split lengths 2 to 5, an odd draw count dropping the middle draw, up
+    # to the 500 of each split chain of a 1000-draw run
+    @pytest.mark.parametrize("n_draws", [4, 5, 6, 8, 10, 400, 1000])
+    @pytest.mark.parametrize("rho", [-0.7, -0.3, 0.0, 0.3, 0.6, 0.9, 0.99])
+    def test_matches_the_definition(self, rng, rho, n_draws):
+        for n_chains in (2, 4, 8):
+            for z in bulk_and_tail_series(ar1_chains(rng, n_chains, n_draws, rho)):
+                assert_close(_ess_core(z), reference_ess(z))
+
+    def test_no_pair_turns_non_positive(self, rng):
+        # chains this slow disagree in mean, so every pair stays positive
+        # and tau sums them all
+        z = _rank_normalize(_split_chains(ar1_chains(rng, 4, 400, 0.99)))
+        rho = reference_autocorrelation(z)
+        assert min(rho[2 * k] + rho[2 * k + 1] for k in range(len(rho) // 2)) > 0.0
+        assert_close(_ess_core(z), reference_ess(z))
+
+    @pytest.mark.parametrize("rho, tau", [
+        # P = 1.5, -0.15: rho_2 = -0.1 is not added
+        ((1.0, 0.5, -0.1, -0.05), 2.0),
+        # P = 1.5, -0.2: rho_2 = 0.1 is added once
+        ((1.0, 0.5, 0.1, -0.3), 2.1),
+        # P = 1.1, 1.2, -0.4: P_1 is capped at 1.1, then rho_4 = 0.1 added
+        ((1.0, 0.1, 0.6, 0.6, 0.1, -0.5), 3.5),
+        # P = 1.5, 0, 1: a zero pair ends the sum too
+        ((1.0, 0.5, 0.25, -0.25, 0.5, 0.5), 2.25),
+    ])
+    def test_tau_by_hand(self, rho, tau):
+        assert abs(_geyer_tau(np.array(rho)) - tau) <= 1e-15
+        assert abs(reference_tau(rho) - tau) <= 1e-15
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(rho=st.floats(-0.99, 0.99), n_chains=st.integers(2, 8),
