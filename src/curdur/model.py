@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import SplineBasis
 from .errors import DimensionError
-from .reporting import HeapSet, ReportedDataset, observation_matrix
+from .reporting import DEFAULT_HEAP, HeapSet, ReportedDataset, observation_matrix
 from .window import NUM_DAYS, day_vector
 
 LOG_CLAMP = 700.0
@@ -56,11 +56,6 @@ class ModelParams:
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([self.delta, [self.log_sigma]])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "ModelParams":
-        vec = np.asarray(vec, dtype=float)
-        return cls(delta=vec[:-1], log_sigma=float(vec[-1]))
 
 
 @dataclass(frozen=True)
@@ -183,7 +178,7 @@ class PosteriorDensity:
         self,
         data: ReportedDataset | None,
         basis: SplineBasis,
-        heap: HeapSet | None = None,
+        heap: HeapSet = DEFAULT_HEAP,
     ):
         k = basis.num_basis
         self.num_params = k + 1

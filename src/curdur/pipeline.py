@@ -14,6 +14,7 @@ from .diagnostics import DiagnosticsReport, compute_diagnostics
 from .errors import ConfigurationError
 from .estimates import DEFAULT_LEVELS, EstimateSummary, _checked_levels, summarize
 from .model import mean_tbs_floor
+from .reporting import DEFAULT_HEAP
 from .sampler import PosteriorDraws, SamplerConfig, sample
 
 # a fit whose widest mean_tbs_days band starts within this fraction above
@@ -35,8 +36,8 @@ class FitResult:
     floor: float
 
 
-def fit(data, basis_config=BasisConfig(), sampler_config=SamplerConfig(), heap=None,
-        levels=DEFAULT_LEVELS, progress=None) -> FitResult:
+def fit(data, basis_config=BasisConfig(), sampler_config=SamplerConfig(),
+        heap=DEFAULT_HEAP, levels=DEFAULT_LEVELS, progress=None) -> FitResult:
     """Fit the model to ``data`` by HMC and summarize the posterior.
 
     ``report.flags`` holds the convergence flags and, when the widest

@@ -124,9 +124,7 @@ class ReportedDataset:
         return len(self.records)
 
 
-def day_interval(
-    record: ReportedDuration, heap: HeapSet | None = None
-) -> tuple[int, int]:
+def day_interval(record: ReportedDuration, heap: HeapSet = DEFAULT_HEAP) -> tuple[int, int]:
     """Integer day interval [lo, hi] implied by one report.
 
     Days are exact unless the value sits on a heap day; weeks, months and
@@ -134,7 +132,6 @@ def day_interval(
     observable day; ``ReportedDuration`` refuses every report that would
     start beyond it, under any heap.
     """
-    heap = heap if heap is not None else DEFAULT_HEAP
     z = record.z
     if record.unit == Unit.DAY:
         if z in heap:
@@ -150,7 +147,7 @@ def day_interval(
     return lo, min(hi, LAST_DAY)
 
 
-def reported_prob(phi, record: ReportedDuration, heap: HeapSet | None = None) -> float:
+def reported_prob(phi, record: ReportedDuration, heap: HeapSet = DEFAULT_HEAP) -> float:
     """Probability of one report under a duration distribution.
 
     ``phi`` may be a TslsDistribution or a plain probability vector over
@@ -165,7 +162,7 @@ def reported_prob(phi, record: ReportedDuration, heap: HeapSet | None = None) ->
     return total
 
 
-def observation_matrix(dataset: ReportedDataset, heap: HeapSet | None = None) -> np.ndarray:
+def observation_matrix(dataset: ReportedDataset, heap: HeapSet = DEFAULT_HEAP) -> np.ndarray:
     """P(report | day): row r is 1 on the ``day_interval`` of the r-th report
     of ``dataset.counts`` and 0 elsewhere, so ``@ phi`` gives each report's
     probability."""
@@ -176,7 +173,7 @@ def observation_matrix(dataset: ReportedDataset, heap: HeapSet | None = None) ->
     return matrix
 
 
-def spread_mass(dataset: ReportedDataset, heap: HeapSet | None = None) -> np.ndarray:
+def spread_mass(dataset: ReportedDataset, heap: HeapSet = DEFAULT_HEAP) -> np.ndarray:
     """Per-day histogram weights with each report's mass spread evenly.
 
     Every record contributes 1 / (interval width) to each day of its

@@ -12,7 +12,9 @@ two loops: warm-up iterations that only adapt, then kept iterations at the
 adapted step that only record.  The one ``PosteriorDraws`` is allocated
 before any chain runs, and each chain writes its own slice.  Chains run
 one after another and own independent seeded RNG streams, so results are
-bit-identical across runs.
+bit-identical across runs on one host and one numpy build.  Across hosts
+they may differ: numpy's SIMD ``exp`` and ``log`` can differ in the last
+bit between AVX-512 and AVX2 dispatch, and HMC amplifies that difference.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .diagnostics import MIN_CHAINS, MIN_DRAWS_PER_CHAIN
 from .errors import ConfigurationError, SamplingError, check_allocation
 from .model import PosteriorDensity, to_centered, to_noncentered
-from .reporting import _whole
+from .reporting import DEFAULT_HEAP, _whole
 
 # step size times leapfrog steps each iteration aims for; longer
 # trajectories cost more gradient evaluations but decorrelate draws faster
@@ -337,7 +339,7 @@ def sample(
     config: SamplerConfig,
     data,
     basis,
-    heap=None,
+    heap=DEFAULT_HEAP,
     progress=None,
 ) -> PosteriorDraws:
     """Sample the posterior over (delta_1 .. delta_K, log_sigma).

@@ -12,7 +12,7 @@ The default rule is not coarsened at random (see README).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigurationError, check_allocation
 from .estimates import TbsDistribution
 from .reporting import (
+    DEFAULT_HEAP,
     EXCLUSION_MIN,
     HeapSet,
     ReportedDataset,
@@ -106,7 +107,7 @@ class ReportingBehavior:
     """
 
     rule: Callable[[int], Sequence[tuple[str, float]]] = default_unit_rule
-    heap: HeapSet = field(default_factory=HeapSet)
+    heap: HeapSet = DEFAULT_HEAP
 
 
 def _nearest_heap_day(y: int, heap: HeapSet) -> int | None:
@@ -199,12 +200,11 @@ def _pick(reports: list[tuple[ReportedDuration, float]], u: float) -> ReportedDu
 
 def simulate_survey(
     truth: TbsDistribution,
-    behavior: ReportingBehavior | None = None,
+    behavior: ReportingBehavior = ReportingBehavior(),
     n: int = 0,
     seed=0,
 ) -> ReportedDataset:
     """Generate a synthetic survey dataset; deterministic per seed."""
-    behavior = behavior if behavior is not None else ReportingBehavior()
     rng = _rng(seed)
     exact = sample_tsls_exact(truth, n, rng)
     uniforms = rng.random(len(exact)).tolist()

@@ -289,7 +289,7 @@ class TestSummarize:
         basis = build_basis(BasisConfig())
         vec = np.concatenate([rng.uniform(-0.5, 0.5, 13), [0.0]])
         summary = summarize(as_draws([vec]), basis, levels=(0.9,))
-        phi = phi_from_params(ModelParams.from_vector(vec), basis).phi
+        phi = phi_from_params(ModelParams(delta=vec[:-1], log_sigma=vec[-1]), basis).phi
         assert np.allclose(summary.tsls_pmf.median, phi, atol=1e-14)
         band = summary.tsls_pmf.band(0.9)
         assert np.allclose(band.lower, phi, atol=1e-14)

@@ -12,7 +12,7 @@ from scipy import stats
 
 from curdur import model
 from curdur.basis import BasisConfig, SplineBasis, build_basis
-from curdur.errors import DimensionError
+from curdur.errors import DimensionError, SamplingError
 from curdur.estimates import TbsDistribution, tbs_from_tsls, tsls_from_tbs
 from curdur.model import (
     LOG_CLAMP,
@@ -33,6 +33,7 @@ from curdur.reporting import (
     day_interval,
     spread_mass,
 )
+from curdur.sampler import SamplerConfig, sample
 from tests.conftest import fd_grad, make_mixed_dataset
 
 BASIS = build_basis(BasisConfig())
@@ -177,8 +178,8 @@ class TestPhiFromParams:
             [rng.uniform(-2.0, 2.0, (5, 13)), rng.uniform(-1.0, 1.0, (5, 1))]
         )
         matrix = phi_matrix(rows, BASIS)
-        for i in range(5):
-            single = phi_from_params(ModelParams.from_vector(rows[i]), BASIS)
+        for i, v in enumerate(rows):
+            single = phi_from_params(ModelParams(delta=v[:-1], log_sigma=v[-1]), BASIS)
             assert np.allclose(matrix[i], single.phi, atol=1e-15)
 
 
@@ -377,7 +378,9 @@ class TestGradient:
         for params in [origin] + [random_params(rng) for _ in range(4)]:
             theta = params.to_vector()
             analytic = PRIOR.logp_and_grad(theta)[1]
-            numeric = fd_grad(lambda v: _scipy_log_prior(ModelParams.from_vector(v)), theta)
+            numeric = fd_grad(
+                lambda v: _scipy_log_prior(ModelParams(delta=v[:-1], log_sigma=v[-1])), theta
+            )
             assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-6)
             assert np.allclose(analytic, _prior_gradient(params), rtol=1e-12, atol=1e-12)
 
@@ -754,6 +757,26 @@ class TestSafeRegion:
         assert np.isfinite(logp) and np.isfinite(grad).all()
         assert abs(logp - ref_logp) <= 1e-10 * max(1.0, abs(ref_logp))
         assert (np.abs(grad - ref_grad) <= 1e-10 * (1.0 + size)).all()
+
+    def test_report_with_no_basis_mass_gives_minus_inf_without_warnings(self):
+        # THREE_COLUMNS is zero from day 219 on, so a 1-year report (days
+        # 334-729) has an all-zero row.  The row test keeps every call on the
+        # guarded path, where that row's zero mass gives -inf; the unguarded
+        # path would take log(0) and warn
+        data = ReportedDataset([ReportedDuration(z=1, unit=Unit.YEAR),
+                                ReportedDuration(z=3, unit=Unit.DAY)])
+        density = PosteriorDensity(data, THREE_COLUMNS)
+        eta = np.array([0.1, -0.2, 0.3, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for logp in (True, False):
+                assert density.noncentered_logp_and_grad(eta, logp)[0] == -math.inf
+            logp, grad = density.logp_and_grad(to_centered(eta))
+            assert logp == -math.inf
+            assert np.array_equal(grad, np.zeros(4))
+            with pytest.raises(SamplingError,
+                               match="chain 0: posterior is not finite at the initial point"):
+                sample(SamplerConfig(), data, THREE_COLUMNS)
 
     def test_fit_positions_match_recorded_values(self):
         # 200 positions a fit of the benchmark's fit survey visited (geometric

@@ -223,7 +223,7 @@ CUSTOM_HEAP = HeapSet(days=(10, 45), halfwidth=3)
 
 class TestObservationMatrix:
     @pytest.mark.parametrize("dataset, heap", [
-        (EVERY_KIND, None),
+        (EVERY_KIND, DEFAULT_HEAP),
         (_reports((7, Unit.DAY), (10, Unit.DAY), (45, Unit.DAY), (48, Unit.DAY),
                   (104, Unit.WEEK)), CUSTOM_HEAP),
     ], ids=["default_heap", "custom_heap"])
@@ -245,7 +245,7 @@ class TestObservationMatrix:
         from tests.conftest import make_mixed_dataset
 
         data = make_mixed_dataset(rng, n=200)
-        for dataset, heap in [(data, None), (EVERY_KIND, CUSTOM_HEAP)]:
+        for dataset, heap in [(data, DEFAULT_HEAP), (EVERY_KIND, CUSTOM_HEAP)]:
             matrix = observation_matrix(dataset, heap)
             assert matrix.shape == (len(dataset.counts), NUM_DAYS)
             assert set(np.unique(matrix)) <= {0.0, 1.0}
