@@ -176,7 +176,10 @@ def ingest(path) -> tuple[ReportedDataset, IngestReport]:
             raise IngestError(f"{path}: file is empty")
         if [cell.strip(string.whitespace).lower() for cell in head] != ["z", "unit"]:
             raise IngestError(f"{path}: expected header 'z,unit', got {head!r}")
-        for line_no, row in enumerate(reader, start=2):
+        # a row is numbered by the line it starts on: a quoted field may hold a line break
+        end = reader.line_num
+        for row in reader:
+            line_no, end = end + 1, reader.line_num
             key = tuple(row)
             found = classes.get(key)
             if found is None:
@@ -266,13 +269,6 @@ def write_draws_csv(draws: PosteriorDraws, path) -> None:
                               for it, row in enumerate(values, 1))
 
 
-def _check_chain_sizes(path: Path, sizes: list) -> None:
-    if len(sizes) < MIN_CHAINS:
-        raise IngestError(f"{path}: diagnostics need at least {MIN_CHAINS} chains")
-    if len(set(sizes)) != 1:
-        raise IngestError(f"{path}: chains have unequal lengths {sorted(set(sizes))}")
-
-
 def _body_lines(handle, start: int, line_numbers: array.array):
     """The lines of a draws.csv body for numpy's parser, from ``handle``
     at line ``start``; the number of each line yielded is appended to
@@ -295,9 +291,20 @@ def _body_lines(handle, start: int, line_numbers: array.array):
         yield line
 
 
-def _read_draws(path: Path) -> tuple[np.ndarray, list, list]:
-    """``read_draws_csv``'s draws and names, and the file's chain ids in
-    sorted order: chain c of the draws is the file's chain ``ids[c]``."""
+def read_draws_csv(path) -> tuple[np.ndarray, list]:
+    """Rebuild the (chains, iterations, parameters) array from draws.csv,
+    its chains in the sorted order of their ids.
+
+    The file, regular or a pipe, is read once as a stream, a leading UTF-8
+    byte-order mark skipped, and its body parsed by numpy line by line.
+    Chain ids and iterations are int64.  Each chain's rows must carry the
+    iterations 1, 2, ..., n in file order, and rows in chain order come
+    back as a view of the parsed table.  A malformed row raises
+    IngestError naming its line, and so do fewer than MIN_CHAINS chains,
+    chains of unequal lengths and a value that is not finite: the first in
+    chain, iteration and parameter order, named by the file's chain id.
+    """
+    path = Path(path)
     with _open_csv(path) as (handle, reader):
         header = next(reader, None)
         if header is None or len(header) < 3 or header[:2] != ["chain", "iteration"]:
@@ -337,24 +344,18 @@ def _read_draws(path: Path) -> tuple[np.ndarray, list, list]:
         at = wrong[np.argmin(rows[wrong])]
         raise IngestError(f"{path}: line {line_numbers[rows[at]]}: iteration {iterations[at]} "
                           f"of chain {chains[at]}, expected {due[at]}")
-    ids, sizes = np.unique(chains, return_counts=True)
-    _check_chain_sizes(path, sizes.tolist())
-    return table["values"].reshape(len(ids), -1, len(names)), names, ids.tolist()
-
-
-def read_draws_csv(path) -> tuple[np.ndarray, list]:
-    """Rebuild the (chains, iterations, parameters) array from draws.csv,
-    its chains in the sorted order of their ids.
-
-    The file, regular or a pipe, is read once as a stream, a leading UTF-8
-    byte-order mark skipped, and its body parsed by numpy line by line.
-    Chain ids and iterations are int64.  Each chain's rows must carry the
-    iterations 1, 2, ..., n in file order, and rows in chain order come
-    back as a view of the parsed table.  A malformed row raises
-    IngestError naming its line.
-    """
-    draws, names, _ = _read_draws(Path(path))
-    return draws, names
+    sizes = np.unique(chains, return_counts=True)[1].tolist()
+    if len(sizes) < MIN_CHAINS:
+        raise IngestError(f"{path}: diagnostics need at least {MIN_CHAINS} chains")
+    if len(set(sizes)) != 1:
+        raise IngestError(f"{path}: chains have unequal lengths {sorted(set(sizes))}")
+    values = table["values"]
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        at, param = bad[0]
+        raise IngestError(f"{path}: chain {chains[at]}, draw {iterations[at]}: "
+                          f"parameter {names[param]} is {values[at, param]}")
+    return values.reshape(len(sizes), -1, len(names)), names
 
 
 def _write_json(payload: dict, path) -> None:
@@ -503,14 +504,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    draws, names, ids = _read_draws(Path(args.draws))
-    bad = np.argwhere(~np.isfinite(draws))
-    if bad.size:
-        chain, iteration, param = bad[0]
-        raise IngestError(
-            f"{args.draws}: chain {ids[chain]}, draw {iteration + 1}: "
-            f"parameter {names[param]} is {draws[chain, iteration, param]}"
-        )
+    draws, names = read_draws_csv(args.draws)
     report = compute_diagnostics(draws, names=names)
     sys.stdout.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     return EXIT_OK if report.passed else EXIT_FLAGGED

@@ -7,9 +7,7 @@ adjustment.  ESS is S / tau, with tau from Geyer's initial monotone
 sequence as Stan and ArviZ take it: the pair sums P_k = rho_2k + rho_2k+1
 of the chain-averaged autocorrelation are truncated at the first
 non-positive one, P_m, and made non-increasing, and tau = -1 + 2 sum P_k
-+ max(rho_2m, 0).  ESS values changed once when this replaced a loop that
-also counted rho_2m twice, whatever its sign; no flag of the benchmark's
-fit workload did.  No scipy is used: the normal scores come from
++ max(rho_2m, 0).  No scipy is used: the normal scores come from
 ``statistics.NormalDist``, and each FFT runs at the least power of two
 that holds twice the draws.
 """

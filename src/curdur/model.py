@@ -250,10 +250,10 @@ class PosteriorDensity:
         The likelihood's coefficient sums are the reverse sums of delta =
         sigma z.  ``guarded`` clamps and rescales them, and the caller then
         holds an ``np.errstate``: an interval whose mass underflows to zero
-        gives -inf, which the sampler treats as divergent.  Unguarded calls
-        need every |sum| <= _SAFE_SUM and ``_safe_rows``, which keep every
-        step finite and exception-free.  With ``logp`` False the log density
-        is None, not computed.
+        gives (-inf, zeros), which the sampler treats as divergent.
+        Unguarded calls need every |sum| <= _SAFE_SUM and ``_safe_rows``,
+        which keep every step finite and exception-free.  With ``logp``
+        False the log density is None, not computed.
         """
         sigma_sq = sigma * sigma
         sums = self._upper.dot(eta)
@@ -264,6 +264,9 @@ class PosteriorDensity:
             alpha = np.exp(sums)
         mass = self._rows.dot(alpha)
         loglik = float(self._weights.dot(np.log(mass))) if logp else None
+        if loglik == -math.inf:
+            # a report with no mass: no gradient, as at any other -inf
+            return loglik, np.zeros_like(eta)
         d_sums = self._rows_t.dot(self._weights / mass)
         d_sums *= alpha
         if guarded:

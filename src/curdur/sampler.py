@@ -346,7 +346,9 @@ def sample(
 
     Warm-up draws are discarded; the result holds iterations_per_chain -
     warmup draws per chain.  To sample the prior, run ``sample_density``
-    on ``PosteriorDensity(None, basis).noncentered_logp_and_grad``.
+    on ``PosteriorDensity(None, basis).noncentered_logp_and_grad``: its
+    draws are (z, log_sigma), which ``to_centered`` maps to (delta,
+    log_sigma).
 
     Chains start from (delta, log_sigma) uniform on [-1, 1] per coordinate
     and run in scale-free coordinates internally; the returned draws are
@@ -354,7 +356,7 @@ def sample(
     given, is called as each chain finishes.  A chain whose every kept
     proposal diverged raises SamplingError before the next chain starts.
     """
-    if data is None or len(data) == 0:
+    if len(data) == 0:
         raise SamplingError("dataset is empty; nothing to fit")
     density = PosteriorDensity(data, basis, heap=heap)
     k = basis.num_basis

@@ -111,6 +111,24 @@ class TestIngest:
         assert "line 5" in message
         assert "line 6" in message
 
+    @pytest.mark.parametrize("source", [
+        "file",
+        pytest.param("pipe", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                      reason="needs named pipes")),
+    ])
+    def test_line_numbers_count_line_breaks_in_quoted_fields(self, tmp_path, source):
+        # the row "7\n",day takes lines 2 and 3, so the bad row is on line 5
+        path = tmp_path / "data.csv"
+        path.write_text('z,unit\n"7\n",day\n3,day\nx,day\n', newline="")
+        with pytest.raises(IngestError) as err:
+            if source == "file":
+                ingest(path)
+            else:
+                _read_through_pipe(tmp_path, path.read_bytes(), ingest)
+        if source == "pipe":
+            path = tmp_path / "pipe"
+        assert str(err.value) == f"{path}: line 5: reported value 'x' is not an integer"
+
     # int() reads digit-group underscores and non-ASCII digits; a survey does not
     @pytest.mark.parametrize("z", ["1_0", "\u0663", "\uff17"])
     def test_value_must_be_ascii_digits(self, tmp_path, z):
@@ -380,7 +398,7 @@ DRAWS_BODIES = [
     ("crlf_rows", "0,1,0.5,1\r\n1,1,0.7,2\r\n", ROW_PAIR),
     ("padded_fields", " 0 ,1, 0.5 ,1\n1,1,0.7,2\n", ROW_PAIR),
     ("special_values", "0,1,nan,-inf\n1,1,Infinity,-0.0\n",
-     [[[math.nan, -math.inf]], [[math.inf, -0.0]]]),
+     "chain 0, draw 1: parameter x is nan"),
     ("trailing_comma", "0,1,0.5,1,\n1,1,0.7,2,\n", f"line 2: {ROW_REFUSED}"),
     ("short_row", "0,1,0.5\n1,1,0.7,2\n", f"line 2: {ROW_REFUSED}"),
     ("long_row", "0,1,0.5,1,9\n1,1,0.7,2\n", f"line 2: {ROW_REFUSED}"),
@@ -464,12 +482,12 @@ _NOT_PLAIN = set("_\x1c\x1d\x1e\x1f")
 
 def _read_rows(path: Path):
     """The oracle for read_draws_csv: draws.csv at ``path`` read row by row
-    by csv.reader, int() and float(), as (draws, chain ids), or None when
-    it is refused.
+    by csv.reader, int() and float(), as the draws in chain id order, or
+    None when it is refused.
 
     A cell must be plain ASCII, as int() and float() also read "_", other
-    digits and the separators \\x1c-\\x1f as a number, and a chain id must
-    fit int64.
+    digits and the separators \\x1c-\\x1f as a number, a chain id must
+    fit int64 and a value must be finite.
     """
     by_chain: dict = {}
     with open(path, newline="") as handle:
@@ -493,8 +511,8 @@ def _read_rows(path: Path):
             draws.append(values)
     if len(by_chain) < 2 or len({len(draws) for draws in by_chain.values()}) != 1:
         return None
-    ids = sorted(by_chain)
-    return np.array([by_chain[chain] for chain in ids]), ids
+    draws = np.array([by_chain[chain] for chain in sorted(by_chain)])
+    return draws if np.isfinite(draws).all() else None
 
 
 class TestDrawsCsv:
@@ -502,19 +520,18 @@ class TestDrawsCsv:
     @given(body=_draws_bodies())
     def test_bulk_parse_and_row_loop_agree(self, tmp_path_factory, body):
         # the reader takes every body the row-by-row oracle takes, to the
-        # same ids and bytes, and refuses every other
+        # same bytes, and refuses every other
         path = tmp_path_factory.getbasetemp() / "agree.csv"
         path.write_text("chain,iteration,x,y\n" + body, newline="")
         rows = _read_rows(path)
         try:
-            draws, _, ids = cli._read_draws(path)
+            draws, _ = read_draws_csv(path)
         except IngestError:
             assert rows is None
         else:
             assert rows is not None
-            assert ids == rows[1]
-            assert draws.shape == rows[0].shape
-            assert draws.tobytes() == rows[0].tobytes()
+            assert draws.shape == rows.shape
+            assert draws.tobytes() == rows.tobytes()
 
     def test_bytes_are_pinned(self, tmp_path):
         values = [[[-0.0, 5e-324, 0.1], [1e308, math.nan, math.inf]],
@@ -543,7 +560,7 @@ class TestDrawsCsv:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(values=hnp.arrays(np.float64,
                              st.tuples(st.integers(2, 3), st.integers(1, 4), st.integers(1, 3)),
-                             elements=st.floats(allow_nan=False)))
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
     def test_round_trip_is_bitwise(self, tmp_path_factory, values):
         path = tmp_path_factory.getbasetemp() / "round_trip.csv"
         write_draws_csv(posterior(values), path)
@@ -570,6 +587,22 @@ class TestDrawsCsv:
             outputs.append((code, capsys.readouterr().out))
         assert outputs[0][0] != EXIT_ERROR
         assert outputs[1] == outputs[0]
+
+    def test_diagnose_reads_through_read_draws_csv(self, tmp_path, capsys, monkeypatch):
+        # one reader: diagnose reads draws.csv as the library does, once
+        path = tmp_path / "draws.csv"
+        write_draws_csv(posterior(np.random.default_rng(3).standard_normal((2, 8, 2))), path)
+        calls = []
+
+        def spy(draws_path):
+            calls.append(draws_path)
+            return read_draws_csv(draws_path)
+
+        monkeypatch.setattr(cli, "read_draws_csv", spy)
+        assert main(["diagnose", "--draws", str(path)]) != EXIT_ERROR
+        assert calls == [str(path)]
+        parameters = json.loads(capsys.readouterr().out)["parameters"]
+        assert [parameter["name"] for parameter in parameters] == ["p0", "p1"]
 
     def test_diagnose_refuses_reversed_rows(self, tmp_path, capsys):
         # the body reversed, as tac reverses it: each chain's draws would

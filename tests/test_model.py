@@ -762,7 +762,8 @@ class TestSafeRegion:
         # THREE_COLUMNS is zero from day 219 on, so a 1-year report (days
         # 334-729) has an all-zero row.  The row test keeps every call on the
         # guarded path, where that row's zero mass gives -inf; the unguarded
-        # path would take log(0) and warn
+        # path would take log(0) and warn.  The gradient there is zero, as at
+        # any other -inf
         data = ReportedDataset([ReportedDuration(z=1, unit=Unit.YEAR),
                                 ReportedDuration(z=3, unit=Unit.DAY)])
         density = PosteriorDensity(data, THREE_COLUMNS)
@@ -770,7 +771,9 @@ class TestSafeRegion:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for logp in (True, False):
-                assert density.noncentered_logp_and_grad(eta, logp)[0] == -math.inf
+                value, grad = density.noncentered_logp_and_grad(eta, logp)
+                assert value == -math.inf
+                assert np.array_equal(grad, np.zeros(4))
             logp, grad = density.logp_and_grad(to_centered(eta))
             assert logp == -math.inf
             assert np.array_equal(grad, np.zeros(4))
