@@ -82,19 +82,15 @@ class SplineBasis:
 
 
 def _bspline_columns(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
-    """Evaluate all B-splines of the given degree at the points x.
+    """Evaluate all B-splines of the given degree at the float points x.
 
-    ``knots`` is the extended (clamped) knot vector.  The last nonempty
-    span is treated as closed so the right boundary itself is covered.
+    ``knots`` is the extended (clamped) knot vector.  Spans are half-open,
+    so all are 0 at the last knot; the first is exactly 1 at the first knot.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     nk = knots.size
     b = np.zeros((x.size, nk - 1))
     for i in range(nk - 1):
-        if knots[i] < knots[i + 1]:
-            b[:, i] = (knots[i] <= x) & (x < knots[i + 1])
-    last = np.flatnonzero(np.diff(knots) > 0)[-1]
-    b[x == knots[-1], last] = 1.0
+        b[:, i] = (knots[i] <= x) & (x < knots[i + 1])
     for p in range(1, degree + 1):
         nxt = np.zeros((x.size, nk - p - 1))
         for i in range(nk - p - 1):
@@ -114,17 +110,14 @@ def build_basis(config: BasisConfig) -> SplineBasis:
     Knots are placed evenly on [0, NUM_DAYS].  By the integral identity,
     one minus the normalized integral of the kth B-spline of degree p is
     the sum of the first k + 1 B-splines of degree p + 1 on the same breaks
-    with one more repeat at each end, so column k runs from 1 at day 0 down
-    to 0 at the boundary.
+    with one more repeat at each end: exactly 1 at day 0 and 0 at the
+    boundary.  The sums round independently on each day; a running minimum
+    down the days only evens that out, keeping each column non-increasing.
     """
     higher = config.degree + 1
     breaks = np.linspace(0.0, float(NUM_DAYS), config.num_segments + 1)
     knots_ext = np.concatenate([np.zeros(higher), breaks, np.full(higher, float(NUM_DAYS))])
     grid = np.arange(NUM_DAYS + 1, dtype=float)
     values = np.cumsum(_bspline_columns(grid, knots_ext, higher)[:, :-1], axis=1)
-    # the sums round independently on each day: one running minimum down
-    # the days keeps every column non-increasing and within [0, 1]
-    values[0, :] = 1.0
     values = np.minimum.accumulate(values, axis=0)
-    values[-1, :] = 0.0
     return SplineBasis(values=values, knots=breaks)

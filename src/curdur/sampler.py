@@ -58,8 +58,8 @@ class SamplerConfig:
             )
         if self.warmup < 0:
             raise ConfigurationError(f"warmup must be >= 0, got {self.warmup}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigurationError("seed must fit in an unsigned 64-bit integer")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.kept_iterations < MIN_DRAWS_PER_CHAIN:
             raise ConfigurationError(
                 f"iterations_per_chain ({self.iterations_per_chain}) - warmup "

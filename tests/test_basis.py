@@ -93,8 +93,9 @@ class TestBuildBasis:
         oracle = scipy_reflected_basis(config)
         assert np.allclose(basis.values, oracle, atol=1e-12, rtol=0.0)
 
-    # each id ends in the spline degree
-    @pytest.mark.parametrize("num_segments", [1, 2, 7, 10, 30, 60],
+    # each id ends in the spline degree; 727 segments give the largest
+    # basis, one column per support day
+    @pytest.mark.parametrize("num_segments", [1, 2, 7, 10, 30, 60, 365, 727],
                              ids=lambda n: f"{n}-{BasisConfig.degree}")
     def test_layouts(self, num_segments):
         config = BasisConfig(num_segments=num_segments)

@@ -982,6 +982,18 @@ class TestCommands:
         assert err[0].startswith("ingested ")
         assert err[1:] == ["chain 0: 2000 iterations done", "chain 1: 2000 iterations done"]
 
+    def test_fit_takes_a_seed_past_64_bits(self, tmp_path):
+        # any seed simulate takes, fit takes too, and records as given
+        seed = str(2**64)
+        assert main(["simulate", "--truth", "geometric:p=0.03", "--n", "1000", "--seed", seed,
+                     "--outdir", str(tmp_path / "sim")]) == EXIT_OK
+        code = main(["fit", "--input", str(tmp_path / "sim" / "data.csv"),
+                     "--outdir", str(tmp_path / "fit"), "--seed", seed, "--chains", "2",
+                     "--iters", "40", "--warmup", "20"])
+        assert code in (EXIT_OK, EXIT_FLAGGED)
+        estimates = json.loads((tmp_path / "fit" / "estimates.json").read_text())
+        assert estimates["config"]["sampler"]["seed"] == 2**64
+
     def test_unknown_unit_gives_error_json(self, tmp_path, capsys):
         bad = write_csv(tmp_path / "bad.csv", ["5,fortnight"])
         code = main(["fit", "--input", str(bad), "--outdir", str(tmp_path / "out")])

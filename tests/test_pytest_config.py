@@ -1,6 +1,6 @@
 """The project's test settings: pytest reports a failing test as a failure,
-the numpy-only CI job runs only test modules that need no scipy, and no
-source module imports a name it never uses."""
+the numpy-only CI job runs every test module that needs no scipy and no
+other, and no source module imports a name it never uses."""
 
 import ast
 import re
@@ -61,12 +61,13 @@ def _imported_packages(path: Path) -> set[str]:
 
 
 def test_numpy_only_job_runs_test_modules_that_import_no_scipy():
-    # a scipy or mpmath oracle in a listed module would fail that job only
-    modules = _numpy_only_test_modules()
-    assert modules
-    for path in [ROOT / module for module in modules] + [ROOT / "tests" / "conftest.py"]:
-        assert path.is_file(), path
-        assert not _imported_packages(path) & {"scipy", "mpmath"}, path
+    # a scipy or mpmath oracle in a listed module would fail that job only,
+    # and a scipy-free module left off the list would go unrun there
+    assert not _imported_packages(ROOT / "tests" / "conftest.py") & {"scipy", "mpmath"}
+    scipy_free = {f"tests/{path.name}" for path in (ROOT / "tests").glob("test_*.py")
+                  if not _imported_packages(path) & {"scipy", "mpmath"}}
+    assert scipy_free
+    assert sorted(_numpy_only_test_modules()) == sorted(scipy_free)
 
 
 # perfbench's tracer looks these up on curdur.cli, which calls them only

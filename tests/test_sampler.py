@@ -69,6 +69,10 @@ class TestSamplerConfig:
         with pytest.raises(ConfigurationError):
             SamplerConfig(target_accept=1.0)
         assert SamplerConfig().kept_iterations == 1000
+        # any seed numpy takes, as the simulator's: 2**64 and beyond too
+        assert SamplerConfig(seed=2**64).seed == 2**64
+        with pytest.raises(ConfigurationError, match="seed must be >= 0, got -1"):
+            SamplerConfig(seed=-1)
 
     def test_too_few_kept_draws_refused(self):
         # the diagnostics need 4 draws per chain: refused before any sampling
