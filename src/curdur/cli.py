@@ -244,7 +244,7 @@ def _replacing(*paths):
 
 def write_dataset(dataset: ReportedDataset, path) -> None:
     """Write records as the ingestible CSV format, one row per record."""
-    with _replacing(path) as (tmp,), open(tmp, "w", newline="") as handle:
+    with _replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8", newline="") as handle:
         # the rows csv.writer writes: no value or unit name needs quoting
         handle.write("z,unit\r\n")
         handle.writelines(f"{r.z},{_UNIT_NAMES[r.unit]}\r\n" for r in dataset.records)
@@ -260,7 +260,7 @@ def _csv_line(head: str, values) -> str:
 
 
 def write_draws_csv(draws: PosteriorDraws, path) -> None:
-    with _replacing(path) as (tmp,), open(tmp, "w", newline="") as handle:
+    with _replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle).writerow(["chain", "iteration"] + list(draws.param_names))
         # one row at a time: only that row is held as floats and text
         for chain in range(draws.num_chains):
@@ -359,7 +359,9 @@ def read_draws_csv(path) -> tuple[np.ndarray, list]:
 
 
 def _write_json(payload: dict, path) -> None:
-    with _replacing(path) as (tmp,), open(tmp, "w") as handle:
+    """Stream ``payload`` to ``path`` as indented UTF-8 JSON ending in ``\\n``;
+    every caller writes inside ``_replacing``, and ``path`` is its temporary file."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         json.dump(payload, handle, indent=2, allow_nan=False)
         handle.write("\n")
 
@@ -475,7 +477,7 @@ def _cmd_fit(args) -> int:
         write_draws_csv(draws, draws_tmp)
         _write_json(estimates_payload, estimates_tmp)
         _write_json(diag_payload, diag_tmp)
-        with open(histogram_tmp, "w", newline="") as handle:
+        with open(histogram_tmp, "w", encoding="utf-8", newline="") as handle:
             handle.write("day,observed_weight,phi_median\r\n")
             handle.writelines([
                 _csv_line(str(day), (float(observed[day]), float(phi_median[day])))
@@ -506,7 +508,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_diagnose(args) -> int:
     draws, names = read_draws_csv(args.draws)
     report = compute_diagnostics(draws, names=names)
-    sys.stdout.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
+    try:
+        sys.stdout.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # the unwritten report stays buffered; with stdout on devnull the
+        # flush at exit succeeds instead of printing "Exception ignored"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigurationError(f"cannot write standard output: {exc}") from exc
     return EXIT_OK if report.passed else EXIT_FLAGGED
 
 

@@ -13,6 +13,7 @@ import resource
 import signal
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from pathlib import Path
@@ -32,6 +33,7 @@ from curdur.cli import (
     EXIT_OK,
     _heap_from_args,
     _parse_levels,
+    _replacing,
     _write_json,
     build_parser,
     ingest,
@@ -569,6 +571,31 @@ class TestDrawsCsv:
         assert back.shape == values.shape
         assert back.tobytes() == values.tobytes()
 
+    def test_round_trip_under_an_ascii_locale(self, tmp_path):
+        # the C locale, neither coerced nor in UTF-8 mode: its encoding is
+        # ASCII, which cannot encode a parameter named delta in Greek
+        path = tmp_path / "draws.csv"
+        child = textwrap.dedent("""
+            import codecs, json, locale, sys
+            import numpy as np
+            from curdur.cli import read_draws_csv, write_draws_csv
+            from curdur.sampler import PosteriorDraws
+
+            values = np.random.default_rng(5).standard_normal((2, 4, 1))
+            write_draws_csv(PosteriorDraws(values, np.ones(2), np.zeros(2, dtype=int),
+                                           np.ones(2), ["\\u03b4"]), sys.argv[1])
+            back, names = read_draws_csv(sys.argv[1])
+            print(json.dumps({"encoding": codecs.lookup(locale.getpreferredencoding()).name,
+                              "names": names, "bitwise": back.tobytes() == values.tobytes()}))
+        """)
+        env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run([sys.executable, "-c", child, str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"encoding": "ascii", "names": ["\u03b4"],
+                                           "bitwise": True}
+        assert path.read_bytes().startswith("chain,iteration,\u03b4\r\n".encode())
+
     @pytest.mark.parametrize("body, expected", [case[1:] for case in DRAWS_BODIES],
                              ids=[case[0] for case in DRAWS_BODIES])
     def test_malformed_input(self, tmp_path, body, expected):
@@ -961,12 +988,19 @@ class TestCommands:
         assert outputs["sorted"] == outputs["plain"]
         assert outputs["marked"] == outputs["plain"]
 
-    def test_fit_above_the_basis_floor_is_not_flagged(self, tmp_path):
+    def test_fit_above_the_basis_floor_is_not_flagged(self, tmp_path, capsys):
         # the fit benchmark's survey: true mean TBS 33.3 days
-        _, diagnostics, estimates = self._short_fit(tmp_path, "geometric:p=0.03", 1000)
+        code, diagnostics, estimates = self._short_fit(tmp_path, "geometric:p=0.03", 1000)
         floor = estimates["config"]["basis"]["mean_tbs_floor_days"]
         assert estimates["mean_tbs_days"]["intervals"]["0.95"]["lower"] > 1.01 * floor
         assert not [f for f in diagnostics["flags"] if "basis_floor" in f]
+        # with no basis_floor flag, the one flag diagnose cannot set, diagnose
+        # prints diagnostics.json less the per-chain sampler fields
+        capsys.readouterr()
+        assert main(["diagnose", "--draws", str(tmp_path / "fit" / "draws.csv")]) == code
+        for key in ("divergences", "accept_rate", "step_size"):
+            del diagnostics[key]
+        assert capsys.readouterr().out == json.dumps(diagnostics, indent=2) + "\n"
 
     def test_fit_workload_exits_zero(self, tmp_path, capsys):
         # the fit benchmark's survey and fit, which pass every check
@@ -1386,7 +1420,9 @@ def _write_failing(kind, path):
                                 draws=_RowsThenError(300))
         write_draws_csv(draws, path)
     else:
-        _write_json({"levels": list(range(500)), "bad": object()}, path)
+        # as the commands write JSON: into a temporary file of _replacing
+        with _replacing(path) as (tmp,):
+            _write_json({"levels": list(range(500)), "bad": object()}, tmp)
 
 
 def _write_ok(kind, path):
@@ -1397,7 +1433,8 @@ def _write_ok(kind, path):
                                 draws=_RowsThenError(2))
         write_draws_csv(draws, path)
     else:
-        _write_json({"levels": [0.8]}, path)
+        with _replacing(path) as (tmp,):
+            _write_json({"levels": [0.8]}, tmp)
 
 
 class TestAtomicWrites:
@@ -1417,6 +1454,27 @@ class TestAtomicWrites:
         _write_ok(kind, target)
         assert target.read_text() != "previous run\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_commands_rename_each_json_file_once(self, tmp_path, capsys, monkeypatch):
+        # the commands write JSON straight into their _replacing's temporary
+        # files; only the public CSV writers keep a _replacing of their own
+        renamed = []
+
+        def spy(src, dst, real=os.replace):
+            renamed.append(Path(dst).name)
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        sim, fit = tmp_path / "sim", tmp_path / "fit"
+        assert main(["simulate", "--truth", "geometric:p=0.1", "--n", "200", "--seed", "3",
+                     "--outdir", str(sim)]) == EXIT_OK
+        assert renamed == [f".data.csv.{os.getpid()}.tmp", "data.csv", "truth.json"]
+        renamed.clear()
+        code = main(["fit", "--input", str(sim / "data.csv"), "--outdir", str(fit),
+                     "--chains", "2", "--iters", "40", "--warmup", "20", "--knots", "4"])
+        assert code in (EXIT_OK, EXIT_FLAGGED)
+        assert renamed == [f".draws.csv.{os.getpid()}.tmp", "draws.csv", "estimates.json",
+                           "diagnostics.json", "histogram.csv"]
 
     def test_failed_fit_keeps_previous_histogram(self, tmp_path, capsys, monkeypatch):
         data = tmp_path / "data.csv"
@@ -1543,6 +1601,23 @@ class TestFailedWrites:
         assert sorted(tmp_path.rglob("*")) == before
         for name, content in previous.items():
             assert (outdir / name).read_bytes() == content
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_diagnose_to_a_full_device_gives_error_json(self, tmp_path, unbuffered):
+        # buffered, the report is still held when Python flushes stdout at exit
+        path = tmp_path / "draws.csv"
+        write_draws_csv(posterior(np.random.default_rng(1).standard_normal((2, 8, 2))), path)
+        env = {**os.environ, "PYTHONUNBUFFERED": unbuffered}
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "curdur.cli", "diagnose", "--draws",
+                                   str(path)], stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=env)
+        assert proc.returncode == EXIT_ERROR
+        # one JSON line: no traceback, and no "Exception ignored" as stdout closes
+        message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert proc.stderr.splitlines() == [json.dumps(
+            {"error": "ConfigurationError", "message": f"cannot write standard output: {message}"})]
 
 
 class _FailingRows:

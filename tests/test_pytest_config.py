@@ -1,6 +1,7 @@
 """The project's test settings: pytest reports a failing test as a failure,
 the numpy-only CI job runs every test module that needs no scipy and no
-other, and no source module imports a name it never uses."""
+other, and no source module imports a name it never uses or opens a text
+file in the locale's encoding."""
 
 import ast
 import re
@@ -95,3 +96,44 @@ def test_source_modules_use_every_name_they_import():
     for path in modules:
         unused = _unused_imports(path) - IMPORTED_FOR_THE_BENCHMARK.get(path.name, set())
         assert not unused, (path.name, sorted(unused))
+
+
+# the calls that open a text file, with the positions of their mode and
+# encoding arguments; any other ``x.open`` is taken for ``Path.open``
+_TEXT_OPENS = {"open": (1, 3), "io.open": (1, 3), ".open": (0, 2),
+               ".read_text": (None, 0), ".write_text": (None, 1)}
+
+
+def _call_name(func: ast.expr) -> str:
+    if isinstance(func, ast.Attribute):
+        owner = func.value.id if isinstance(func.value, ast.Name) else ""
+        return f"{owner}.{func.attr}" if owner in ("io", "os") else f".{func.attr}"
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def _opens_without_encoding(path: Path) -> list[int]:
+    """The lines of the calls in the module at ``path`` that open a text
+    file with no encoding, and so in the locale's."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if not (isinstance(node, ast.Call) and _call_name(node.func) in _TEXT_OPENS):
+            continue
+        mode_at, encoding_at = _TEXT_OPENS[_call_name(node.func)]
+        keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+        mode = keywords.get("mode")
+        if mode_at is not None and len(node.args) > mode_at:
+            mode = node.args[mode_at]
+        binary = isinstance(mode, ast.Constant) and "b" in mode.value
+        if not binary and "encoding" not in keywords and len(node.args) <= encoding_at:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_source_modules_open_text_files_with_an_encoding():
+    # both readers read UTF-8: a writer in the locale's encoding could
+    # write a file they refuse, or fail on a name the locale cannot encode
+    modules = list((ROOT / "src" / "curdur").glob("*.py"))
+    assert modules
+    for path in modules:
+        lines = _opens_without_encoding(path)
+        assert not lines, (path.name, lines)
